@@ -26,7 +26,7 @@ from .complexity import (
     span_dimension,
     validate_decomposition,
 )
-from .fan import StarFan, is_complete, star_fan
+from .fan import StarFan, is_complete, star_fan, wall_partners
 from .lattice import ToricomplexError, cartier_scale, solve_integral, vec_dot
 from .pairmodel import ToricPair, build_pair, pair_class_group
 
@@ -189,12 +189,8 @@ def _induced_mode(pair: ToricPair, star: StarFan):
     partners sharing a two-dimensional face with the center inside it.
     """
     if pair.mode == "local":
-        from .fan import cone_dim, cone_faces_global
         ci = pair.fan.max_cones.index(pair.cone)
-        members = set()
-        for f in cone_faces_global(pair.fan, ci):
-            if star.center in f and cone_dim(pair.fan, tuple(f)) == 2:
-                members.update(j for j in f if j != star.center)
+        members = wall_partners(pair.fan, ci, star.center)
         image = tuple(sorted(star.partner_star[j] for j in members))
         return "local", image
     if pair.mode == "projective" or is_complete(star.fan):

@@ -34,9 +34,7 @@ Exit codes
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -217,10 +215,6 @@ def _decomposition_from_doc(doc, pair):
     return dec
 
 
-def _load_pair(doc):
-    return pair_from_dict(doc)
-
-
 def _interior_vector(doc, fan):
     if "v" not in doc:
         raise InvalidDocumentError('germ document needs the interior vector "v"')
@@ -277,7 +271,7 @@ def _class_doc(pres, v):
 
 def _cmd_validate(job):
     doc = _load_doc(job.input_path)
-    pair = _load_pair(doc)
+    pair = pair_from_dict(doc)
     checked = "decomposition" in doc or "orbifold" in doc
     dec = _decomposition_from_doc(doc, pair)
     return {
@@ -315,7 +309,7 @@ def _cmd_complexity(job):
         doc = dict(doc, mode=mode)
         if job.options.get("cone") is not None:
             doc["cone"] = list(job.options["cone"])
-    pair = _load_pair(doc)
+    pair = pair_from_dict(doc)
     dec = _decomposition_from_doc(doc, pair)
     trivial = all(n == 1 for n in dec.orbifold)
     return {
@@ -331,7 +325,7 @@ def _cmd_complexity(job):
 
 def _cmd_minimize(job):
     doc = _load_doc(job.input_path)
-    pair = _load_pair(doc)
+    pair = pair_from_dict(doc)
     rep = minimize(pair, orbifold_cap=job.options["orbifold_cap"],
                    partition_limit=job.options["partition_limit"])
     return {
@@ -352,7 +346,7 @@ def _cmd_minimize(job):
 
 def _cmd_adjoin(job):
     doc = _load_doc(job.input_path)
-    pair = _load_pair(doc)
+    pair = pair_from_dict(doc)
     dec = _decomposition_from_doc(doc, pair)
     ray = job.options["ray"]
     if not 0 <= ray < len(pair.fan.rays):
@@ -424,7 +418,7 @@ def _surgery_doc(job):
     doc = _load_doc(job.input_path)
     if "pair" not in doc:
         raise InvalidDocumentError('surgery document needs a "pair" object')
-    pair = _load_pair(doc["pair"])
+    pair = pair_from_dict(doc["pair"])
     dec = _decomposition_from_doc(doc["pair"], pair)
     return doc, pair, dec
 
@@ -505,19 +499,8 @@ def _suite_row(item):
     }
 
 
-def _thread_count():
-    raw = os.environ.get("TORICOMPLEX_THREADS", "").strip()
-    if raw:
-        n = int(raw)
-        if n < 1:
-            raise ValueError("TORICOMPLEX_THREADS must be a positive integer")
-        return n
-    return min(len(_SUITE_DATA), os.cpu_count() or 1)
-
-
 def _cmd_check_suite(job):
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        rows = list(pool.map(_suite_row, _SUITE_DATA))
+    rows = [_suite_row(item) for item in _SUITE_DATA]
     return {
         "claim": "bundled-fans-have-zero-complexity",
         "ok": all(row["ok"] for row in rows),

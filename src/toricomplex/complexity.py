@@ -408,11 +408,6 @@ def minimize(pair: ToricPair, orbifold_cap: int = 12,
     )
 
 
-def coefficient_one_rays(pair: ToricPair) -> list:
-    """Rays through the working locus whose boundary coefficient is one."""
-    return [i for i in pair.local_rays() if pair.boundary[i] == 1]
-
-
 # ---------------------------------------------------------------------------
 # Local complexity of a fixed point
 

@@ -18,7 +18,7 @@ from .lattice import (
     cartier_scale,
     vec_dot,
 )
-from .fan import _cone_hforms, _in_hform, locate_max_cone
+from .fan import locate_max_cone
 
 
 class NotQCartierError(ToricomplexError):
@@ -130,14 +130,14 @@ def cartier_index(fan, coeffs):
     return k_total
 
 
-def support_value(fan, coeffs, v, data=None, hforms=None):
+def support_value(fan, coeffs, v):
     """Value at v of the support function of a Q-Cartier divisor.
 
     The support function is linear on each cone with value -coeff_rho at
     u_rho.  v must lie in the support of the fan.
     """
-    data = data if data is not None else cartier_data(fan, coeffs)
-    ci = locate_max_cone(fan, v, hforms)
+    data = cartier_data(fan, coeffs)
+    ci = locate_max_cone(fan, v)
     if ci is None:
         raise ValueError(f"{tuple(v)} is not in the support of the fan")
     return sum(m * Fraction(x) for m, x in zip(data[ci], v))

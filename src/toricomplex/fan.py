@@ -5,9 +5,9 @@ completeness, smoothness, subdivision) are answered exactly through the
 cone machinery in lattice.py.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
+from functools import cached_property
 
 from .lattice import (
     ToricomplexError,
@@ -36,7 +36,11 @@ class InvalidFanError(ToricomplexError):
 @dataclass(frozen=True)
 class Fan:
     """rank: ambient lattice rank; rays: tuple of primitive integer tuples;
-    max_cones: tuple of sorted ray-index tuples."""
+    max_cones: tuple of sorted ray-index tuples.
+
+    Derived geometry (the validation verdict, the H-form and the faces of
+    each maximal cone) is computed on first use and kept on the object.
+    """
 
     rank: int
     rays: tuple
@@ -44,6 +48,25 @@ class Fan:
 
     def cone_rays(self, cone):
         return [self.rays[i] for i in cone]
+
+    @cached_property
+    def diagnostics(self):
+        """Tuple of (code, detail) pairs, empty exactly for a valid fan."""
+        return tuple(_diagnose(self))
+
+    @cached_property
+    def hforms(self):
+        """(equalities, inequalities) of each maximal cone, in order."""
+        return tuple(cone_hform(self.cone_rays(c), self.rank)
+                     for c in self.max_cones)
+
+    @cached_property
+    def faces(self):
+        """Faces of each maximal cone as frozensets of global ray indices."""
+        return tuple(tuple(frozenset(cone[i] for i in f)
+                           for f in faces_of_cone(self.cone_rays(cone),
+                                                  self.rank))
+                     for cone in self.max_cones)
 
 
 def make_fan(rank, rays, max_cones):
@@ -55,8 +78,12 @@ def make_fan(rank, rays, max_cones):
 
 
 def validate_fan(fan):
-    """Diagnose structural defects.  Returns a list of (code, detail) pairs,
-    empty exactly when the data is a valid fan."""
+    """Diagnose structural defects.  Returns a fresh list of (code, detail)
+    pairs, empty exactly when the data is a valid fan."""
+    return list(fan.diagnostics)
+
+
+def _diagnose(fan):
     diags = []
     n = fan.rank
     if n < 1:
@@ -100,6 +127,11 @@ def validate_fan(fan):
     for i in range(len(fan.rays)):
         if i not in used:
             diags.append(("stray-ray", f"ray {i} appears in no maximal cone"))
+    if len(pointed_ok) == len(fan.max_cones):
+        hforms = fan.hforms
+    else:  # a failed cone may name missing rays: form the checked ones
+        hforms = {ci: cone_hform(fan.cone_rays(fan.max_cones[ci]), n)
+                  for ci in pointed_ok}
     for a in range(len(pointed_ok)):
         for b in range(a + 1, len(pointed_ok)):
             ci, cj = pointed_ok[a], pointed_ok[b]
@@ -107,21 +139,18 @@ def validate_fan(fan):
             if si <= sj or sj <= si:
                 diags.append(("nested-max-cones", f"cones {ci} and {cj}"))
                 continue
-            gi = fan.cone_rays(fan.max_cones[ci])
-            gj = fan.cone_rays(fan.max_cones[cj])
-            meet = cone_intersection(gi, gj, n)
+            meet = cone_intersection(hforms[ci], hforms[cj], n)
             common = si & sj
-            common_prims = {fan.rays[i] for i in common}
-            if set(meet) != common_prims:
+            if set(meet) != {fan.rays[i] for i in common}:
                 diags.append(("overlapping-cones",
                               f"cones {ci} and {cj} meet outside a common face"))
                 continue
             # the common rays must span a face of each cone
-            for s in (si, sj):
-                order = sorted(s)
-                sub = [order.index(i) for i in sorted(common)]
-                face = smallest_face_containing([fan.rays[i] for i in order],
-                                                n, sub)
+            for ck in (ci, cj):
+                cone = fan.max_cones[ck]
+                sub = [k for k, i in enumerate(cone) if i in common]
+                face = smallest_face_containing(fan.cone_rays(cone),
+                                                hforms[ck], sub)
                 if face != frozenset(sub):
                     diags.append(("overlapping-cones",
                                   f"cones {ci} and {cj} meet outside a common face"))
@@ -136,38 +165,34 @@ def require_valid(fan):
     return fan
 
 
-def _cone_hforms(fan):
-    return [cone_hform(fan.cone_rays(c), fan.rank) for c in fan.max_cones]
-
-
 def _in_hform(hform, v):
     eqs, ineqs = hform
     return all(vec_dot(e, v) == 0 for e in eqs) and \
         all(vec_dot(f, v) >= 0 for f in ineqs)
 
 
-def locate_max_cone(fan, v, hforms=None):
+def locate_max_cone(fan, v):
     """Index of the first maximal cone containing v, or None."""
-    hforms = hforms or _cone_hforms(fan)
-    for ci, hf in enumerate(hforms):
+    for ci, hf in enumerate(fan.hforms):
         if _in_hform(hf, v):
             return ci
     return None
 
 
-def cone_faces_global(fan, ci):
-    """Faces of max cone ci as frozensets of global ray indices."""
-    cone = fan.max_cones[ci]
-    gens = fan.cone_rays(cone)
-    return [frozenset(cone[i] for i in f)
-            for f in faces_of_cone(gens, fan.rank)]
+def wall_partners(fan, ci, ray_idx):
+    """Rays spanning a two-dimensional face with ray_idx in max cone ci.
+
+    In a valid fan the two-dimensional faces are those with two rays.
+    """
+    return {j for f in fan.faces[ci] if len(f) == 2 and ray_idx in f
+            for j in f} - {ray_idx}
 
 
 def cones_of_dim(fan, d):
     """All d-dimensional cones of the fan, as sorted ray-index tuples."""
     out = set()
-    for ci in range(len(fan.max_cones)):
-        for f in cone_faces_global(fan, ci):
+    for faces in fan.faces:
+        for f in faces:
             if f and len(span_saturation([fan.rays[i] for i in f])[0]) == d:
                 out.add(tuple(sorted(f)))
     return sorted(out)
@@ -206,36 +231,28 @@ def is_smooth(fan):
                for c in fan.max_cones)
 
 
-_SAMPLE_COORDS = (Fraction(-1), Fraction(-2, 3), Fraction(-1, 5),
-                  Fraction(1, 7), Fraction(1, 2), Fraction(1))
-
-
 def is_complete(fan):
-    """Exact completeness test: every maximal cone full-dimensional and every
-    facet shared by exactly two maximal cones, cross-checked by locating a
-    fixed dense set of rational sample points."""
-    if not fan.max_cones:
+    """Exact completeness test: the fan is valid, every maximal cone is
+    full-dimensional and every facet lies in exactly two maximal cones.
+
+    For a valid fan this proves that the support is all of R^n: the
+    support is closed, and a point of its boundary would have to lie in
+    a cone of codimension >= 2, since a point inside a facet shared by
+    two full-dimensional cones on opposite sides has a neighbourhood in
+    the support.  Cones of codimension >= 2 cannot separate R^n.  For
+    n = 1 the only facet is the origin, so the test asks for two
+    opposite rays.  Invalid fans are never complete.
+    """
+    if validate_fan(fan) or not fan.max_cones:
         return False
-    n = fan.rank
-    for c in fan.max_cones:
-        if cone_dim(fan, c) != n:
+    facet_count = Counter()
+    for cone, (eqs, ineqs) in zip(fan.max_cones, fan.hforms):
+        if eqs:
             return False
-    facet_count = {}
-    for ci in range(len(fan.max_cones)):
-        for f in cone_faces_global(fan, ci):
-            if f and cone_dim(fan, tuple(f)) == n - 1:
-                key = frozenset(fan.rays[i] for i in f)
-                facet_count[key] = facet_count.get(key, 0) + 1
-        if n == 1:
-            # facets of a 1-dim cone: the origin
-            facet_count[frozenset()] = facet_count.get(frozenset(), 0) + 1
-    if any(v != 2 for v in facet_count.values()):
-        return False
-    hforms = _cone_hforms(fan)
-    for pt in product(_SAMPLE_COORDS, repeat=n):
-        if locate_max_cone(fan, pt, hforms) is None:
-            return False
-    return True
+        for phi in ineqs:
+            facet_count[frozenset(i for i in cone
+                                  if vec_dot(phi, fan.rays[i]) == 0)] += 1
+    return all(k == 2 for k in facet_count.values())
 
 
 def star_subdivision(fan, v):
@@ -252,27 +269,23 @@ def star_subdivision(fan, v):
         raise ValueError(f"subdivision vector {v} is not primitive")
     if v in fan.rays:
         return fan
-    hforms = _cone_hforms(fan)
-    hit = [ci for ci, hf in enumerate(hforms) if _in_hform(hf, v)]
+    hit = [ci for ci, hf in enumerate(fan.hforms) if _in_hform(hf, v)]
     if not hit:
         raise ValueError(f"{v} is not in the support of the fan")
-    new_rays = fan.rays + (v,)
     vi = len(fan.rays)
     new_cones = []
     for ci, cone in enumerate(fan.max_cones):
         if ci not in hit:
             new_cones.append(cone)
             continue
-        gens = fan.cone_rays(cone)
-        d = cone_dim(fan, cone)
-        for f in faces_of_cone(gens, fan.rank):
-            if not f or cone_dim(fan, tuple(cone[i] for i in f)) != d - 1:
-                continue
-            fgens = [gens[i] for i in f]
-            if _in_hform(cone_hform(fgens, fan.rank), v):
-                continue
-            new_cones.append(tuple(sorted(cone[i] for i in f)) + (vi,))
-    return make_fan(fan.rank, new_rays, sorted(set(new_cones)))
+        # each facet normal cuts out one facet; v lies in the facet
+        # exactly when the normal vanishes on it
+        for phi in fan.hforms[ci][1]:
+            if vec_dot(phi, v) != 0:
+                new_cones.append(tuple(i for i in cone
+                                       if vec_dot(phi, fan.rays[i]) == 0)
+                                 + (vi,))
+    return make_fan(fan.rank, fan.rays + (v,), sorted(set(new_cones)))
 
 
 @dataclass(frozen=True)
@@ -310,16 +323,9 @@ def star_fan(fan, ray_idx):
     assert s.diag[0][0] == 1, "fan rays must be primitive"
     # s.left * u = e_1, so rows 1.. of s.left realize N / Z u
     proj = [list(s.left[i]) for i in range(1, n)]
-    partners = []
-    for ci, cone in enumerate(fan.max_cones):
-        if ray_idx not in cone:
-            continue
-        for f in cone_faces_global(fan, ci):
-            if ray_idx in f and cone_dim(fan, tuple(f)) == 2:
-                for j in f:
-                    if j != ray_idx:
-                        partners.append(j)
-    partners = sorted(set(partners))
+    members = [wall_partners(fan, ci, ray_idx)
+               for ci, cone in enumerate(fan.max_cones) if ray_idx in cone]
+    partners = sorted(set().union(*members))
     star_rays = []
     partner_star = {}
     multiplicity = {}
@@ -330,15 +336,7 @@ def star_fan(fan, ray_idx):
         partner_star[p] = len(star_rays)
         multiplicity[p] = ell
         star_rays.append(w)
-    star_cones = set()
-    for ci, cone in enumerate(fan.max_cones):
-        if ray_idx not in cone:
-            continue
-        members = []
-        for f in cone_faces_global(fan, ci):
-            if ray_idx in f and cone_dim(fan, tuple(f)) == 2:
-                members.extend(j for j in f if j != ray_idx)
-        star_cones.add(tuple(sorted(partner_star[j] for j in set(members))))
+    star_cones = {tuple(sorted(partner_star[j] for j in m)) for m in members}
     sf = make_fan(n - 1, star_rays, sorted(star_cones))
     return StarFan(fan=sf, center=ray_idx, partners=tuple(partners),
                    partner_star=partner_star, multiplicity=multiplicity,

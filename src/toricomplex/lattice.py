@@ -701,10 +701,10 @@ def cone_vform(equalities, inequalities, dim):
     return sorted(rays), []
 
 
-def cone_intersection(gens1, gens2, dim):
-    """Extremal rays of cone(gens1) & cone(gens2)."""
-    e1, f1 = cone_hform(gens1, dim)
-    e2, f2 = cone_hform(gens2, dim)
+def cone_intersection(hform1, hform2, dim):
+    """Extremal rays of the intersection of two cones given by their
+    H-forms (see cone_hform)."""
+    (e1, f1), (e2, f2) = hform1, hform2
     rays, lin = cone_vform(list(e1) + list(e2), list(f1) + list(f2), dim)
     if lin:
         raise NotPointedError("intersection has a lineality space")
@@ -738,9 +738,10 @@ def faces_of_cone(gens, dim):
     return sorted(faces, key=lambda f: (len(f), sorted(f)))
 
 
-def smallest_face_containing(gens, dim, sub):
-    """Indices of the smallest face of cone(gens) containing the rays at sub."""
-    _, ineqs = cone_hform(gens, dim)
+def smallest_face_containing(gens, hform, sub):
+    """Indices of the smallest face of cone(gens) containing the rays at
+    sub; hform is the cone's H-form (see cone_hform)."""
+    _, ineqs = hform
     idx = set(range(len(gens)))
     for phi in ineqs:
         if all(vec_dot(phi, gens[i]) == 0 for i in sub):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
 
@@ -76,6 +77,13 @@ class ToricPair:
     @property
     def dim(self) -> int:
         return self.fan.rank
+
+    @cached_property
+    def class_group(self) -> AbelianGroupPresentation:
+        """The divisor class group seen by the mode, presented once."""
+        if self.mode == "local":
+            return local_class_group(self.fan, self.cone)
+        return class_group(self.fan)
 
     def local_rays(self) -> tuple:
         """Indices of the rays meeting the working locus (all, or the cone's)."""
@@ -147,15 +155,7 @@ def build_pair(fan: Fan, boundary, mode: str = "projective", cone=None,
 
 def pair_class_group(pair: ToricPair) -> AbelianGroupPresentation:
     """The divisor class group seen by the pair's mode."""
-    if pair.mode == "local":
-        return local_class_group(pair.fan, pair.cone)
-    return class_group(pair.fan)
-
-
-def pair_class_coeffs(pair: ToricPair, coeffs) -> list:
-    """Restrict a per-ray coefficient vector to the rays the mode sees."""
-    c = as_coeffs(coeffs, len(pair.fan.rays))
-    return [c[i] for i in pair.local_rays()]
+    return pair.class_group
 
 
 def log_canonical_coeffs(pair: ToricPair) -> tuple:

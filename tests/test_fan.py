@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import toricomplex.fan
 from toricomplex.fan import (
     cone_multiplicity,
     cones_of_dim,
@@ -9,12 +12,23 @@ from toricomplex.fan import (
     is_smooth,
     locate_max_cone,
     make_fan,
+    require_valid,
     star_fan,
     star_subdivision,
     validate_fan,
 )
+from toricomplex.lattice import primitive_vector
+from toricomplex.pairmodel import build_pair, pair_class_group
 
-from fans import A1_SING, A2, BLP2, CONIFOLD, P1, P1XP1, P2, P3, SUITE
+from bruteforce import sampled_is_complete
+from fans import A1_SING, A2, A3, BLP2, CONIFOLD, P1, P1XP1, P2, P3, SUITE
+
+# Full-dimensional cones with every facet in exactly two of them, yet not
+# fans: three overlapping quadrants, and five cones winding twice around
+# the origin (which every sample point sees covered).
+CYCLE = make_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2), (0, 2)])
+PENTAGRAM = make_fan(2, [(1, 0), (1, 3), (-4, 3), (-4, -3), (1, -3)],
+                     [(0, 2), (2, 4), (1, 4), (1, 3), (0, 3)])
 
 
 def test_suite_fans_valid_and_complete():
@@ -146,10 +160,97 @@ def test_subdivision_preserves_validity(name, v):
     f = SUITE[name]
     if f.rank != 2 or not any(v):
         return
-    from toricomplex.lattice import primitive_vector
     v = primitive_vector(v)
     g = star_subdivision(f, v)
     assert validate_fan(g) == []
     assert is_complete(g)
     if v not in f.rays:
         assert len(g.rays) == len(f.rays) + 1
+
+
+def _unimodular_image(fan, rng):
+    """The fan under a random product of elementary integer matrices."""
+    n = fan.rank
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(4 if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    rays = [tuple(sum(a * x for a, x in zip(row, u)) for row in m)
+            for u in fan.rays]
+    return make_fan(n, rays, fan.max_cones)
+
+
+def _random_fans(rng):
+    """Complete fans, the same with one maximal cone dropped, and unions
+    of two images of one fan (mostly overlapping, so invalid)."""
+    out = [A2, A3, A1_SING, CONIFOLD, CYCLE, PENTAGRAM]
+    for fan in SUITE.values():
+        for _ in range(3):
+            f = _unimodular_image(fan, rng)
+            for _ in range(rng.randint(0, 3)):
+                cone = f.max_cones[rng.randrange(len(f.max_cones))]
+                gens = f.cone_rays(cone)
+                v = primitive_vector(tuple(
+                    sum(rng.randint(1, 3) * g[i] for g in gens)
+                    for i in range(f.rank)))
+                f = star_subdivision(f, v)
+            out.append(f)
+            drop = rng.randrange(len(f.max_cones))
+            out.append(make_fan(f.rank, f.rays, f.max_cones[:drop]
+                                + f.max_cones[drop + 1:]))
+            g = _unimodular_image(f, rng)
+            rays = list(f.rays) + [u for u in g.rays if u not in f.rays]
+            cones = list(f.max_cones) + [
+                tuple(rays.index(g.rays[i]) for i in c) for c in g.max_cones]
+            out.append(make_fan(f.rank, rays, cones))
+    return out
+
+
+def test_is_complete_matches_sampling_oracle():
+    fans = _random_fans(random.Random(20211017))
+    kinds = {"complete": 0, "open": 0, "invalid": 0}
+    for f in fans:
+        expected = sampled_is_complete(f.rank, f.rays, f.max_cones)
+        if validate_fan(f):
+            kinds["invalid"] += 1
+            assert not is_complete(f), f
+        else:
+            kinds["complete" if expected else "open"] += 1
+            assert is_complete(f) == expected, f
+    assert min(kinds.values()) >= 10, kinds
+    # the oracle alone is fooled by a double cover of the plane
+    assert sampled_is_complete(2, PENTAGRAM.rays, PENTAGRAM.max_cones)
+    assert validate_fan(CYCLE) and validate_fan(PENTAGRAM)
+
+
+def test_fan_and_pair_geometry_is_derived_once(monkeypatch):
+    calls = {"cone_is_pointed": 0, "cone_hform": 0}
+
+    def counting(name):
+        real = getattr(toricomplex.fan, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(toricomplex.fan, name, counting(name))
+    fan = make_fan(P3.rank, P3.rays, P3.max_cones)
+    pair = build_pair(fan, [1] * len(fan.rays))
+    assert calls["cone_hform"] == len(fan.max_cones)
+    assert calls["cone_is_pointed"] == len(fan.max_cones)
+    calls.update(dict.fromkeys(calls, 0))
+    build_pair(fan, [1] * len(fan.rays))
+    require_valid(fan)
+    assert is_complete(fan)
+    assert calls == {"cone_is_pointed": 0, "cone_hform": 0}
+
+    verdict = validate_fan(CYCLE)
+    validate_fan(CYCLE).clear()
+    validate_fan(fan).append(("stray-ray", "injected"))
+    assert validate_fan(CYCLE) == verdict
+    assert validate_fan(fan) == [] and is_complete(fan)
+
+    assert pair_class_group(pair) is pair_class_group(pair)

@@ -215,7 +215,8 @@ def test_lower_dim_cone_hform():
 
 
 def test_cone_intersection():
-    got = cone_intersection([(1, 0), (0, 1)], [(1, -1), (1, 1)], 2)
+    got = cone_intersection(cone_hform([(1, 0), (0, 1)], 2),
+                            cone_hform([(1, -1), (1, 1)], 2), 2)
     assert got == [(1, 0), (1, 1)]
 
 
