@@ -139,12 +139,21 @@ def different(pair: ToricPair, ray_e: int):
             f"ray {ray_e} has boundary coefficient {pair.boundary[ray_e]}, "
             "adjunction needs coefficient one")
     star, walls = wall_ledger(pair, ray_e)
+    return _different_coeffs(pair, ray_e, star, walls), star, walls
+
+
+def _different_coeffs(pair: ToricPair, ray_e: int, star: StarFan, walls):
+    """The different's coefficients from a wall ledger of the center.
+
+    Reads only each wall's partner, star ray and index, which do not
+    depend on the orbifold the ledger was built with.
+    """
     rest = list(pair.boundary)
     rest[ray_e] = Fraction(0)
     coeffs = list(_restrict_coeffs(star, walls, rest))
     for w in walls:
         coeffs[w.star_ray] += 1 - Fraction(1, w.index)
-    return tuple(coeffs), star, walls
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -244,7 +253,7 @@ def induced_decomposition(pair: ToricPair, dec: Decomposition,
                 "through the working locus")
 
     # boundary and nef trace on E
-    b_e, _, _ = different(pair, ray_e)
+    b_e = _different_coeffs(pair, ray_e, star, walls)
     m_e = None
     if pair.nef_part is not None:
         m_e = _restrict_coeffs(star, walls, pair.nef_part)

@@ -22,10 +22,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .divisor import as_coeffs, q_class, q_span_dim
+from .divisor import as_coeffs, q_span_dim
 from .fan import cone_dim
-from .lattice import ToricomplexError, rank_q, simplex_solve
+from .lattice import (
+    ToricomplexError,
+    cokernel,
+    rank_q,
+    simplex_solve,
+    transpose,
+    vec_dot,
+)
 from .pairmodel import ToricPair, is_log_canonical, pair_class_group
 
 
@@ -212,43 +220,70 @@ def _orbifold_options(a: Fraction, cap: int):
     return out
 
 
-def _search_fine(fixed_vecs, elems, options):
+def _project_classes(fixed_vecs, vecs):
+    """Integer coordinates of vecs in Cl_Q / span(fixed_vecs).
+
+    The class vectors are integral.  The free part of the cokernel of
+    the fixed classes gives integer functionals whose common kernel over
+    Q is exactly their span, so rank(fixed + S) = fixed_rank + rank of
+    the projections of S.  Returns (fixed_rank, projected vecs).
+    """
+    if not fixed_vecs or not fixed_vecs[0]:
+        return 0, [list(v) for v in vecs]
+    quotient = cokernel(transpose(fixed_vecs))
+    return (len(fixed_vecs[0]) - quotient.free_rank,
+            [[vec_dot(row, v) for row in quotient.free_map] for v in vecs])
+
+
+def _search_fine(fixed_rank, fixed_norm, elems, options):
     """Exhaustive search for the best grouping of the fractional primes.
 
-    ``elems`` is a list of (ray, coefficient, class-vector); ``options``
+    ``elems`` is a list of (ray, coefficient, projected class) with the
+    classes given modulo the span of the ``fixed_rank``-dimensional
+    coefficient-one classes (see :func:`_project_classes`);
+    ``fixed_norm`` is the number of coefficient-one primes.  ``options``
     gives the (index, weight-budget) choices per element.  Maximizes
     F = |Sigma| - rank over: drop the element, start a new group, or
     join an existing group (branching over orbifold indices as soon as a
-    group has two members).  Returns (best F, groups, labels) where
-    groups is a list of ([(element, index)...], weight).
+    group has two members).  Returns (best F, groups) where groups is a
+    list of ([(element, index)...], weight).
     """
     t = len(elems)
-    fixed_rank = rank_q(fixed_vecs) if fixed_vecs else 0
-    fixed_norm = Fraction(len(fixed_vecs))
-    suffix = [Fraction(0)] * (t + 1)
+    # weights and F are counted in units of 1/den, so the search compares
+    # ints; den is the lcm of the budget denominators
+    den = lcm(*(b.denominator for opts in options for _, b in opts))
+    budgets = [{n: (b * den).numerator for n, b in opts} for opts in options]
+    base = (fixed_norm - fixed_rank) * den
+    suffix = [0] * (t + 1)
     for i in range(t - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + max(b for _, b in options[i])
+        suffix[i] = suffix[i + 1] + max(budgets[i].values())
 
     best = {"key": None, "F": None, "groups": None}
     groups = []  # mutable: [members list of (elem index, orb index)]
 
     def group_weight(members):
-        return min(dict(options[e])[n] for e, n in members)
+        return min(budgets[e][n] for e, n in members)
+
+    def group_row(members):
+        # the class of sum(D_e / n_e), scaled by the lcm of the n_e so it
+        # stays integral; scaling a row does not change the rank
+        scale = lcm(*(n for _, n in members))
+        row = [0] * len(elems[0][2])
+        for e, n in members:
+            k = scale // n
+            row = [a + k * b for a, b in zip(row, elems[e][2])]
+        return row
 
     def leaf():
-        vecs = list(fixed_vecs)
-        snapshot = []
-        total = fixed_norm
-        for members in groups:
-            w = group_weight(members)
-            v = None
-            for e, n in members:
-                scaled = [x / n for x in elems[e][2]]
-                v = scaled if v is None else [a + b for a, b in zip(v, scaled)]
-            vecs.append(v)
-            snapshot.append((list(members), w))
-            total += w
-        F = total - rank_q(vecs)
+        weights = [group_weight(members) for members in groups]
+        bound = base + sum(weights)
+        if best["F"] is not None and bound < best["F"]:
+            return
+        F = bound
+        if groups:
+            F -= rank_q([group_row(m) for m in groups]) * den
+        if best["F"] is not None and F < best["F"]:
+            return
         labels = []
         orb = []
         assigned = {}
@@ -269,14 +304,15 @@ def _search_fine(fixed_vecs, elems, options):
         if best["key"] is None or key < best["key"]:
             best["key"] = key
             best["F"] = F
-            best["groups"] = snapshot
+            best["groups"] = [(list(members), Fraction(w, den))
+                              for members, w in zip(groups, weights)]
 
     def rec(i):
         if i == t:
             leaf()
             return
         if best["F"] is not None:
-            potential = fixed_norm + suffix[i] - fixed_rank
+            potential = base + suffix[i]
             for members in groups:
                 potential += group_weight(members)
             if potential < best["F"]:
@@ -305,7 +341,7 @@ def _search_fine(fixed_vecs, elems, options):
         groups.pop()
 
     rec(0)
-    return best["F"], best["groups"]
+    return Fraction(best["F"], den), best["groups"]
 
 
 def _realizing_decomposition(pair, ones, elems, groups):
@@ -371,26 +407,28 @@ def minimize(pair: ToricPair, orbifold_cap: int = 12,
     c = pair.dim + pres.free_rank - dec_c.norm
 
     def ray_class(i):
-        unit = [Fraction(0)] * len(rays)
-        unit[rays.index(i)] = Fraction(1)
-        return q_class(pres, unit)
+        # the class of a prime is its column of the free map
+        k = rays.index(i)
+        return [row[k] for row in pres.free_map]
 
     ones = [i for i in support if pair.boundary[i] == 1]
-    fixed_vecs = [list(ray_class(i)) for i in ones]
     fracs = [i for i in support if pair.boundary[i] < 1]
     if len(fracs) > partition_limit:
         raise InputTooLargeError(
             f"{len(fracs)} fractional boundary primes exceed the partition "
             f"limit of {partition_limit}")
-    elems = [(i, pair.boundary[i], list(ray_class(i))) for i in fracs]
+    fixed_rank, projected = _project_classes(
+        [ray_class(i) for i in ones], [ray_class(i) for i in fracs])
+    elems = [(i, pair.boundary[i], v) for i, v in zip(fracs, projected)]
 
     opts_plain = [[(1, a)] for _, a, _ in elems]
-    f_fine, groups_fine = _search_fine(fixed_vecs, elems, opts_plain)
+    f_fine, groups_fine = _search_fine(fixed_rank, len(ones), elems,
+                                       opts_plain)
     dec_fine = _realizing_decomposition(pair, ones, elems, groups_fine)
     c_fine = pair.dim - f_fine
 
     opts_orb = [_orbifold_options(a, orbifold_cap) for _, a, _ in elems]
-    f_orb, groups_orb = _search_fine(fixed_vecs, elems, opts_orb)
+    f_orb, groups_orb = _search_fine(fixed_rank, len(ones), elems, opts_orb)
     dec_orb = _realizing_decomposition(pair, ones, elems, groups_orb)
     c_orb = pair.dim - f_orb
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 from .lattice import (
     AbelianGroupPresentation,
@@ -35,7 +34,6 @@ from .lattice import (
     primitive_vector,
     snf,
     solve_integral,
-    solve_rational,
     vec_dot,
 )
 from .fan import Fan, is_complete, make_fan, require_valid, star_subdivision
@@ -403,48 +401,3 @@ def verify_cone_iso(x_fan, v_e):
         ok = False
     return ConeIsoReport(ok, tuple(witness), e_fan, coeffs, target,
                          tuple(ray_map))
-
-
-def unimodular_cone_map(gens_a, gens_b):
-    """A unimodular matrix carrying cone(gens_a) onto cone(gens_b), or None.
-
-    Both cones must be pointed and full-dimensional; the map is searched
-    through bijections of extremal rays, so this is meant for the small
-    cones that appear in reports and tests.
-    """
-    a = extremal_rays(gens_a)
-    b = extremal_rays(gens_b)
-    if len(a) != len(b):
-        return None
-    dim = len(a[0]) if a else 0
-    idx = []
-    for i, u in enumerate(a):
-        if snf([list(a[j]) for j in idx + [i]]).rank == len(idx) + 1:
-            idx.append(i)
-        if len(idx) == dim:
-            break
-    if len(idx) < dim:
-        return None
-    rest = [i for i in range(len(a)) if i not in idx]
-    mat = [list(a[i]) for i in idx]
-    for pick in permutations(range(len(b)), dim):
-        rows = []
-        for k in range(dim):
-            col = solve_rational([list(r) for r in mat],
-                                 [b[pick[j]][k] for j in range(dim)])
-            if col is None or any(c.denominator != 1 for c in col):
-                rows = None
-                break
-            rows.append(tuple(int(c) for c in col))
-        if rows is None:
-            continue
-        s = snf([list(r) for r in rows])
-        det = 1
-        for i in range(s.rank):
-            det *= s.diag[i][i]
-        if s.rank != dim or det != 1:
-            continue
-        images = {tuple(vec_dot(r, u) for r in rows) for u in a}
-        if images == set(b):
-            return tuple(rows)
-    return None

@@ -64,9 +64,8 @@ class Fan:
     def faces(self):
         """Faces of each maximal cone as frozensets of global ray indices."""
         return tuple(tuple(frozenset(cone[i] for i in f)
-                           for f in faces_of_cone(self.cone_rays(cone),
-                                                  self.rank))
-                     for cone in self.max_cones)
+                           for f in faces_of_cone(self.cone_rays(cone), hform))
+                     for cone, hform in zip(self.max_cones, self.hforms))
 
 
 def make_fan(rank, rays, max_cones):

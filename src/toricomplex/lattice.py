@@ -9,7 +9,7 @@ rational data uses fractions.Fraction.  No floats anywhere.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 
 class ToricomplexError(Exception):
@@ -268,25 +268,35 @@ def solve_rational(a, b):
 
 
 def rank_q(vectors):
-    """Rank over Q of a list of rational vectors."""
-    rows = [[Fraction(x) for x in v] for v in vectors if any(v)]
+    """Rank over Q of a list of rational (int or Fraction) vectors.
+
+    Each row is scaled by the lcm of its denominators, then reduced by
+    fraction-free Bareiss elimination (Bareiss 1968): every division is
+    exact, so all intermediate entries stay Python ints.
+    """
+    rows = []
+    for v in vectors:
+        den = lcm(*(x.denominator for x in v))
+        row = [(x * den).numerator for x in v]
+        if any(row):
+            rows.append(row)
     rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rows and col < ncols:
-        pr = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+    prev = 1  # the previous pivot, which divides every updated entry
+    for col in range(len(rows[0]) if rows else 0):
+        pr = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pr is None:
-            col += 1
             continue
         rows[rank], rows[pr] = rows[pr], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        pivot_row = rows[rank]
+        p = pivot_row[col]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            rows[i] = [(p * a - f * b) // prev
+                       for a, b in zip(rows[i], pivot_row)]
+        prev = p
         rank += 1
-        col += 1
+        if rank == len(rows):
+            break
     return rank
 
 
@@ -353,8 +363,10 @@ class AbelianGroupPresentation:
 
     def q_class_of(self, v):
         """Free coordinates of a rational vector (torsion dies over Q)."""
-        return tuple(sum(Fraction(x) * y for x, y in zip(row, v))
-                     for row in self.free_map)
+        v = [Fraction(x) for x in v]
+        den = lcm(*(x.denominator for x in v))
+        w = [(x * den).numerator for x in v]
+        return tuple(Fraction(vec_dot(row, w), den) for row in self.free_map)
 
     def is_zero_class(self, v):
         free, tors = self.class_of(v)
@@ -711,16 +723,17 @@ def cone_intersection(hform1, hform2, dim):
     return rays
 
 
-def faces_of_cone(gens, dim):
+def faces_of_cone(gens, hform):
     """All faces of a pointed cone as frozensets of generator indices.
 
-    gens must be the extremal rays of the cone (no redundant generators).
-    Includes the cone itself and, for pointed cones, the empty face.
+    gens must be the extremal rays of the cone (no redundant generators);
+    hform is the cone's H-form (see cone_hform).  Includes the cone
+    itself and, for pointed cones, the empty face.
     """
     idx_all = frozenset(range(len(gens)))
     if not gens:
         return [idx_all]
-    eqs, ineqs = cone_hform(gens, dim)
+    _, ineqs = hform
     faces = {idx_all}
     frontier = {idx_all}
     facet_sets = [frozenset(i for i in idx_all if vec_dot(phi, gens[i]) == 0)
@@ -764,7 +777,7 @@ def _pulling_triangulation(rays, dim):
         return [rays]
     apex = rays[0]
     pieces = []
-    faces = faces_of_cone(rays, dim)
+    faces = faces_of_cone(rays, cone_hform(rays, dim))
     facets = [f for f in faces
               if f and len(span_saturation([rays[i] for i in f])[0]) == dim - 1]
     for f in facets:

@@ -1,19 +1,22 @@
-"""Independent test oracles: an exhaustive minimizer and a sampled
-completeness test.
+"""Independent test oracles: an exhaustive minimizer, the grouping
+search as it stood before its integer rewrite, a sampled completeness
+test and a unimodular cone-map search.
 
 Deliberately shares no code with the package: groupings are enumerated
 as set partitions of every subset of the boundary primes, per-group
 weights come from the closed-form budget minimum, and span ranks are
 computed by sympy on the quotient presentation (rank of rays+parts
-minus rank of rays).  Completeness is decided by facet counting plus a
-fixed dense grid of rational sample points, with facet normals found by
-sympy.
+minus rank of rays).  The reference grouping search ranks with its own
+Fraction Gauss elimination.  Completeness is decided by facet counting
+plus a fixed dense grid of rational sample points, with facet normals
+found by sympy; cone maps are solved by sympy over bijections of
+extremal rays.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
-from math import lcm
+from itertools import combinations, permutations, product
+from math import gcd, lcm
 
 import sympy
 
@@ -96,6 +99,123 @@ def oracle_minimize(rays, local_idx, boundary, cap=12):
     return fine, orb
 
 
+def gauss_rank(vectors):
+    """Rank over Q by Gauss-Jordan elimination on Fractions."""
+    rows = [[Fraction(x) for x in v] for v in vectors if any(v)]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    col = 0
+    while rows and col < ncols:
+        pr = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pr is None:
+            col += 1
+            continue
+        rows[rank], rows[pr] = rows[pr], rows[rank]
+        pv = rows[rank][col]
+        rows[rank] = [x / pv for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def reference_search_fine(fixed_vecs, elems, options):
+    """The grouping search of ``minimize`` ranking every leaf from scratch.
+
+    ``fixed_vecs`` are the classes of the coefficient-one primes and
+    ``elems`` lists (ray, coefficient, class vector) per fractional
+    prime, all in the full free class coordinates; ``options`` gives the
+    (index, weight-budget) choices per element.  Maximizes
+    F = |Sigma| - rank with the tie-break key (-F, labels, orbifold).
+    Returns (best F, groups) with groups a list of
+    ([(element, index)...], weight).
+    """
+    t = len(elems)
+    fixed_rank = gauss_rank(fixed_vecs) if fixed_vecs else 0
+    fixed_norm = Fraction(len(fixed_vecs))
+    suffix = [Fraction(0)] * (t + 1)
+    for i in range(t - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + max(b for _, b in options[i])
+
+    best = {"key": None, "F": None, "groups": None}
+    groups = []
+
+    def group_weight(members):
+        return min(dict(options[e])[n] for e, n in members)
+
+    def leaf():
+        vecs = list(fixed_vecs)
+        snapshot = []
+        total = fixed_norm
+        for members in groups:
+            w = group_weight(members)
+            v = None
+            for e, n in members:
+                scaled = [Fraction(x) / n for x in elems[e][2]]
+                v = scaled if v is None else [a + b for a, b in zip(v, scaled)]
+            vecs.append(v)
+            snapshot.append((list(members), w))
+            total += w
+        F = total - gauss_rank(vecs)
+        labels = []
+        orb = []
+        assigned = {}
+        for gi, members in enumerate(groups):
+            for e, n in members:
+                assigned[e] = (gi, n)
+        for e in range(t):
+            if e in assigned:
+                gi, n = assigned[e]
+                mates = tuple(sorted(elems[m][0] for m, _ in groups[gi]
+                                     if m != e))
+                labels.append((0, mates))
+                orb.append(n)
+            else:
+                labels.append((1,))
+                orb.append(1)
+        key = (-F, tuple(labels), tuple(orb))
+        if best["key"] is None or key < best["key"]:
+            best["key"] = key
+            best["F"] = F
+            best["groups"] = snapshot
+
+    def rec(i):
+        if i == t:
+            leaf()
+            return
+        if best["F"] is not None:
+            potential = fixed_norm + suffix[i] - fixed_rank
+            for members in groups:
+                potential += group_weight(members)
+            if potential < best["F"]:
+                return
+        rec(i + 1)
+        for members in groups:
+            if len(members) == 1:
+                e0, _ = members[0]
+                for n0, _ in options[e0]:
+                    for n1, _ in options[i]:
+                        members[0] = (e0, n0)
+                        members.append((i, n1))
+                        rec(i + 1)
+                        members.pop()
+                members[0] = (e0, 1)
+            else:
+                for n1, _ in options[i]:
+                    members.append((i, n1))
+                    rec(i + 1)
+                    members.pop()
+        groups.append([(i, 1)])
+        rec(i + 1)
+        groups.pop()
+
+    rec(0)
+    return best["F"], best["groups"]
+
+
 SAMPLE_COORDS = (Fraction(-1), Fraction(-2, 3), Fraction(-1, 5),
                  Fraction(1, 7), Fraction(1, 2), Fraction(1))
 
@@ -148,3 +268,48 @@ def sampled_is_complete(rank, rays, max_cones):
         any(all(sum(a * b for a, b in zip(phi, pt)) >= 0 for phi in normals)
             for normals in hforms)
         for pt in product(SAMPLE_COORDS, repeat=rank))
+
+
+def _extremal(gens):
+    """Primitive extremal rays of a pointed full-dimensional cone: the
+    generators lying on facets whose normals span a hyperplane."""
+    gens = sorted({tuple(x // gcd(*g) for x in g) for g in gens if any(g)})
+    dim = len(gens[0])
+    if dim == 1:
+        return gens
+    normals = _facet_normals(gens, dim)
+    out = []
+    for g in gens:
+        tight = [list(p) for p in normals
+                 if sum(a * b for a, b in zip(p, g)) == 0]
+        if tight and sympy.Matrix(tight).rank() == dim - 1:
+            out.append(g)
+    return out
+
+
+def unimodular_cone_map(gens_a, gens_b):
+    """A unimodular matrix carrying cone(gens_a) onto cone(gens_b), or None.
+
+    Both cones must be pointed and full-dimensional.  Tries every
+    injection of a basis among the extremal rays of the first cone into
+    the extremal rays of the second.
+    """
+    a, b = _extremal(gens_a), _extremal(gens_b)
+    if len(a) != len(b):
+        return None
+    dim = len(a[0])
+    basis = []
+    for u in a:
+        if sympy.Matrix(basis + [list(u)]).rank() > len(basis):
+            basis.append(list(u))
+    if len(basis) < dim:
+        return None
+    inverse = sympy.Matrix(basis).T.inv()
+    targets = set(b)
+    for pick in permutations(b, dim):
+        m = sympy.Matrix([list(v) for v in pick]).T * inverse
+        if not all(x.is_integer for x in m) or abs(m.det()) != 1:
+            continue
+        if {tuple(int(x) for x in m * sympy.Matrix(u)) for u in a} == targets:
+            return tuple(tuple(int(x) for x in m.row(k)) for k in range(dim))
+    return None

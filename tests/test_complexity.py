@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction as F
+from itertools import product
+from math import atan2, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +12,8 @@ from toricomplex.complexity import (
     InvalidDecompositionError,
     NotFullDimensionalError,
     NotLogCanonicalError,
+    _project_classes,
+    _search_fine,
     complexity,
     fine_complexity,
     local_complexity_cloc,
@@ -18,9 +23,13 @@ from toricomplex.complexity import (
     validate_decomposition,
 )
 from toricomplex.fan import make_fan
-from toricomplex.pairmodel import build_pair, is_log_canonical
+from toricomplex.pairmodel import (
+    build_pair,
+    is_log_canonical,
+    pair_class_group,
+)
 
-from bruteforce import oracle_minimize
+from bruteforce import index_options, oracle_minimize, reference_search_fine
 from fans import A1_SING, CONIFOLD, P1, P1XP1, P2, P3, SUITE
 
 CUBE = make_fan(
@@ -240,6 +249,162 @@ def test_search_space_points_dominate_minimum():
         make_decomposition(4, [(F(1, 2), [1, 1, 1, 1])]),
     ]:
         assert fine_complexity(pair, dec) >= rep.c_fine
+
+
+# ---------------------------------------------------------------------------
+# the grouping search against its Fraction reference
+
+
+def random_polygon(rng, nrays):
+    """A complete fan in rank 2 with nrays rays of height at most 3."""
+    pool = sorted({(x // gcd(x, y), y // gcd(x, y))
+                   for x in range(-3, 4) for y in range(-3, 4)
+                   if (x, y) != (0, 0)})
+    while True:
+        rays = sorted(rng.sample(pool, nrays), key=lambda v: atan2(v[1], v[0]))
+        turns = zip(rays, rays[1:] + rays[:1])
+        if all(a[0] * b[1] - a[1] * b[0] > 0 for a, b in turns):
+            cones = [(i, (i + 1) % nrays) for i in range(nrays)]
+            return make_fan(2, rays, cones)
+
+
+GERM_POLYGONS = ([(0, 0), (1, 0), (2, 1), (1, 2), (0, 1)],
+                 [(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)])
+
+
+def random_germ(rng, polygon):
+    """The cone over a lattice polygon, moved by a random shear and shift."""
+    k, sx, sy = rng.randint(-2, 2), rng.randint(-1, 1), rng.randint(-1, 1)
+    rays = [(x + k * y + sx, y + sy, 1) for x, y in polygon]
+    return make_fan(3, rays, [tuple(range(len(rays)))])
+
+
+# option counts 1, 1, 1, 1, 2, 3 under the default orbifold cap
+SEARCH_COEFFS = [F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4), F(5, 6)]
+
+
+def random_boundary(rng, nrays, t):
+    """Coefficient 1 or 0 off t fractional rays, 1 at least once."""
+    boundary = [F(rng.choice([1, 1, 1, 0])) for _ in range(nrays)]
+    for i in rng.sample(range(nrays), t):
+        boundary[i] = rng.choice(SEARCH_COEFFS)
+    if 1 not in boundary:
+        boundary[boundary.index(0) if 0 in boundary else 0] = F(1)
+    return boundary
+
+
+def assert_search_matches_reference(pair):
+    pres = pair_class_group(pair)
+    rays = pair.local_rays()
+
+    def q_class(i):
+        unit = [0] * len(rays)
+        unit[rays.index(i)] = 1
+        return pres.q_class_of(unit)
+
+    ones = [i for i in rays if pair.boundary[i] == 1]
+    fracs = [i for i in rays if 0 < pair.boundary[i] < 1]
+    fixed = [q_class(i) for i in ones]
+    elems = [(i, pair.boundary[i], q_class(i)) for i in fracs]
+    fixed_rank, projected = _project_classes(
+        [[int(x) for x in v] for v in fixed],
+        [[int(x) for x in v] for _, _, v in elems])
+    projected_elems = [(i, a, v) for (i, a, _), v in zip(elems, projected)]
+    plain = [[(1, a)] for _, a, _ in elems]
+    orb = [[(n, n * (a - 1) + 1) for n in index_options(a, 12)]
+           for _, a, _ in elems]
+    for options in (plain, orb):
+        assert (_search_fine(fixed_rank, len(ones), projected_elems, options)
+                == reference_search_fine(fixed, elems, options))
+
+
+seeds = st.integers(min_value=0, max_value=2 ** 32)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seeds, st.integers(8, 12), st.integers(3, 6))
+def test_search_matches_reference_on_polygons(seed, nrays, t):
+    rng = random.Random(seed)
+    fan = random_polygon(rng, nrays)
+    assert_search_matches_reference(
+        build_pair(fan, random_boundary(rng, nrays, t)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds, st.sampled_from(GERM_POLYGONS), st.integers(3, 5))
+def test_search_matches_reference_on_germs(seed, polygon, t):
+    rng = random.Random(seed)
+    fan = random_germ(rng, polygon)
+    cone = fan.max_cones[0]
+    boundary = random_boundary(rng, len(cone), t)
+    assert_search_matches_reference(
+        build_pair(fan, boundary, mode="local", cone=cone))
+
+
+@st.composite
+def option_lists(draw):
+    """Index 1 plus some larger orbifold indices, each with a budget."""
+    budget = st.sampled_from([F(k, 12) for k in range(1, 13)])
+    indices = [1] + sorted(draw(st.sets(st.sampled_from([2, 3, 4]))))
+    return [(n, draw(budget)) for n in indices]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_search_matches_reference_on_random_classes(data):
+    """Small integer classes cancel often, so ranks drop in ways the
+    fans above rarely produce; the orbifold scaling of a group's class
+    and the projection of arbitrary fixed classes both matter here."""
+    width = data.draw(st.integers(0, 4))
+    vec = st.lists(st.integers(-2, 2), min_size=width, max_size=width)
+    fixed = data.draw(st.lists(vec, max_size=3))
+    classes = data.draw(st.lists(vec, min_size=1, max_size=5))
+    options = [data.draw(option_lists()) for _ in classes]
+    elems = [(e, None, v) for e, v in enumerate(classes)]
+    fixed_rank, projected = _project_classes(fixed, classes)
+    projected_elems = [(e, None, v) for e, v in enumerate(projected)]
+    assert (_search_fine(fixed_rank, len(fixed), projected_elems, options)
+            == reference_search_fine(fixed, elems, options))
+
+
+def cy_germ_boundaries(fan):
+    """Log CY boundaries 1 - <m, u> with coefficients in [0, 1] over the
+    cone's rays, m with denominator 2, 3 or 4."""
+    out = []
+    for d in (2, 3, 4):
+        for m in product(range(-2 * d, 2 * d + 1), repeat=3):
+            b = [1 - F(sum(x * y for x, y in zip(m, u)), d) for u in fan.rays]
+            if all(0 <= x <= 1 for x in b) and b not in out:
+                out.append(b)
+    return out
+
+
+@settings(max_examples=6, deadline=None)
+@given(seeds, st.integers(5, 6))
+def test_minimize_matches_bruteforce_rank_three_and_up(seed, nrays):
+    """Pairs with rank Cl_Q >= 3 and coefficient-one primes beside the
+    fractional ones, so the search projects onto a proper quotient.  At
+    most five primes carry boundary, to keep the oracle fast."""
+    rng = random.Random(seed)
+    if rng.random() < 0.3:
+        fan = random_germ(rng, GERM_POLYGONS[1])
+        cone = fan.max_cones[0]
+        boundary = rng.choice([b for b in cy_germ_boundaries(fan)
+                               if 1 in b and 0 in b
+                               and sum(0 < x < 1 for x in b) >= 2])
+        pair = build_pair(fan, boundary, mode="local", cone=cone)
+    else:
+        fan = random_polygon(rng, nrays)
+        cone = tuple(range(nrays))
+        boundary = [F(1), F(1), F(0)][:nrays - 3] + [
+            rng.choice([F(1, 2), F(2, 3), F(3, 4)]) for _ in range(3)]
+        rng.shuffle(boundary)
+        pair = build_pair(fan, boundary)
+    assert pair_class_group(pair).free_rank >= 3
+    rep = minimize(pair)
+    fine, orb = oracle_minimize(fan.rays, cone, boundary)
+    assert (rep.c_fine, rep.c_orb) == (fine, orb)
+    assert rep.c >= rep.c_fine >= rep.c_orb
 
 
 # ---------------------------------------------------------------------------

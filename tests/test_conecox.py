@@ -12,12 +12,12 @@ from toricomplex.conecox import (
     cox_degrees,
     degree_zero_monoid,
     polarize,
-    unimodular_cone_map,
     verify_cone_iso,
 )
 from toricomplex.fan import make_fan
 from toricomplex.lattice import extremal_rays, primitive_vector
 
+from bruteforce import unimodular_cone_map
 from fans import A1_SING, A2, CONIFOLD, P1, P1XP1
 
 # index-4 cyclic germ whose blow-up class group keeps 2-torsion

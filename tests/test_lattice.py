@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from toricomplex.lattice import (
@@ -137,6 +138,30 @@ def test_cokernel_kills_image(m):
 # rational solving
 # ---------------------------------------------------------------------------
 
+rational_entry = st.one_of(
+    small_int, st.fractions(min_value=-5, max_value=5, max_denominator=7))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_rank_q_matches_sympy(data):
+    ncols = data.draw(st.integers(min_value=1, max_value=7))
+    rows = data.draw(st.lists(
+        st.lists(rational_entry, min_size=ncols, max_size=ncols),
+        max_size=7))
+    # zero, duplicate and proportional rows: multiples of drawn rows
+    if rows:
+        for i, c in data.draw(st.lists(st.tuples(
+                st.integers(min_value=0, max_value=len(rows) - 1),
+                st.sampled_from([0, 1, -2, Fraction(3, 5)])), max_size=3)):
+            rows.append([c * x for x in rows[i]])
+    expected = sympy.Matrix(
+        len(rows), ncols,
+        [sympy.Rational(x.numerator, x.denominator) for r in rows for x in r]
+    ).rank()
+    assert rank_q(rows) == expected
+
+
 def test_solve_rational():
     x = solve_rational([[2, 0], [0, 3]], [1, 1])
     assert x == [Fraction(1, 2), Fraction(1, 3)]
@@ -191,7 +216,7 @@ def test_extremal_rays():
 
 
 def test_faces_of_square_cone():
-    faces = faces_of_cone(SQUARE_CONE, 3)
+    faces = faces_of_cone(SQUARE_CONE, cone_hform(SQUARE_CONE, 3))
     sizes = sorted(len(f) for f in faces)
     assert sizes == [0, 1, 1, 1, 1, 2, 2, 2, 2, 4]
     # diagonals are not faces
