@@ -57,24 +57,26 @@ from .adjunction import (  # noqa: F401
     check_adjunction,
     induced_decomposition,
 )
-from .birational import (  # noqa: F401
-    NotLcPlaceError,
-    CrepancyError,
-    contraction,
-    small_modification,
-    extraction,
-    check_contraction,
-    check_small,
-    check_extraction,
-    log_discrepancy,
-)
-from .conecox import (  # noqa: F401
-    NotAmpleError,
-    NotInteriorError,
-    TorsionObstructionError,
-    cone_over,
-    polarize,
-    cox_degrees,
-    degree_zero_monoid,
-    verify_cone_iso,
-)
+
+# The surgery and cone modules load on first use of one of their names,
+# so a process that only builds pairs, minimizes and adjoins never loads
+# them.
+_LAZY = {
+    "birational": ("NotLcPlaceError", "CrepancyError", "contraction",
+                   "small_modification", "extraction", "check_contraction",
+                   "check_small", "check_extraction", "log_discrepancy"),
+    "conecox": ("NotAmpleError", "NotInteriorError", "TorsionObstructionError",
+                "cone_over", "polarize", "cox_degrees", "degree_zero_monoid",
+                "verify_cone_iso"),
+}
+_LAZY_HOME = {name: module for module, names in _LAZY.items()
+              for name in names}
+
+
+def __getattr__(name):
+    from importlib import import_module
+    if name in _LAZY:
+        return import_module(f".{name}", __name__)
+    if name in _LAZY_HOME:
+        return getattr(import_module(f".{_LAZY_HOME[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

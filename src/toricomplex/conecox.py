@@ -27,7 +27,6 @@ from .lattice import (
     cone_hform,
     cone_is_pointed,
     cone_vform,
-    extremal_rays,
     hilbert_basis,
     is_primitive,
     kernel_basis,
@@ -87,7 +86,7 @@ def cone_over(p):
     for u, a in zip(p.fan.rays, p.coeffs):
         den = a.denominator
         rays.append(primitive_vector(tuple(c * den for c in u) + (a.numerator,)))
-    if not cone_is_pointed(rays):
+    if not cone_is_pointed(rays, cone_hform(rays, p.fan.rank + 1)):
         raise NotAmpleError("cone over the polytope is not pointed")
     return make_fan(p.fan.rank + 1, rays, [tuple(range(len(rays)))])
 
@@ -97,23 +96,22 @@ def cone_over(p):
 # ---------------------------------------------------------------------------
 
 def _single_cone(fan):
-    """The generator tuple of the unique maximal cone, validated."""
+    """Check that the fan is one full-dimensional cone over all its rays.
+
+    Validation has already checked that the cone is pointed and that its
+    generators are its extremal rays.
+    """
     require_valid(fan)
     if len(fan.max_cones) != 1:
         raise ValueError("expected a fan with a single maximal cone")
-    gens = [fan.rays[i] for i in fan.max_cones[0]]
-    if len(gens) != len(fan.rays):
+    if len(fan.max_cones[0]) != len(fan.rays):
         raise ValueError("every ray must belong to the maximal cone")
-    if snf([list(g) for g in gens]).rank != fan.rank:
+    if fan.hforms[0][0]:
         raise ValueError("the cone must be full-dimensional")
-    if not cone_is_pointed(gens):
-        raise ValueError("the cone must be pointed")
-    if extremal_rays(gens) != sorted(gens):
-        raise ValueError("cone generators must be extremal rays")
-    return gens
 
 
-def _require_interior(gens, rank, v):
+def _require_interior(fan, v):
+    rank = fan.rank
     v = tuple(int(c) for c in v)
     if len(v) != rank:
         raise ValueError(f"expected a rank-{rank} vector")
@@ -121,7 +119,7 @@ def _require_interior(gens, rank, v):
         raise NotInteriorError("the origin is not interior")
     if not is_primitive(v):
         raise ValueError("interior vector must be primitive")
-    _, ineqs = cone_hform(gens, rank)
+    _, ineqs = fan.hforms[0]
     if any(vec_dot(phi, v) <= 0 for phi in ineqs):
         raise NotInteriorError(f"{v} is not in the interior of the cone")
     return v
@@ -148,8 +146,8 @@ class CoxDegrees:
 
 def cox_degrees(x_fan, v_e):
     """Degrees [E_1], ..., [E_r], [E] in Cl(Y_x) for the subdivision at v_e."""
-    gens = _single_cone(x_fan)
-    v_e = _require_interior(gens, x_fan.rank, v_e)
+    _single_cone(x_fan)
+    v_e = _require_interior(x_fan, v_e)
     y_fan = star_subdivision(x_fan, v_e)
     r = len(x_fan.rays)
     cl_y = class_group(y_fan)
@@ -318,8 +316,8 @@ def _star_polarization(x_fan, v_e):
     coeffs are the coefficients of -E restricted to E, q_rows the
     projection to N/Zv_e and m an integral form with <m, v_e> = -1.
     """
-    gens = _single_cone(x_fan)
-    v_e = _require_interior(gens, x_fan.rank, v_e)
+    _single_cone(x_fan)
+    v_e = _require_interior(x_fan, v_e)
     q_rows = kernel_basis([list(v_e)])
     m = solve_integral([list(v_e)], [-1])
     if m is None:
@@ -339,7 +337,7 @@ def _star_polarization(x_fan, v_e):
         coeffs.append(Fraction(-vec_dot(m, u), ell))
     if len(set(e_rays)) != len(e_rays):
         raise AssertionError("walls through the center are distinct")
-    _, ineqs = cone_hform(gens, x_fan.rank)
+    _, ineqs = x_fan.hforms[0]
     cones = []
     for phi in ineqs:
         facet = tuple(i for i, u in enumerate(x_fan.rays)

@@ -16,6 +16,7 @@ from .lattice import (
     cone_is_pointed,
     extremal_rays,
     faces_of_cone,
+    in_hform,
     is_primitive,
     mat_vec,
     primitive_vector,
@@ -106,8 +107,13 @@ def _diagnose(fan):
         return diags
     used = set()
     pointed_ok = []
+    missing = [any(i < 0 or i >= len(fan.rays) for i in cone)
+               for cone in fan.max_cones]
+    # a cone naming a missing ray has no H-form: then form them per cone
+    per_cone = any(missing)
+    hforms = {} if per_cone else fan.hforms
     for ci, cone in enumerate(fan.max_cones):
-        if any(i < 0 or i >= len(fan.rays) for i in cone):
+        if missing[ci]:
             diags.append(("bad-ray-index", f"cone {ci} references a missing ray"))
             continue
         if len(set(cone)) != len(cone):
@@ -115,10 +121,12 @@ def _diagnose(fan):
             continue
         used.update(cone)
         gens = fan.cone_rays(cone)
-        if gens and not cone_is_pointed(gens):
+        if per_cone:
+            hforms[ci] = cone_hform(gens, n)
+        if gens and not cone_is_pointed(gens, hforms[ci]):
             diags.append(("nonpointed-cone", f"cone {ci} has a lineality space"))
             continue
-        if gens and extremal_rays(gens) != sorted(set(gens)):
+        if gens and extremal_rays(gens, hforms[ci]) != sorted(set(gens)):
             diags.append(("nonextremal-generator",
                           f"cone {ci} lists a non-extremal ray"))
             continue
@@ -126,11 +134,6 @@ def _diagnose(fan):
     for i in range(len(fan.rays)):
         if i not in used:
             diags.append(("stray-ray", f"ray {i} appears in no maximal cone"))
-    if len(pointed_ok) == len(fan.max_cones):
-        hforms = fan.hforms
-    else:  # a failed cone may name missing rays: form the checked ones
-        hforms = {ci: cone_hform(fan.cone_rays(fan.max_cones[ci]), n)
-                  for ci in pointed_ok}
     for a in range(len(pointed_ok)):
         for b in range(a + 1, len(pointed_ok)):
             ci, cj = pointed_ok[a], pointed_ok[b]
@@ -164,16 +167,10 @@ def require_valid(fan):
     return fan
 
 
-def _in_hform(hform, v):
-    eqs, ineqs = hform
-    return all(vec_dot(e, v) == 0 for e in eqs) and \
-        all(vec_dot(f, v) >= 0 for f in ineqs)
-
-
 def locate_max_cone(fan, v):
     """Index of the first maximal cone containing v, or None."""
     for ci, hf in enumerate(fan.hforms):
-        if _in_hform(hf, v):
+        if in_hform(hf, v):
             return ci
     return None
 
@@ -268,7 +265,7 @@ def star_subdivision(fan, v):
         raise ValueError(f"subdivision vector {v} is not primitive")
     if v in fan.rays:
         return fan
-    hit = [ci for ci, hf in enumerate(fan.hforms) if _in_hform(hf, v)]
+    hit = [ci for ci, hf in enumerate(fan.hforms) if in_hform(hf, v)]
     if not hit:
         raise ValueError(f"{v} is not in the support of the fan")
     vi = len(fan.rays)

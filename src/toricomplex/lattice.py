@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 
 
 class ToricomplexError(Exception):
@@ -48,7 +49,7 @@ def mat_vec(a, v):
 
 
 def vec_dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def transpose(a):
@@ -582,58 +583,119 @@ def cone_member(gens, x):
     return lp_feasible(a_eq, list(x), len(gens))
 
 
-def cone_is_pointed(gens):
-    """A cone is pointed iff 0 is not a non-trivial positive combination."""
+def in_hform(hform, v):
+    """Does v satisfy the H-form (equalities, inequalities) of a cone?"""
+    eqs, ineqs = hform
+    return all(vec_dot(e, v) == 0 for e in eqs) and \
+        all(vec_dot(f, v) >= 0 for f in ineqs)
+
+
+def cone_is_pointed(gens, hform):
+    """Is cone(gens) pointed?  hform is its H-form (see cone_hform).
+
+    The lineality space is where every equality and inequality vanishes,
+    so the cone is pointed exactly when they have rank dim.  A zero
+    generator makes 0 a non-trivial positive combination: not pointed.
+    """
     gens = list(gens)
     if not gens:
         return True
-    a_eq = [[g[i] for g in gens] for i in range(len(gens[0]))]
-    a_eq.append([1] * len(gens))
-    b_eq = [0] * len(gens[0]) + [1]
-    return not lp_feasible(a_eq, b_eq, len(gens))
+    if not all(any(g) for g in gens):
+        return False
+    eqs, ineqs = hform
+    return rank_q(list(eqs) + list(ineqs)) == len(gens[0])
 
 
-def extremal_rays(gens):
-    """Extremal rays of a pointed cone, as sorted primitive vectors."""
+def extremal_rays(gens, hform):
+    """The primitive generators outside the cone of the others, sorted;
+    hform is the H-form of cone(gens) (see cone_hform).
+
+    On a pointed cone these are its extremal rays: g spans one exactly
+    when the equalities and the facet normals vanishing on g have rank
+    dim - 1.  On a non-pointed cone each g is tested against the H-form
+    of the others.
+    """
     prims = sorted({primitive_vector(g) for g in gens if any(g)})
-    out = []
-    for i, g in enumerate(prims):
-        others = prims[:i] + prims[i + 1:]
-        if not cone_member(others, g):
-            out.append(g)
-    return out
+    if not prims:
+        return []
+    dim = len(prims[0])
+    eqs, ineqs = list(hform[0]), hform[1]
+    if rank_q(eqs + list(ineqs)) == dim:
+        return [g for g in prims
+                if rank_q(eqs + [phi for phi in ineqs
+                                 if vec_dot(phi, g) == 0]) == dim - 1]
+    return [g for i, g in enumerate(prims)
+            if not in_hform(cone_hform(prims[:i] + prims[i + 1:], dim), g)]
+
+
+def _det(m):
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    a = [list(row) for row in m]
+    n = len(a)
+    sign = 1
+    prev = 1  # the previous pivot, which divides every updated entry
+    for k in range(n - 1):
+        if not a[k][k]:
+            pr = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pr is None:
+                return 0
+            a[k], a[pr] = a[pr], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        p = pivot_row[k]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+    return sign * a[-1][-1]
+
+
+def _hyperplane_normal(rows):
+    """Primitive generator, up to sign, of the kernel of d - 1 integer
+    rows of length d >= 1, or None when that kernel is not a line.
+
+    The kernel is spanned by the signed maximal minors (the generalized
+    cross product); they all vanish exactly when the rows are dependent.
+    """
+    d = len(rows) + 1
+    if d == 1:
+        return (1,)
+    if d == 2:
+        (a0, a1), = rows
+        phi = (a1, -a0)
+    elif d == 3:
+        (a0, a1, a2), (b0, b1, b2) = rows
+        phi = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    else:
+        phi = tuple((-1) ** j * _det([r[:j] + r[j + 1:] for r in rows])
+                    for j in range(d))
+    g = gcd(*phi)
+    if not g:
+        return None
+    return tuple(x // g for x in phi)
 
 
 def _fulldim_facet_normals(gens, dim):
     """Facet normals of a full-dimensional cone (each normal >= 0 on gens)."""
     if dim == 0:
         return []
-    seen = set()
+    tried = set()
     out = []
-    if dim == 1:
-        # facets of a full-dim cone in R^1: the origin, normal +-1
-        pos = any(g[0] > 0 for g in gens)
-        neg = any(g[0] < 0 for g in gens)
-        if pos and not neg:
-            return [(1,)]
-        if neg and not pos:
-            return [(-1,)]
-        return []
-    for subset in combinations(range(len(gens)), dim - 1):
-        mat = [list(gens[i]) for i in subset]
-        ker = kernel_basis(mat)
-        if len(ker) != 1:
+    for subset in combinations(gens, dim - 1):
+        phi = _hyperplane_normal(subset)
+        if phi is None or phi in tried:
             continue
-        phi = ker[0]
+        neg = tuple(-x for x in phi)
+        tried.add(phi)
+        tried.add(neg)
         vals = [vec_dot(phi, g) for g in gens]
         if all(v >= 0 for v in vals):
-            cand = primitive_vector(phi)
+            cand = phi
         elif all(v <= 0 for v in vals):
-            cand = primitive_vector([-x for x in phi])
+            cand = neg
         else:
             continue
-        if any(vec_dot(cand, g) != 0 for g in gens) and cand not in seen:
-            seen.add(cand)
+        if any(vals):
             out.append(cand)
     return sorted(out)
 
@@ -675,40 +737,46 @@ def cone_vform(equalities, inequalities, dim):
             if any(v) and v not in seen:
                 seen.add(v)
                 normals.append(v)
-    ineqs = []
     for f in inequalities:
         t = tuple(f)
         if any(t) and t not in seen:
             seen.add(t)
             normals.append(t)
-            ineqs.append(t)
-        elif any(t):
-            ineqs.append(t)
-    lin = kernel_basis([list(nrm) for nrm in normals]) if normals else \
-        [tuple(row) for row in identity_matrix(dim)]
-    if lin:
+    if rank_q(normals) < dim:
+        lin = kernel_basis([list(nrm) for nrm in normals]) if normals else \
+            [tuple(row) for row in identity_matrix(dim)]
         return [], lin
-
-    def ok(v):
-        return all(vec_dot(e, v) == 0 for e in equalities) and \
-            all(vec_dot(f, v) >= 0 for f in inequalities)
-
     rays = set()
-    if dim == 1:
-        for v in ((1,), (-1,)):
-            if ok(v):
-                rays.add(v)
-        return sorted(rays), []
-    for subset in combinations(range(len(normals)), dim - 1):
-        mat = [list(normals[i]) for i in subset]
-        ker = kernel_basis(mat)
-        if len(ker) != 1:
+    # a vertex ray spans the kernel of dim - 1 normals; only their lines
+    # matter, so each line enters the subsets once
+    lines = set()
+    for v in normals:
+        p = primitive_vector(v)
+        lines.add(max(p, tuple(-x for x in p)))
+    tried = set()
+    for subset in combinations(sorted(lines), dim - 1):
+        v = _hyperplane_normal(subset)
+        if v is None or v in tried:
             continue
-        v = primitive_vector(ker[0])
-        if ok(v):
-            rays.add(v)
         nv = tuple(-x for x in v)
-        if ok(nv):
+        tried.add(v)
+        tried.add(nv)
+        if any(vec_dot(e, v) for e in equalities):
+            continue
+        pos = neg = True
+        for f in inequalities:
+            t = vec_dot(f, v)
+            if t < 0:
+                pos = False
+            elif t > 0:
+                neg = False
+            else:
+                continue
+            if not (pos or neg):
+                break
+        if pos:
+            rays.add(v)
+        if neg:
             rays.add(nv)
     return sorted(rays), []
 
@@ -843,31 +911,30 @@ def hilbert_basis(gens, dim=None):
         dim = len(gens[0])
     if not gens:
         return []
-    if not cone_is_pointed(gens):
-        raise NotPointedError("Hilbert basis requires a pointed cone")
     basis, proj = span_saturation(gens)
     r = len(basis)
     if r < dim:
+        # pointed exactly when its image in the saturated span is
         small = [tuple(mat_vec(proj, list(g))) for g in gens]
         hb = hilbert_basis(small, r)
         return sorted(lift_through_basis(basis, h) for h in hb)
-    rays = extremal_rays(gens)
+    hform = cone_hform(gens, dim)
+    if not cone_is_pointed(gens, hform):
+        raise NotPointedError("Hilbert basis requires a pointed cone")
+    rays = extremal_rays(gens, hform)
     candidates = set(rays)
     for piece in _pulling_triangulation(rays, dim):
         candidates.update(_simplicial_box_points(piece))
-    _, ineqs = cone_hform(rays, dim)
+    # a full-dimensional cone has one H-form: that of its extremal rays
+    _, ineqs = hform
     grading = [sum(phi[j] for phi in ineqs) for j in range(dim)]
-
-    def inside(v):
-        return all(vec_dot(phi, v) >= 0 for phi in ineqs)
-
     ordered = sorted(candidates, key=lambda v: (vec_dot(grading, v), v))
     kept = []
     for c in ordered:
         reducible = False
         for h in kept:
             d = tuple(x - y for x, y in zip(c, h))
-            if any(d) and inside(d):
+            if any(d) and in_hform(hform, d):
                 reducible = True
                 break
             if not any(d):

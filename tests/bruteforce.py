@@ -1,6 +1,7 @@
 """Independent test oracles: an exhaustive minimizer, the grouping
 search as it stood before its integer rewrite, a sampled completeness
-test and a unimodular cone-map search.
+test, a unimodular cone-map search and LP tests of cone pointedness and
+extremality.
 
 Deliberately shares no code with the package: groupings are enumerated
 as set partitions of every subset of the boundary primes, per-group
@@ -11,6 +12,11 @@ Fraction Gauss elimination.  Completeness is decided by facet counting
 plus a fixed dense grid of rational sample points, with facet normals
 found by sympy; cone maps are solved by sympy over bijections of
 extremal rays.
+
+The exception is the pair of LP cone oracles, which pose pointedness and
+extremality as feasibility problems for the package's exact simplex:
+the library reads both off the H-form instead and keeps the simplex
+only for cone membership and its own linear programs.
 """
 
 from fractions import Fraction
@@ -19,6 +25,8 @@ from itertools import combinations, permutations, product
 from math import gcd, lcm
 
 import sympy
+
+from toricomplex.lattice import simplex_solve
 
 
 def set_partitions(items):
@@ -220,7 +228,7 @@ SAMPLE_COORDS = (Fraction(-1), Fraction(-2, 3), Fraction(-1, 5),
                  Fraction(1, 7), Fraction(1, 2), Fraction(1))
 
 
-def _facet_normals(gens, dim):
+def facet_normals(gens, dim):
     """Facet normals of a full-dimensional cone, each >= 0 on gens."""
     if dim == 1:
         return {(1,) if gens[0][0] > 0 else (-1,)}
@@ -256,7 +264,7 @@ def sampled_is_complete(rank, rays, max_cones):
         gens = [rays[i] for i in cone]
         if not gens or sympy.Matrix([list(g) for g in gens]).rank() != rank:
             return False
-        normals = _facet_normals(gens, rank)
+        normals = facet_normals(gens, rank)
         hforms.append(normals)
         for phi in normals:
             facet = frozenset(g for g in gens
@@ -277,7 +285,7 @@ def _extremal(gens):
     dim = len(gens[0])
     if dim == 1:
         return gens
-    normals = _facet_normals(gens, dim)
+    normals = facet_normals(gens, dim)
     out = []
     for g in gens:
         tight = [list(p) for p in normals
@@ -313,3 +321,37 @@ def unimodular_cone_map(gens_a, gens_b):
         if {tuple(int(x) for x in m * sympy.Matrix(u)) for u in a} == targets:
             return tuple(tuple(int(x) for x in m.row(k)) for k in range(dim))
     return None
+
+
+def _lp_feasible(a_eq, b_eq, n):
+    """Is {x >= 0 : a_eq x = b_eq} non-empty?  (n = number of variables)."""
+    status, _, _ = simplex_solve([0] * n, a_eq=a_eq, b_eq=b_eq)
+    return status == "optimal"
+
+
+def _lp_member(gens, x):
+    """Is x a non-negative rational combination of gens?"""
+    if not gens:
+        return not any(x)
+    a_eq = [[g[i] for g in gens] for i in range(len(x))]
+    return _lp_feasible(a_eq, list(x), len(gens))
+
+
+def lp_cone_is_pointed(gens):
+    """A cone is pointed iff 0 is not a non-trivial positive combination
+    (so a zero generator makes it non-pointed)."""
+    gens = list(gens)
+    if not gens:
+        return True
+    a_eq = [[g[i] for g in gens] for i in range(len(gens[0]))]
+    a_eq.append([1] * len(gens))
+    b_eq = [0] * len(gens[0]) + [1]
+    return not _lp_feasible(a_eq, b_eq, len(gens))
+
+
+def lp_extremal_rays(gens):
+    """The sorted primitive generators g with g not in cone(the others);
+    on a pointed cone these are its extremal rays."""
+    prims = sorted({tuple(x // gcd(*g) for x in g) for g in gens if any(g)})
+    return [g for i, g in enumerate(prims)
+            if not _lp_member(prims[:i] + prims[i + 1:], g)]

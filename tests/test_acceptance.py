@@ -36,7 +36,7 @@ from toricomplex.complexity import (
 )
 from toricomplex.conecox import NotInteriorError, cox_degrees, verify_cone_iso
 from toricomplex.fan import InvalidFanError, make_fan, star_subdivision
-from toricomplex.lattice import extremal_rays, primitive_vector
+from toricomplex.lattice import cone_hform, extremal_rays, primitive_vector
 from toricomplex.pairmodel import build_pair
 
 from bruteforce import oracle_minimize
@@ -112,8 +112,8 @@ def cone_suite():
         rank = rng.choice([2, 3])
         raw = {tuple(rng.randint(-4, 4) for _ in range(rank))
                for _ in range(rng.randint(rank, rank + 2))}
-        rays = extremal_rays(sorted(
-            {primitive_vector(u) for u in raw if any(u)}))
+        prims = sorted({primitive_vector(u) for u in raw if any(u)})
+        rays = extremal_rays(prims, cone_hform(prims, rank))
         try:
             fan = make_fan(rank, rays, [tuple(range(len(rays)))])
         except (InvalidFanError, ValueError):

@@ -1,9 +1,13 @@
+import contextlib
+import copy
 import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricomplex.cli import EXIT_CLAIM, EXIT_INVALID, EXIT_IO, EXIT_OK, run
 
@@ -288,3 +292,104 @@ def test_bad_decomposition_documents(capsys, monkeypatch, breakage, message):
     code, _, err = invoke(capsys, ["complexity"], doc, monkeypatch)
     assert code == EXIT_INVALID
     assert message in err
+
+
+# ---------------------------------------------------------------------------
+# malformed pair documents
+
+
+LOCAL_DOC = {
+    "rank": 2, "rays": [[0, 1], [2, 1]], "max_cones": [[0, 1]],
+    "boundary": ["1", "1"], "mode": "local", "cone": [0, 1],
+}
+
+# Values no field accepts: wrong types, never a number (a JSON number
+# could round to a valid rank or coordinate).
+JUNK = st.one_of(st.none(), st.booleans(), st.text("ab/ ", max_size=3),
+                 st.lists(st.none(), max_size=2),
+                 st.dictionaries(st.text("ab", max_size=2),
+                                 st.integers(-2, 2), max_size=2))
+# The same inside a list, where True and False would read as 1 and 0.
+JUNK_ENTRY = st.one_of(st.none(), st.text("ab/ ", max_size=3),
+                       st.lists(st.integers(0, 1), max_size=2),
+                       st.dictionaries(st.text("ab", max_size=2),
+                                       st.integers(-2, 2), max_size=2))
+BAD_FRACTIONS = ("1/0", "abc", "1/2/3", "", "3/2", "-1/2", "2", 0.5, None,
+                 True, [1], {"p": 1})
+# Geometric faults: non-pointed, overlapping, zero, non-primitive,
+# duplicate and stray rays, nested cones.
+BAD_FANS = (
+    (2, [[1, 0], [-1, 0], [0, 1]], [[0, 1, 2]]),
+    (2, [[1, 0], [0, 1], [1, 1]], [[0, 1], [1, 2], [0, 2]]),
+    (2, [[1, 0], [0, 1], [0, 0]], [[0, 1], [1, 2]]),
+    (2, [[1, 0], [0, 1], [-2, -2]], [[0, 1], [1, 2], [0, 2]]),
+    (2, [[1, 0], [0, 1], [1, 0]], [[0, 1], [1, 2]]),
+    (2, [[1, 0], [0, 1], [-1, -1], [1, 1]], [[0, 1], [1, 2], [0, 2]]),
+    (2, [[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [0, 2], [0]]),
+)
+
+
+@st.composite
+def malformed_documents(draw):
+    """Document text that no pair command may accept."""
+    doc = copy.deepcopy(draw(st.sampled_from((P2_DOC, LOCAL_DOC))))
+    kind = draw(st.sampled_from((
+        "junk-field", "missing-key", "ragged-ray", "junk-coordinate",
+        "index-out-of-range", "junk-index", "bad-fraction",
+        "boundary-length", "bad-fan", "bad-schema", "not-an-object",
+        "not-json")))
+    rays, cones = doc["rays"], doc["max_cones"]
+    if kind == "junk-field":
+        key = draw(st.sampled_from(
+            ("rank", "rays", "max_cones", "boundary", "mode", "cone",
+             "nef_part")))
+        # a null cone or nef part is simply absent
+        doc[key] = draw(JUNK.filter(
+            lambda v: v is not None or key not in ("cone", "nef_part")))
+    elif kind == "missing-key":
+        del doc[draw(st.sampled_from(
+            ("rank", "rays", "max_cones", "boundary")))]
+    elif kind == "ragged-ray":
+        ray = rays[draw(st.integers(0, len(rays) - 1))]
+        if draw(st.booleans()):
+            ray.append(draw(st.integers(-2, 2)))
+        else:
+            ray.pop()
+    elif kind == "junk-coordinate":
+        ray = rays[draw(st.integers(0, len(rays) - 1))]
+        ray[draw(st.integers(0, len(ray) - 1))] = draw(JUNK_ENTRY)
+    elif kind in ("index-out-of-range", "junk-index"):
+        cone = cones[draw(st.integers(0, len(cones) - 1))]
+        cone[draw(st.integers(0, len(cone) - 1))] = draw(
+            st.integers(len(rays), 9) | st.integers(-5, -1)
+            if kind == "index-out-of-range" else JUNK_ENTRY)
+    elif kind == "bad-fraction":
+        doc["boundary"][draw(st.integers(0, len(rays) - 1))] = draw(
+            st.sampled_from(BAD_FRACTIONS))
+    elif kind == "boundary-length":
+        doc["boundary"] = doc["boundary"][:draw(st.integers(0, len(rays) - 1))]
+    elif kind == "bad-fan":
+        rank, rays, cones = draw(st.sampled_from(BAD_FANS))
+        doc = {"rank": rank, "rays": rays, "max_cones": cones,
+               "boundary": ["1"] * len(rays)}
+    elif kind == "bad-schema":
+        doc["schema"] = draw(st.sampled_from((2, 0, "1", None)))
+    elif kind == "not-an-object":
+        doc = draw(st.sampled_from(([], 3, "pair", None, [P2_DOC])))
+    else:
+        return draw(st.sampled_from(('{"rank":', "", "nul", "{'rank': 2}")))
+    return json.dumps(doc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(("validate", "minimize", "complexity")),
+       malformed_documents())
+def test_malformed_pair_documents_are_rejected(command, text):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([command])
+    assert code in (EXIT_INVALID, EXIT_IO), (code, err.getvalue())
+    assert out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().startswith("toricomplex: ")

@@ -15,7 +15,7 @@ from toricomplex.conecox import (
     verify_cone_iso,
 )
 from toricomplex.fan import make_fan
-from toricomplex.lattice import extremal_rays, primitive_vector
+from toricomplex.lattice import cone_hform, extremal_rays, primitive_vector
 
 from bruteforce import unimodular_cone_map
 from fans import A1_SING, A2, CONIFOLD, P1, P1XP1
@@ -263,7 +263,7 @@ def test_cone_iso_random_cones():
         rays = {primitive_vector(tuple(rng.randint(0, 4) for _ in range(rank - 1))
                                  + (1,))
                 for _ in range(nrays)}
-        rays = extremal_rays(list(rays))
+        rays = extremal_rays(list(rays), cone_hform(list(rays), rank))
         if len(rays) < nrays:
             continue
         try:

@@ -254,3 +254,72 @@ def test_fan_and_pair_geometry_is_derived_once(monkeypatch):
     assert validate_fan(fan) == [] and is_complete(fan)
 
     assert pair_class_group(pair) is pair_class_group(pair)
+
+
+# The fans of the test_validate_* tests, CYCLE, PENTAGRAM and at least
+# one fan per diagnostic code, each with its full verdict (codes, details
+# and order) as recorded from the LP-based pointedness and extremality
+# tests that the H-form rank tests replaced.
+OVERLAP = "meet outside a common face"
+VERDICTS = [
+    ((2, [(1, 0), (0, 1), (1, 1), (1, -1)], [(0, 1), (2, 3)]),
+     [("overlapping-cones", f"cones 0 and 1 {OVERLAP}")]),
+    ((2, [(2, 0), (0, 1)], [(0, 1)]),
+     [("nonprimitive-ray", "ray 0 = (2, 0)")]),
+    ((2, [(1, 0), (1, 0)], [(0, 1)]),
+     [("duplicate-ray", "rays 0 and 1 coincide")]),
+    ((2, [(1, 0), (0, 1)], [(0, 1), (0,)]),
+     [("nested-max-cones", "cones 0 and 1")]),
+    ((2, [(1, 0), (0, 1), (1, 1)], [(0, 1)]),
+     [("stray-ray", "ray 2 appears in no maximal cone")]),
+    ((2, [(1, 0), (-1, 0), (0, 1)], [(0, 1, 2)]),
+     [("nonpointed-cone", "cone 0 has a lineality space")]),
+    ((2, [(1, 0), (0, 1), (1, 1)], [(0, 1, 2)]),
+     [("nonextremal-generator", "cone 0 lists a non-extremal ray")]),
+    ((CYCLE.rank, CYCLE.rays, CYCLE.max_cones),
+     [("overlapping-cones", f"cones 0 and 1 {OVERLAP}"),
+      ("overlapping-cones", f"cones 0 and 2 {OVERLAP}")]),
+    ((PENTAGRAM.rank, PENTAGRAM.rays, PENTAGRAM.max_cones),
+     [("overlapping-cones", f"cones {i} and {j} {OVERLAP}")
+      for i, j in ((0, 2), (0, 3), (1, 3), (1, 4), (2, 4))]),
+    ((0, [], []),
+     [("bad-rank", "rank must be >= 1, got 0")]),
+    ((2, [(1, 0), (1, 0, 0)], [(0,)]),
+     [("bad-ray", "ray 1 has length 3, want 2")]),
+    ((2, [(0, 0), (2, 2), (1, 0), (1, 0)], [(0, 1, 2, 3)]),
+     [("bad-ray", "ray 0 is zero"), ("nonprimitive-ray", "ray 1 = (2, 2)"),
+      ("duplicate-ray", "rays 2 and 3 coincide")]),
+    ((2, [(1, 0), (0, 1), (1, 1), (1, -1)], [(0, 1), (2, 3), (0, 9), (-1, 3)]),
+     [("bad-ray-index", "cone 2 references a missing ray"),
+      ("bad-ray-index", "cone 3 references a missing ray"),
+      ("overlapping-cones", f"cones 0 and 1 {OVERLAP}")]),
+    ((2, [(1, 0), (0, 1), (-1, -1)], [(0, 0, 1), (1, 2)]),
+     [("duplicate-cone-entry", "cone 0 repeats a ray"),
+      ("stray-ray", "ray 0 appears in no maximal cone")]),
+    ((3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2), (2, 3)]),
+     [("nonpointed-cone", "cone 0 has a lineality space")]),
+    ((2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [(0, 1, 2), (3,)]),
+     [("nonpointed-cone", "cone 0 has a lineality space")]),
+    ((3, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1), (1, 1, 2)],
+      [(0, 1, 2, 3, 4)]),
+     [("nonextremal-generator", "cone 0 lists a non-extremal ray")]),
+    # the cones meet in rays they share, but those span no face of cone 0
+    ((4, [(0, 0, 1, 0), (1, 0, 1, 0), (0, 1, 1, 0), (1, 1, 1, 0),
+          (0, 0, 0, 1)], [(0, 1, 2, 3), (0, 3, 4)]),
+     [("overlapping-cones", f"cones 0 and 1 {OVERLAP}")]),
+    ((3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 1)],
+      [(0, 1, 2), (2, 3, 4)]),
+     [("overlapping-cones", f"cones 0 and 1 {OVERLAP}")]),
+]
+
+
+def test_validate_fan_verdicts_unchanged():
+    codes = set()
+    for (rank, rays, cones), expected in VERDICTS:
+        assert validate_fan(make_fan(rank, rays, cones)) == expected, rays
+        codes.update(code for code, _ in expected)
+    assert codes == {
+        "bad-rank", "bad-ray", "nonprimitive-ray", "duplicate-ray",
+        "bad-ray-index", "duplicate-cone-entry", "stray-ray",
+        "nonpointed-cone", "nonextremal-generator", "nested-max-cones",
+        "overlapping-cones"}

@@ -1,12 +1,14 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from toricomplex.lattice import (
     AbelianGroupPresentation,
     NotPointedError,
+    _hyperplane_normal,
     cartier_scale,
     cokernel,
     cone_hform,
@@ -30,6 +32,8 @@ from toricomplex.lattice import (
     span_saturation,
     vec_dot,
 )
+
+from bruteforce import facet_normals, lp_cone_is_pointed, lp_extremal_rays
 
 small_int = st.integers(min_value=-6, max_value=6)
 
@@ -206,13 +210,17 @@ def test_cone_member():
 
 
 def test_pointedness():
-    assert cone_is_pointed([(1, 0), (0, 1)])
-    assert not cone_is_pointed([(1, 0), (-1, 0), (0, 1)])
+    quadrant = [(1, 0), (0, 1)]
+    assert cone_is_pointed(quadrant, cone_hform(quadrant, 2))
+    halfplane = [(1, 0), (-1, 0), (0, 1)]
+    assert not cone_is_pointed(halfplane, cone_hform(halfplane, 2))
 
 
 def test_extremal_rays():
-    assert extremal_rays([(1, 0), (1, 1), (0, 1)]) == [(0, 1), (1, 0)]
-    assert extremal_rays([(2, 0), (0, 3)]) == [(0, 1), (1, 0)]
+    gens = [(1, 0), (1, 1), (0, 1)]
+    assert extremal_rays(gens, cone_hform(gens, 2)) == [(0, 1), (1, 0)]
+    gens = [(2, 0), (0, 3)]
+    assert extremal_rays(gens, cone_hform(gens, 2)) == [(0, 1), (1, 0)]
 
 
 def test_faces_of_square_cone():
@@ -243,6 +251,89 @@ def test_cone_intersection():
     got = cone_intersection(cone_hform([(1, 0), (0, 1)], 2),
                             cone_hform([(1, -1), (1, 1)], 2), 2)
     assert got == [(1, 0), (1, 1)]
+
+
+@st.composite
+def cone_generators(draw):
+    """1-6 generators in rank 1-4 with entries in [-3, 3]; up to two
+    zero, duplicate, non-extremal (sum) or opposite generators are added."""
+    d = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d),
+                         min_size=1, max_size=4))
+    for kind in draw(st.lists(st.sampled_from(
+            ("zero", "duplicate", "sum", "opposite")), max_size=2)):
+        a = gens[draw(st.integers(0, len(gens) - 1))]
+        b = gens[draw(st.integers(0, len(gens) - 1))]
+        gens.append({"zero": (0,) * d,
+                     "duplicate": a,
+                     "sum": tuple(x + y for x, y in zip(a, b)),
+                     "opposite": tuple(-x for x in a)}[kind])
+    return gens
+
+
+@settings(max_examples=300, deadline=None)
+@given(cone_generators())
+@example([(0, 0), (1, 0)])
+@example([(0, 0, 0)])
+@example([(1, 0), (1, 0), (0, 1)])
+@example([(1, 0), (1, 1), (0, 1)])
+@example([(1, 0), (-1, 0), (0, 1)])
+@example([(1, 0, 0), (-1, 0, 0), (0, 1, 0)])
+@example([(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)])
+@example([(1, 1, 0, 0), (0, 1, 1, 0), (1, 2, 1, 0)])
+@example([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 1)])
+@example([(2,), (-1,)])
+def test_pointedness_and_extremality_match_lp(gens):
+    hform = cone_hform(gens, len(gens[0]))
+    assert cone_is_pointed(gens, hform) == lp_cone_is_pointed(gens)
+    assert extremal_rays(gens, hform) == lp_extremal_rays(gens)
+    rays, lineality = cone_vform(*hform, len(gens[0]))
+    if lineality:
+        assert not lp_cone_is_pointed(gens)
+    else:
+        assert rays == lp_extremal_rays(gens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cone_generators())
+def test_facet_normals_match_sympy(gens):
+    d = len(gens[0])
+    assume(d >= 2 and sympy.Matrix(gens).rank() == d)
+    assert cone_hform(gens, d) == ([], sorted(facet_normals(gens, d)))
+
+
+@st.composite
+def hyperplane_rows(draw):
+    """d - 1 integer rows of length d (2 <= d <= 5), entries in [-3, 3];
+    often the last row is an integer combination of the others."""
+    d = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                         min_size=d - 1, max_size=d - 1))
+    if d > 2 and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-2, 2),
+                               min_size=d - 2, max_size=d - 2))
+        rows[-1] = [sum(c * r[j] for c, r in zip(coeffs, rows))
+                    for j in range(d)]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(hyperplane_rows())
+@example([[0, 0]])
+@example([[1, 2, 3], [2, 4, 6]])
+@example([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]])
+@example([[2, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 2, 0, 0], [0, 0, 0, 2, 2]])
+def test_hyperplane_normal_matches_sympy(rows):
+    kernel = sympy.Matrix(rows).nullspace()
+    got = _hyperplane_normal(rows)
+    if len(kernel) != 1:
+        assert got is None
+        return
+    den = lcm(*(int(x.q) for x in kernel[0]))
+    v = [int(x * den) for x in kernel[0]]
+    g = gcd(*v)
+    v = tuple(x // g for x in v)
+    assert got in (v, tuple(-x for x in v))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +389,7 @@ def test_hilbert_not_pointed():
 @given(st.lists(st.tuples(small_int, small_int), min_size=1, max_size=4))
 def test_hilbert_generates_and_minimal_2d(gens):
     gens = [g for g in gens if any(g)]
-    if not gens or not cone_is_pointed(gens):
+    if not gens or not cone_is_pointed(gens, cone_hform(gens, 2)):
         return
     hb = hilbert_basis(gens, 2)
     hform = cone_hform(gens, 2)
