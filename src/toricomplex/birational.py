@@ -30,7 +30,8 @@ from .lattice import (
     simplex_solve,
     vec_dot,
 )
-from .fan import Fan, is_complete, is_simplicial, require_valid, star_subdivision
+from .fan import (Fan, as_int, is_complete, is_simplicial, require_valid,
+                  star_subdivision)
 from .divisor import cartier_data, support_value
 from .complexity import (
     Decomposition,
@@ -180,7 +181,7 @@ def extraction(target: Fan, vectors) -> FanSurgery:
     require_valid(target)
     fan = target
     for v in vectors:
-        v = tuple(int(x) for x in v)
+        v = tuple(as_int(x, "an extraction vector entry") for x in v)
         if not any(v):
             raise SurgeryMismatchError("cannot extract the origin")
         v = primitive_vector(v)

@@ -220,7 +220,8 @@ def _interior_vector(doc, fan):
         raise InvalidDocumentError('germ document needs the interior vector "v"')
     v = doc["v"]
     if (not isinstance(v, list) or len(v) != fan.rank
-            or not all(isinstance(c, int) for c in v)):
+            or not all(isinstance(c, int) and not isinstance(c, bool)
+                       for c in v)):
         raise InvalidDocumentError('"v" must list one integer per coordinate')
     return tuple(v)
 
@@ -433,9 +434,10 @@ def _target_fan(doc, rank):
 def _cmd_check_contract(job):
     doc, pair, dec = _surgery_doc(job)
     target = _target_fan(doc, pair.fan.rank)
-    if "ray" not in doc or not isinstance(doc["ray"], int):
+    ray = doc.get("ray")
+    if not isinstance(ray, int) or isinstance(ray, bool):
         raise InvalidDocumentError('contraction document needs the integer "ray"')
-    surgery = contraction(pair.fan, target, doc["ray"])
+    surgery = contraction(pair.fan, target, ray)
     rep = check_contraction(pair, surgery, dec)
     return {
         "claim": "contraction-drops-complexity-by-at-most-one",

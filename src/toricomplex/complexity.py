@@ -242,105 +242,152 @@ def _search_fine(fixed_rank, fixed_norm, elems, options):
     classes given modulo the span of the ``fixed_rank``-dimensional
     coefficient-one classes (see :func:`_project_classes`);
     ``fixed_norm`` is the number of coefficient-one primes.  ``options``
-    gives the (index, weight-budget) choices per element.  Maximizes
-    F = |Sigma| - rank over: drop the element, start a new group, or
-    join an existing group (branching over orbifold indices as soon as a
-    group has two members).  Returns (best F, groups) where groups is a
-    list of ([(element, index)...], weight).
+    gives the (index, weight-budget) choices per element, every budget
+    in (0, 1].  Maximizes F = |Sigma| - rank over the groupings of a
+    subset of the elements: a singleton group takes index 1, a larger
+    group any index per member, and a group weighs the smallest budget
+    of its members.  Returns (best F, groups) where groups is a list of
+    ([(element, index)...], weight), groups ordered by their first
+    member and members by element.
+
+    The search takes the smallest remaining element and either drops
+    it or closes its group: the element plus a subset of the remaining
+    ones, with their indices.  A group's row r_g is the class of
+    sum(D_e / n_e); the closed rows span a space S, and their rank is
+    exact.  At a node let cur be F with every remaining element dropped,
+    nu the nullity of the remaining classes modulo S (their number less
+    the rank they add to S), and top(k) the sum of the k largest budgets
+    among them.  No completion exceeds cur + top(nu):
+
+    * New groups G change F by sum_g w_g - rank(rows mod S)
+      = k - sum_g (1 - w_g), where k = |G| - rank(rows mod S) is the
+      nullity of their rows modulo S.
+    * The groups are disjoint and each r_g is a positive combination of
+      its members' classes, so a relation sum c_g r_g in S gives the
+      relation sum_g sum_{e in g} c_g (L_g / n_e) v_e in S among the
+      member classes, non-zero when c is.  Hence k <= nu.
+    * Every w_g <= 1, so the change is at most the sum of the k largest
+      w_g.  A group weighs at most the budget of each member and the
+      groups are disjoint, so that sum is at most top(k) <= top(nu).
+
+    A node is pruned only when this bound is below the best F, strictly,
+    so every optimal grouping is reached, and the key (-F, labels,
+    orbifold) picks the same one in any visiting order.
+
+    Dropping an element never raises nu.  Closing a group g whose row
+    adds delta (0 or 1) to the rank leaves nullity at most
+    nu - 1 + delta: one member of g lies in the span of r_g and the
+    other members, so rank(S + r_g + left) >= rank(S + rem) - |g| + 1,
+    where left is what g leaves of rem.  So g of weight w is worth
+    closing only if cur + w + top'(nu - 1) reaches the best F, top' over
+    left (a delta of 1 costs 1 and frees one more budget of at most 1);
+    when nu = 0, delta is 1 and the bound is cur + w - 1.  Both shrink
+    as g grows, so a failed check skips every larger group too, before
+    any rank is taken.  A node ranks for its exact nu only when its
+    inherited bound does not prune it.  Nothing is ranked once nu = 0,
+    where every row leaves S, or once nu is the number of remaining
+    elements, which then all lie in S.  Rank and nullity as in Oxley,
+    Matroid Theory (2011), ch. 1; ranks by :func:`rank_q`.
     """
     t = len(elems)
     # weights and F are counted in units of 1/den, so the search compares
     # ints; den is the lcm of the budget denominators
     den = lcm(*(b.denominator for opts in options for _, b in opts))
     budgets = [{n: (b * den).numerator for n, b in opts} for opts in options]
-    base = (fixed_norm - fixed_rank) * den
-    suffix = [0] * (t + 1)
-    for i in range(t - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + max(budgets[i].values())
+    top = [max(b.values()) for b in budgets]
+    classes = [v for _, _, v in elems]
 
     best = {"key": None, "F": None, "groups": None}
-    groups = []  # mutable: [members list of (elem index, orb index)]
-
-    def group_weight(members):
-        return min(budgets[e][n] for e, n in members)
+    groups = []  # closed groups: (members, weight)
+    rows = []  # their class rows
 
     def group_row(members):
         # the class of sum(D_e / n_e), scaled by the lcm of the n_e so it
         # stays integral; scaling a row does not change the rank
         scale = lcm(*(n for _, n in members))
-        row = [0] * len(elems[0][2])
+        row = [0] * len(classes[0])
         for e, n in members:
             k = scale // n
-            row = [a + k * b for a, b in zip(row, elems[e][2])]
+            row = [a + k * b for a, b in zip(row, classes[e])]
         return row
 
-    def leaf():
-        weights = [group_weight(members) for members in groups]
-        bound = base + sum(weights)
-        if best["F"] is not None and bound < best["F"]:
+    def beaten(bound):
+        return best["F"] is not None and bound < best["F"]
+
+    def leaf(F):
+        if beaten(F):
             return
-        F = bound
-        if groups:
-            F -= rank_q([group_row(m) for m in groups]) * den
-        if best["F"] is not None and F < best["F"]:
-            return
-        labels = []
-        orb = []
-        assigned = {}
-        for gi, members in enumerate(groups):
+        labels = [(1,)] * t
+        orb = [1] * t
+        for members, _ in groups:
             for e, n in members:
-                assigned[e] = (gi, n)
-        for e in range(t):
-            if e in assigned:
-                gi, n = assigned[e]
-                mates = tuple(sorted(elems[m][0] for m, _ in groups[gi]
-                                     if m != e))
-                labels.append((0, mates))
-                orb.append(n)
-            else:
-                labels.append((1,))
-                orb.append(1)
+                labels[e] = (0, tuple(sorted(elems[m][0] for m, _ in members
+                                             if m != e)))
+                orb[e] = n
         key = (-F, tuple(labels), tuple(orb))
         if best["key"] is None or key < best["key"]:
             best["key"] = key
             best["F"] = F
             best["groups"] = [(list(members), Fraction(w, den))
-                              for members, w in zip(groups, weights)]
+                              for members, w in groups]
 
-    def rec(i):
-        if i == t:
-            leaf()
+    def gain(elements, k):
+        # the sum of the k largest budgets among the elements
+        return sum(sorted((top[e] for e in elements), reverse=True)[:k])
+
+    def node(rem, cur, rank, nu, exact):
+        # nu is the nullity of rem modulo span(rows) when exact, else an
+        # upper bound on it
+        if not rem:
+            leaf(cur)
             return
-        if best["F"] is not None:
-            potential = base + suffix[i]
-            for members in groups:
-                potential += group_weight(members)
-            if potential < best["F"]:
+        if nu and not exact:
+            if beaten(cur + gain(rem, nu)):
                 return
-        # drop the element entirely
-        rec(i + 1)
-        # join an existing group
-        for members in groups:
-            if len(members) == 1:
-                e0, _ = members[0]
-                for n0, _ in options[e0]:
-                    for n1, _ in options[i]:
-                        members[0] = (e0, n0)
-                        members.append((i, n1))
-                        rec(i + 1)
-                        members.pop()
-                members[0] = (e0, 1)
-            else:
-                for n1, _ in options[i]:
-                    members.append((i, n1))
-                    rec(i + 1)
-                    members.pop()
-        # open a new group (index 1 until a second member arrives)
-        groups.append([(i, 1)])
-        rec(i + 1)
-        groups.pop()
+            nu = len(rem) + rank - rank_q(rows + [classes[e] for e in rem])
+        if beaten(cur + gain(rem, nu)):
+            return
+        # nu = len(rem): every remaining class lies in span(rows), and so
+        # does every row closed below; nu = 0: every row leaves it
+        inside = nu == len(rem)
+        p, rest = rem[0], rem[1:]
+        node(rest, cur, rank, nu - inside, inside)  # drop p
 
-    rec(0)
+        def close(members, w):
+            left = tuple(e for e in rest
+                         if all(e != m for m, _ in members))
+            if beaten(cur + w + gain(left, nu - 1) if nu else cur + w - den):
+                return False
+            row = group_row(members)
+            if not nu:
+                delta = 1
+            elif inside:
+                delta = 0
+            else:
+                delta = rank_q(rows + [row]) - rank
+            groups.append((tuple(members), w))
+            rows.append(row)
+            node(left, cur + w - delta * den, rank + delta,
+                 len(left) if inside else nu - 1 + delta, inside)
+            groups.pop()
+            rows.pop()
+            return True
+
+        def grow(members, w, start):
+            # every group holding members plus elements of rest[start:]
+            for j in range(start, len(rest)):
+                e = rest[j]
+                for n, b in budgets[e].items():
+                    members.append((e, n))
+                    if close(members, min(w, b)):
+                        grow(members, min(w, b), j + 1)
+                    members.pop()
+
+        close([(p, 1)], budgets[p][1])
+        for n, b in budgets[p].items():
+            grow([(p, n)], b, 0)
+
+    node(tuple(range(t)), (fixed_norm - fixed_rank) * den, 0, t, False)
     return Fraction(best["F"], den), best["groups"]
 
 
@@ -432,17 +479,21 @@ def minimize(pair: ToricPair, orbifold_cap: int = 12,
     dec_orb = _realizing_decomposition(pair, ones, elems, groups_orb)
     c_orb = pair.dim - f_orb
 
+    # self-check: re-derive both values from the decompositions, as
+    # fine_complexity and orbifold_complexity would, validating and
+    # spanning each decomposition once
     validate_decomposition(pair, dec_fine)
     validate_decomposition(pair, dec_orb)
-    assert fine_complexity(pair, dec_fine) == c_fine
-    assert orbifold_complexity(pair, dec_orb) == c_orb
+    span_fine = span_dimension(pair, dec_fine)
+    span_orb = span_dimension(pair, dec_orb)
+    assert dec_fine.orbifold == trivial_orbifold(nrays)
+    assert pair.dim + span_fine - dec_fine.norm == c_fine
+    assert pair.dim + span_orb - dec_orb.norm == c_orb
     assert c >= c_fine >= c_orb
     return MinimizeReport(
         c=c, c_fine=c_fine, c_orb=c_orb,
         dec_c=dec_c, dec_fine=dec_fine, dec_orb=dec_orb,
-        cl_rank=pres.free_rank,
-        span_fine=span_dimension(pair, dec_fine),
-        span_orb=span_dimension(pair, dec_orb),
+        cl_rank=pres.free_rank, span_fine=span_fine, span_orb=span_orb,
     )
 
 

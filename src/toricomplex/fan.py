@@ -69,11 +69,22 @@ class Fan:
                      for cone, hform in zip(self.max_cones, self.hforms))
 
 
+def as_int(x, what):
+    """x itself if it is an int.  Anything else, bools and integral
+    floats such as 2.0 included, raises TypeError rather than being
+    truncated."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def make_fan(rank, rays, max_cones):
     """Normalize raw data into a Fan (no validation; see validate_fan)."""
-    return Fan(rank=int(rank),
-               rays=tuple(tuple(int(x) for x in r) for r in rays),
-               max_cones=tuple(tuple(sorted(int(i) for i in c))
+    return Fan(rank=as_int(rank, "rank"),
+               rays=tuple(tuple(as_int(x, "a ray coordinate") for x in r)
+                          for r in rays),
+               max_cones=tuple(tuple(sorted(as_int(i, "a cone index")
+                                            for i in c))
                                for c in max_cones))
 
 

@@ -23,7 +23,7 @@ from functools import cached_property
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
 
-from .fan import Fan, make_fan, require_valid
+from .fan import Fan, as_int, make_fan, require_valid
 from .divisor import (
     as_coeffs,
     canonical_coeffs,
@@ -141,7 +141,7 @@ def build_pair(fan: Fan, boundary, mode: str = "projective", cone=None,
     elif mode == "local":
         if cone is None:
             raise InvalidPairError("local mode needs a cone (list of ray indices)")
-        cone = tuple(sorted(int(i) for i in cone))
+        cone = tuple(sorted(as_int(i, "a cone index") for i in cone))
         if cone not in fan.max_cones:
             raise InvalidPairError(f"{cone} is not a maximal cone of the fan")
     else:  # birational

@@ -1,7 +1,7 @@
 """Independent test oracles: an exhaustive minimizer, the grouping
-search as it stood before its integer rewrite, a sampled completeness
-test, a unimodular cone-map search and LP tests of cone pointedness and
-extremality.
+search as it stood before its integer rewrite and as it stood before
+its nullity bound, a sampled completeness test, a unimodular cone-map
+search and LP tests of cone pointedness and extremality.
 
 Deliberately shares no code with the package: groupings are enumerated
 as set partitions of every subset of the boundary primes, per-group
@@ -13,10 +13,13 @@ plus a fixed dense grid of rational sample points, with facet normals
 found by sympy; cone maps are solved by sympy over bijections of
 extremal rays.
 
-The exception is the pair of LP cone oracles, which pose pointedness and
+There are two exceptions.  The LP cone oracles pose pointedness and
 extremality as feasibility problems for the package's exact simplex:
 the library reads both off the H-form instead and keeps the simplex
-only for cone membership and its own linear programs.
+only for cone membership and its own linear programs.  The leaf-bound
+grouping search ranks with the package's ``rank_q``: it is the
+library's search before the nullity bound, a second enumeration of the
+same groupings, pruned differently and fast enough for seven primes.
 """
 
 from fractions import Fraction
@@ -26,7 +29,7 @@ from math import gcd, lcm
 
 import sympy
 
-from toricomplex.lattice import simplex_solve
+from toricomplex.lattice import rank_q, simplex_solve
 
 
 def set_partitions(items):
@@ -222,6 +225,119 @@ def reference_search_fine(fixed_vecs, elems, options):
 
     rec(0)
     return best["F"], best["groups"]
+
+
+def leaf_bound_search_fine(fixed_rank, fixed_norm, elems, options):
+    """The grouping search of ``minimize`` before the nullity bound.
+
+    It grows groups one element at a time and prunes only on weights,
+    so it ranks at nearly every leaf; kept unchanged as the oracle the
+    library search must match, group for group.
+
+    ``elems`` is a list of (ray, coefficient, projected class) with the
+    classes given modulo the span of the ``fixed_rank``-dimensional
+    coefficient-one classes (see ``complexity._project_classes``);
+    ``fixed_norm`` is the number of coefficient-one primes.  ``options``
+    gives the (index, weight-budget) choices per element.  Maximizes
+    F = |Sigma| - rank over: drop the element, start a new group, or
+    join an existing group (branching over orbifold indices as soon as a
+    group has two members).  Returns (best F, groups) where groups is a
+    list of ([(element, index)...], weight).
+    """
+    t = len(elems)
+    # weights and F are counted in units of 1/den, so the search compares
+    # ints; den is the lcm of the budget denominators
+    den = lcm(*(b.denominator for opts in options for _, b in opts))
+    budgets = [{n: (b * den).numerator for n, b in opts} for opts in options]
+    base = (fixed_norm - fixed_rank) * den
+    suffix = [0] * (t + 1)
+    for i in range(t - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + max(budgets[i].values())
+
+    best = {"key": None, "F": None, "groups": None}
+    groups = []  # mutable: [members list of (elem index, orb index)]
+
+    def group_weight(members):
+        return min(budgets[e][n] for e, n in members)
+
+    def group_row(members):
+        # the class of sum(D_e / n_e), scaled by the lcm of the n_e so it
+        # stays integral; scaling a row does not change the rank
+        scale = lcm(*(n for _, n in members))
+        row = [0] * len(elems[0][2])
+        for e, n in members:
+            k = scale // n
+            row = [a + k * b for a, b in zip(row, elems[e][2])]
+        return row
+
+    def leaf():
+        weights = [group_weight(members) for members in groups]
+        bound = base + sum(weights)
+        if best["F"] is not None and bound < best["F"]:
+            return
+        F = bound
+        if groups:
+            F -= rank_q([group_row(m) for m in groups]) * den
+        if best["F"] is not None and F < best["F"]:
+            return
+        labels = []
+        orb = []
+        assigned = {}
+        for gi, members in enumerate(groups):
+            for e, n in members:
+                assigned[e] = (gi, n)
+        for e in range(t):
+            if e in assigned:
+                gi, n = assigned[e]
+                mates = tuple(sorted(elems[m][0] for m, _ in groups[gi]
+                                     if m != e))
+                labels.append((0, mates))
+                orb.append(n)
+            else:
+                labels.append((1,))
+                orb.append(1)
+        key = (-F, tuple(labels), tuple(orb))
+        if best["key"] is None or key < best["key"]:
+            best["key"] = key
+            best["F"] = F
+            best["groups"] = [(list(members), Fraction(w, den))
+                              for members, w in zip(groups, weights)]
+
+    def rec(i):
+        if i == t:
+            leaf()
+            return
+        if best["F"] is not None:
+            potential = base + suffix[i]
+            for members in groups:
+                potential += group_weight(members)
+            if potential < best["F"]:
+                return
+        # drop the element entirely
+        rec(i + 1)
+        # join an existing group
+        for members in groups:
+            if len(members) == 1:
+                e0, _ = members[0]
+                for n0, _ in options[e0]:
+                    for n1, _ in options[i]:
+                        members[0] = (e0, n0)
+                        members.append((i, n1))
+                        rec(i + 1)
+                        members.pop()
+                members[0] = (e0, 1)
+            else:
+                for n1, _ in options[i]:
+                    members.append((i, n1))
+                    rec(i + 1)
+                    members.pop()
+        # open a new group (index 1 until a second member arrives)
+        groups.append([(i, 1)])
+        rec(i + 1)
+        groups.pop()
+
+    rec(0)
+    return Fraction(best["F"], den), best["groups"]
 
 
 SAMPLE_COORDS = (Fraction(-1), Fraction(-2, 3), Fraction(-1, 5),

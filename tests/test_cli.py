@@ -281,6 +281,34 @@ def test_surgery_documents_are_validated(capsys, monkeypatch):
     assert code == EXIT_INVALID and "vectors" in err
 
 
+CONTRACT_DOC = {
+    "pair": BLP2_DOC,
+    "target": {"rays": P2_DOC["rays"], "max_cones": P2_DOC["max_cones"]},
+    "ray": 3,
+}
+
+
+@pytest.mark.parametrize("args, doc", [
+    (["cone"], dict(A1_GERM_DOC, v=[1, True])),
+    (["cone"], dict(A1_GERM_DOC, v=[1.0, 1])),
+    (["check", "contract"], dict(CONTRACT_DOC, ray=True)),
+    (["check", "contract"], dict(CONTRACT_DOC, ray=3.0)),
+    (["check", "contract"], dict(CONTRACT_DOC, target={
+        "rays": [[1, 0], [0, 1], [-1, -1.0]],
+        "max_cones": P2_DOC["max_cones"]})),
+    (["check", "extract"], {"pair": P2_DOC, "vectors": [[1.0, 1]]}),
+    (["check", "extract"], {"pair": P2_DOC, "vectors": [[True, 1]]}),
+    (["validate"], dict(P2_DOC, rank=True)),
+    (["validate"], dict(P2_DOC, rank=2.9)),
+    (["validate"], dict(P2_DOC, max_cones=[[0, 1.0], [1, 2], [0, 2]])),
+])
+def test_non_integers_are_rejected(capsys, monkeypatch, args, doc):
+    """Numbers are never truncated: 2.9, 1.0 and true are not integers."""
+    code, out, err = invoke(capsys, args, doc, monkeypatch)
+    assert code == EXIT_INVALID, err
+    assert out == "" and "integer" in err
+
+
 @pytest.mark.parametrize("breakage, message", [
     ({"orbifold": {"0": 0}}, "positive integer"),
     ({"orbifold": {"7": 2}}, "out of range"),
@@ -303,14 +331,17 @@ LOCAL_DOC = {
     "boundary": ["1", "1"], "mode": "local", "cone": [0, 1],
 }
 
-# Values no field accepts: wrong types, never a number (a JSON number
-# could round to a valid rank or coordinate).
-JUNK = st.one_of(st.none(), st.booleans(), st.text("ab/ ", max_size=3),
+# Numbers that are not integers: JSON floats, integral ones such as 2.0
+# included, and booleans, which Python reads as 1 and 0.
+NOT_INTEGERS = st.one_of(st.booleans(), st.floats(-3, 3),
+                         st.sampled_from([0.0, 1.0, 2.0, -1.0]))
+# Values no field accepts.
+JUNK = st.one_of(st.none(), NOT_INTEGERS, st.text("ab/ ", max_size=3),
                  st.lists(st.none(), max_size=2),
                  st.dictionaries(st.text("ab", max_size=2),
                                  st.integers(-2, 2), max_size=2))
-# The same inside a list, where True and False would read as 1 and 0.
-JUNK_ENTRY = st.one_of(st.none(), st.text("ab/ ", max_size=3),
+# The same inside a list.
+JUNK_ENTRY = st.one_of(st.none(), NOT_INTEGERS, st.text("ab/ ", max_size=3),
                        st.lists(st.integers(0, 1), max_size=2),
                        st.dictionaries(st.text("ab", max_size=2),
                                        st.integers(-2, 2), max_size=2))
@@ -335,7 +366,7 @@ def malformed_documents(draw):
     doc = copy.deepcopy(draw(st.sampled_from((P2_DOC, LOCAL_DOC))))
     kind = draw(st.sampled_from((
         "junk-field", "missing-key", "ragged-ray", "junk-coordinate",
-        "index-out-of-range", "junk-index", "bad-fraction",
+        "index-out-of-range", "junk-index", "junk-local-cone", "bad-fraction",
         "boundary-length", "bad-fan", "bad-schema", "not-an-object",
         "not-json")))
     rays, cones = doc["rays"], doc["max_cones"]
@@ -363,6 +394,9 @@ def malformed_documents(draw):
         cone[draw(st.integers(0, len(cone) - 1))] = draw(
             st.integers(len(rays), 9) | st.integers(-5, -1)
             if kind == "index-out-of-range" else JUNK_ENTRY)
+    elif kind == "junk-local-cone":
+        doc = copy.deepcopy(LOCAL_DOC)
+        doc["cone"][draw(st.integers(0, 1))] = draw(JUNK_ENTRY)
     elif kind == "bad-fraction":
         doc["boundary"][draw(st.integers(0, len(rays) - 1))] = draw(
             st.sampled_from(BAD_FRACTIONS))

@@ -29,7 +29,12 @@ from toricomplex.pairmodel import (
     pair_class_group,
 )
 
-from bruteforce import index_options, oracle_minimize, reference_search_fine
+from bruteforce import (
+    index_options,
+    leaf_bound_search_fine,
+    oracle_minimize,
+    reference_search_fine,
+)
 from fans import A1_SING, CONIFOLD, P1, P1XP1, P2, P3, SUITE
 
 CUBE = make_fan(
@@ -365,6 +370,71 @@ def test_search_matches_reference_on_random_classes(data):
     projected_elems = [(e, None, v) for e, v in enumerate(projected)]
     assert (_search_fine(fixed_rank, len(fixed), projected_elems, options)
             == reference_search_fine(fixed, elems, options))
+
+
+# The 12-ray polygon of the README's search-time ladder: t fractional
+# primes at the first t rays with coefficients cycling 1/2, 3/4, 5/6,
+# 2/3 (1, 2, 3 and 1 orbifold options), coefficient one elsewhere.
+LADDER_RAYS = [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 1), (-1, 0),
+               (-2, -1), (-1, -1), (-1, -2), (0, -1), (1, -1)]
+LADDER = make_fan(2, LADDER_RAYS,
+                  [tuple(sorted((i, (i + 1) % 12))) for i in range(12)])
+LADDER_COEFFS = [F(1, 2), F(3, 4), F(5, 6), F(2, 3)]
+
+
+def ladder_pair(t):
+    return build_pair(LADDER, [LADDER_COEFFS[i % 4] if i < t else F(1)
+                               for i in range(12)])
+
+
+@pytest.mark.parametrize("t", range(7))
+def test_search_matches_reference_on_ladder(t):
+    assert_search_matches_reference(ladder_pair(t))
+
+
+def assert_search_matches_leaf_bound(fixed, classes, options):
+    fixed_rank, projected = _project_classes(fixed, classes)
+    elems = [(e, None, v) for e, v in enumerate(projected)]
+    assert (_search_fine(fixed_rank, len(fixed), elems, options)
+            == leaf_bound_search_fine(fixed_rank, len(fixed), elems, options))
+
+
+def test_search_matches_leaf_bound_search_on_ladder():
+    """Seven fractional primes, beyond the reach of the Fraction
+    reference: the leaf-bound search ranks at almost every leaf."""
+    pair = ladder_pair(7)
+    pres = pair_class_group(pair)
+    classes = [[row[i] for row in pres.free_map] for i in range(12)]
+    fracs = [i for i in range(12) if pair.boundary[i] < 1]
+    fixed = [classes[i] for i in range(12) if pair.boundary[i] == 1]
+    plain = [[(1, pair.boundary[i])] for i in fracs]
+    orb = [[(n, n * (pair.boundary[i] - 1) + 1)
+            for n in index_options(pair.boundary[i], 12)] for i in fracs]
+    for options in (plain, orb):
+        assert_search_matches_leaf_bound(
+            fixed, [classes[i] for i in fracs], options)
+
+
+@st.composite
+def small_option_lists(draw):
+    """Index 1 plus at most one larger index, budgets up to 1."""
+    budget = st.sampled_from([F(k, 12) for k in range(1, 13)])
+    indices = [1] + draw(st.lists(st.sampled_from([2, 3, 4]), max_size=1))
+    return [(n, draw(budget)) for n in indices]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_search_matches_leaf_bound_search_on_random_classes(data):
+    """Up to eight elements with small, often cancelling classes, where
+    the nullity bound and the group pre-check meet zero, repeated and
+    parallel classes and budgets of exactly 1."""
+    width = data.draw(st.integers(0, 4))
+    vec = st.lists(st.integers(-2, 2), min_size=width, max_size=width)
+    fixed = data.draw(st.lists(vec, max_size=3))
+    classes = data.draw(st.lists(vec, min_size=1, max_size=8))
+    options = [data.draw(small_option_lists()) for _ in classes]
+    assert_search_matches_leaf_bound(fixed, classes, options)
 
 
 def cy_germ_boundaries(fan):
