@@ -210,7 +210,7 @@ def log_discrepancy(pair: ToricPair, v) -> Fraction:
     ``K + B + M``; raises NotQCartierError when that divisor has no
     linear data on the cone containing ``v``.
     """
-    v = tuple(int(x) for x in v)
+    v = tuple(as_int(x, "a valuation vector entry") for x in v)
     if not is_primitive(v):
         raise ValueError(f"{v} is not a primitive vector")
     return support_value(pair.fan, log_canonical_coeffs(pair), v)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 
 from .divisor import as_coeffs, q_span_dim
-from .fan import cone_dim
+from .fan import as_int, cone_dim
 from .lattice import (
     ToricomplexError,
     cokernel,
@@ -519,7 +519,7 @@ def local_complexity_cloc(fan, cone) -> LocalComplexityReport:
     """
     from .divisor import local_class_group
 
-    cone = tuple(sorted(int(i) for i in cone))
+    cone = tuple(sorted(as_int(i, "a cone index") for i in cone))
     if cone not in fan.max_cones:
         raise ValueError(f"{cone} is not a maximal cone of the fan")
     if cone_dim(fan, cone) != fan.rank:

@@ -35,7 +35,8 @@ from .lattice import (
     solve_integral,
     vec_dot,
 )
-from .fan import Fan, is_complete, make_fan, require_valid, star_subdivision
+from .fan import (Fan, as_int, is_complete, make_fan, require_valid,
+                  star_subdivision)
 from .divisor import as_coeffs, class_group, is_ample, local_class_group
 
 
@@ -112,7 +113,7 @@ def _single_cone(fan):
 
 def _require_interior(fan, v):
     rank = fan.rank
-    v = tuple(int(c) for c in v)
+    v = tuple(as_int(c, "an interior vector entry") for c in v)
     if len(v) != rank:
         raise ValueError(f"expected a rank-{rank} vector")
     if not any(v):

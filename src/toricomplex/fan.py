@@ -5,7 +5,6 @@ completeness, smoothness, subdivision) are answered exactly through the
 cone machinery in lattice.py.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,9 +50,16 @@ class Fan:
         return [self.rays[i] for i in cone]
 
     @cached_property
+    def _verdict(self):
+        """(diagnostics, complete): the verdict of _diagnose, and whether
+        its proof of completeness (_covers_once) passed."""
+        diags, complete = _diagnose(self)
+        return tuple(diags), complete
+
+    @property
     def diagnostics(self):
         """Tuple of (code, detail) pairs, empty exactly for a valid fan."""
-        return tuple(_diagnose(self))
+        return self._verdict[0]
 
     @cached_property
     def hforms(self):
@@ -95,15 +101,18 @@ def validate_fan(fan):
 
 
 def _diagnose(fan):
+    """(diagnostics, complete).  The per-ray and per-cone checks run
+    first; a fan that passes them and _covers_once is valid and complete.
+    Every other fan goes through the pairwise check of all cone pairs."""
     diags = []
     n = fan.rank
     if n < 1:
         diags.append(("bad-rank", f"rank must be >= 1, got {n}"))
-        return diags
+        return diags, False
     for i, r in enumerate(fan.rays):
         if len(r) != n:
             diags.append(("bad-ray", f"ray {i} has length {len(r)}, want {n}"))
-            return diags
+            return diags, False
         if not any(r):
             diags.append(("bad-ray", f"ray {i} is zero"))
         elif not is_primitive(r):
@@ -115,7 +124,7 @@ def _diagnose(fan):
         else:
             seen[r] = i
     if diags:
-        return diags
+        return diags, False
     used = set()
     pointed_ok = []
     missing = [any(i < 0 or i >= len(fan.rays) for i in cone)
@@ -145,6 +154,8 @@ def _diagnose(fan):
     for i in range(len(fan.rays)):
         if i not in used:
             diags.append(("stray-ray", f"ray {i} appears in no maximal cone"))
+    if not diags and _covers_once(fan):
+        return diags, True
     for a in range(len(pointed_ok)):
         for b in range(a + 1, len(pointed_ok)):
             ci, cj = pointed_ok[a], pointed_ok[b]
@@ -168,7 +179,81 @@ def _diagnose(fan):
                     diags.append(("overlapping-cones",
                                   f"cones {ci} and {cj} meet outside a common face"))
                     break
-    return diags
+    return diags, False
+
+
+def _covers_once(fan):
+    """Do the maximal cones, each pointed and listing exactly its
+    extremal rays, form a complete fan?  True when
+
+    (a) every maximal cone is full-dimensional;
+    (b) every facet, as the set of the cone's rays on it, is a facet of
+        exactly two maximal cones, and a ray of the second one off the
+        facet is negative on the first one's facet normal, so the two
+        lie on opposite sides of the facet's hyperplane;
+    (c) p, the sum of the rays of cone 0, lies in no other maximal cone.
+
+    By is_complete's docstring every valid complete fan passes, so False
+    means the fan is invalid or not complete; the caller then runs the
+    pairwise check, which tells the two apart.  Ray sets name geometric
+    facets: a facet of a pointed cone is the cone over the extremal rays
+    on it, and rays are distinct.
+
+    Proof that (a)-(c) give a complete fan.  (1) Degree one.  Call x
+    generic if it lies on no facet hyperplane, and let d(x) count the
+    cones containing x.  Join two generic points by a path that avoids
+    the faces of codimension >= 2 (their complement is connected; for
+    n = 1 there are none) and crosses the hyperplanes one at a time.  A
+    cone with a crossing point y on its boundary holds y in the relative
+    interior of one facet F, and by (b) so does exactly one other cone,
+    on the other side: one is entered as the other is left, so d is
+    constant.  p is interior to cone 0 and, by (c), outside every other
+    (closed) cone, so d = 1 near p.  (2) Hence the interiors are
+    disjoint (two that met would share a generic point), and the union,
+    closed and containing every generic point, is R^n.  A relative
+    interior point f of a facet F lies only in the two cones of F: a
+    small ball around f lies in them, so a third cone containing f would
+    meet their interiors.  Partners across a facet F share their
+    lineality space, which is that of F; as a generic path passes from
+    any cone to any other through partners, all cones share one.
+    (3) Common faces, by induction on n, for any finite set of
+    full-dimensional polyhedral cones in R^n with disjoint interiors,
+    union R^n and the facet pairing of (b); by (2) modulo the common
+    lineality space they are pointed.  Let C = s & r for two cones s, r,
+    and take c != 0 relatively interior to C (C = 0 is a face of both),
+    G the smallest face of s containing c, so C lies in G.  At a point
+    w != 0 of s & r, the tangent cones T_w of the cones containing w
+    again cover, have disjoint interiors, and pair their facets T_w F as
+    the F are paired (a relative interior point of F lies in no third
+    cone).  Their common lineality contains the line of w, so by
+    induction in lower dimension T_w s & T_w r = T_w C is a face of
+    T_w s and contains its lineality space, the span of the smallest
+    face of s containing w: C contains a neighbourhood of w in that
+    face.  On a segment from c to a point g of the relative interior of
+    G (it stays there, and misses 0), the points in r therefore form a
+    set that is closed, open and contains c: g is in r.  So G lies in r,
+    C = G is a face of s, and likewise of r.  Faces that are common in
+    this sense are exactly what the pairwise check asks for.
+    """
+    rays = fan.rays
+    # facet -> normal of the first cone on it, None once a second is found
+    first = {}
+    for cone, (eqs, ineqs) in zip(fan.max_cones, fan.hforms):
+        if eqs:
+            return False
+        for phi in ineqs:
+            facet = frozenset(i for i in cone if vec_dot(phi, rays[i]) == 0)
+            if facet not in first:
+                first[facet] = phi
+                continue
+            off = next(i for i in cone if i not in facet)
+            if first[facet] is None or vec_dot(first[facet], rays[off]) >= 0:
+                return False
+            first[facet] = None
+    if not fan.max_cones or any(phi is not None for phi in first.values()):
+        return False
+    p = [sum(xs) for xs in zip(*fan.cone_rays(fan.max_cones[0]))]
+    return not any(in_hform(hf, p) for hf in fan.hforms[1:])
 
 
 def require_valid(fan):
@@ -239,27 +324,25 @@ def is_smooth(fan):
 
 
 def is_complete(fan):
-    """Exact completeness test: the fan is valid, every maximal cone is
-    full-dimensional and every facet lies in exactly two maximal cones.
+    """Exact completeness test: the fan is valid and its validation
+    passed the test of _covers_once, whose docstring proves that a fan
+    passing it is valid and complete.  Invalid fans are never complete.
 
-    For a valid fan this proves that the support is all of R^n: the
-    support is closed, and a point of its boundary would have to lie in
-    a cone of codimension >= 2, since a point inside a facet shared by
-    two full-dimensional cones on opposite sides has a neighbourhood in
-    the support.  Cones of codimension >= 2 cannot separate R^n.  For
-    n = 1 the only facet is the origin, so the test asks for two
-    opposite rays.  Invalid fans are never complete.
+    Conversely a valid complete fan always passes.  (a) A maximal cone s
+    of lower dimension would hold a relative interior point x in some
+    other cone t, as points near x off the span of s are covered by the
+    other (closed) cones; the face s & t of s then contains x, so s lies
+    in t, and validity forbids nested maximal cones.  (b) Near a relative
+    interior point f of a facet F of s, the points beyond F lie in other
+    cones, so f lies in some t != s on the far side; the face s & t of s
+    contains f and is not s, so it is F, a face of t of codimension one:
+    a facet of t, with the same rays since rays are distinct.  A third
+    cone with the facet F would share an interior point with s or t near
+    f, and a face of s (or t) holding an interior point is all of it:
+    nested again.  (c) p is interior to cone 0, so a cone containing it
+    would contain cone 0.
     """
-    if validate_fan(fan) or not fan.max_cones:
-        return False
-    facet_count = Counter()
-    for cone, (eqs, ineqs) in zip(fan.max_cones, fan.hforms):
-        if eqs:
-            return False
-        for phi in ineqs:
-            facet_count[frozenset(i for i in cone
-                                  if vec_dot(phi, fan.rays[i]) == 0)] += 1
-    return all(k == 2 for k in facet_count.values())
+    return fan._verdict[1]
 
 
 def star_subdivision(fan, v):
@@ -269,7 +352,7 @@ def star_subdivision(fan, v):
     containing v; the new ray is appended after the existing ones.  If v
     already is a ray, the fan is returned unchanged.
     """
-    v = tuple(int(x) for x in v)
+    v = tuple(as_int(x, "a subdivision vector entry") for x in v)
     if not any(v):
         raise ValueError("cannot subdivide at the origin")
     if not is_primitive(v):

@@ -93,6 +93,13 @@ def test_log_discrepancy_values():
         log_discrepancy(full, (2, 2))
 
 
+@pytest.mark.parametrize("v", [(1.5, 1.2), (1.0, 1), (True, 1)])
+def test_log_discrepancy_rejects_non_integers(v):
+    cone_pair = build_pair(A2, [F(0), F(0)], mode="local", cone=(0, 1))
+    with pytest.raises(TypeError):
+        log_discrepancy(cone_pair, v)
+
+
 # ---------------------------------------------------------------------------
 # divisorial contractions
 

@@ -223,6 +223,52 @@ def test_minimize_matches_bruteforce(fan, cone, boundary):
     assert rep.c >= rep.c_fine >= rep.c_orb
 
 
+# birational mode: non-complete fans, every ray visible to the search
+BL_A2 = make_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 2), (1, 2)])
+OPEN_P2 = make_fan(2, P2.rays, P2.max_cones[:2])
+OPEN_P1XP1 = make_fan(2, P1XP1.rays, P1XP1.max_cones[:3])
+SMALL_CONIFOLD = make_fan(3, CONIFOLD.rays, [(0, 1, 3), (0, 2, 3)])
+P1_TIMES_A1 = make_fan(2, [(1, 0), (-1, 0), (0, 1)], [(0, 2), (1, 2)])
+BIRATIONAL_CASES = [
+    (CONIFOLD, [F(1), F(1), F(1), F(1)]),
+    (CONIFOLD, [F(1), F(1, 2), F(1, 2), F(0)]),
+    (SMALL_CONIFOLD, [F(1, 2), F(1, 2), F(1, 2), F(1, 2)]),
+    (SMALL_CONIFOLD, [F(1), F(2, 3), F(3, 4), F(1, 2)]),
+    (A1_SING, [F(1, 2), F(1, 2)]),
+    (A1_SING, [F(5, 6), F(5, 6)]),
+    (BL_A2, [F(1, 2), F(1, 2), F(1)]),
+    (BL_A2, [F(1, 2), F(2, 3), F(5, 6)]),
+    (OPEN_P2, [F(1, 2), F(1, 2), F(3, 4)]),
+    (OPEN_P1XP1, [F(1), F(1, 2), F(1), F(1, 2)]),
+    (OPEN_P1XP1, [F(3, 4), F(2, 3), F(1, 2), F(5, 6)]),
+    (P1_TIMES_A1, [F(0), F(0), F(1, 2)]),
+    (P1_TIMES_A1, [F(1, 2), F(2, 3), F(3, 4)]),
+]
+
+
+@pytest.mark.parametrize("fan,boundary", BIRATIONAL_CASES)
+def test_minimize_matches_bruteforce_birational(fan, boundary):
+    rep = minimize(build_pair(fan, boundary, mode="birational"))
+    fine, orb = oracle_minimize(fan.rays, tuple(range(len(fan.rays))),
+                                boundary)
+    assert (rep.c_fine, rep.c_orb) == (fine, orb)
+    assert rep.c >= rep.c_fine >= rep.c_orb
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([BL_A2, OPEN_P2, OPEN_P1XP1, SMALL_CONIFOLD,
+                        P1_TIMES_A1]),
+       st.lists(st.sampled_from([F(0), F(1, 2), F(2, 3), F(3, 4), F(1)]),
+                min_size=4, max_size=4))
+def test_minimize_matches_bruteforce_random_birational(fan, boundary):
+    # simplicial fans: every boundary with coefficients in [0, 1] is lc
+    boundary = boundary[:len(fan.rays)]
+    rep = minimize(build_pair(fan, boundary, mode="birational"))
+    fine, orb = oracle_minimize(fan.rays, tuple(range(len(fan.rays))),
+                                boundary)
+    assert (rep.c_fine, rep.c_orb) == (fine, orb)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.sampled_from(
     [F(0), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(5, 6), F(1)]),
@@ -504,3 +550,10 @@ def test_local_complexity_errors():
     halfline = make_fan(2, [(1, 0)], [(0,)])
     with pytest.raises(NotFullDimensionalError):
         local_complexity_cloc(halfline, (0,))
+
+
+@pytest.mark.parametrize("cone", [(0.5, 1.7), (0.0, 1), (False, True)])
+def test_local_complexity_rejects_non_integer_indices(cone):
+    # truncating (0.5, 1.7) would answer for the cone (0, 1)
+    with pytest.raises(TypeError):
+        local_complexity_cloc(P2, cone)

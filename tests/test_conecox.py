@@ -142,6 +142,12 @@ def test_cox_degrees_interior_guards():
         cox_degrees(P1XP1, (1, 1))  # not a single cone
 
 
+@pytest.mark.parametrize("v", [(1.5, 1.2), (1.0, 1), (True, 1)])
+def test_cox_degrees_rejects_non_integers(v):
+    with pytest.raises(TypeError):
+        cox_degrees(A2, v)
+
+
 # ---------------------------------------------------------------------------
 # the degree-zero monoid
 # ---------------------------------------------------------------------------

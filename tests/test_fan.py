@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,11 +18,20 @@ from toricomplex.fan import (
     star_subdivision,
     validate_fan,
 )
-from toricomplex.lattice import primitive_vector
+from toricomplex.lattice import (
+    cone_hform,
+    cone_is_pointed,
+    extremal_rays,
+    primitive_vector,
+    vec_dot,
+)
 from toricomplex.pairmodel import build_pair, pair_class_group
 
 from bruteforce import sampled_is_complete
-from fans import A1_SING, A2, A3, BLP2, CONIFOLD, P1, P1XP1, P2, P3, SUITE
+from fans import (
+    A1_SING, A2, A3, BLP2, CONIFOLD, P1, P1XP1, P2, P3, SUITE, fan_product,
+    projective_space,
+)
 
 # Full-dimensional cones with every facet in exactly two of them, yet not
 # fans: three overlapping quadrants, and five cones winding twice around
@@ -29,6 +39,11 @@ from fans import A1_SING, A2, A3, BLP2, CONIFOLD, P1, P1XP1, P2, P3, SUITE
 CYCLE = make_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2), (0, 2)])
 PENTAGRAM = make_fan(2, [(1, 0), (1, 3), (-4, 3), (-4, -3), (1, -3)],
                      [(0, 2), (2, 4), (1, 4), (1, 3), (0, 3)])
+# Every facet in exactly two cones and (1, 1) in cone 0 only, but the
+# cones fold back at the rays (1, -2) and (-1, -2), where both cones of
+# a facet lie on the same side of it.
+FOLD = make_fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1), (1, -2), (-1, -2)],
+                [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
 
 
 def test_suite_fans_valid_and_complete():
@@ -107,6 +122,13 @@ def test_star_subdivision_errors():
         star_subdivision(P2, (2, 2))
     with pytest.raises(ValueError):
         star_subdivision(A2, (-1, 0))
+
+
+@pytest.mark.parametrize("v", [(1.9, 1.2), (1.0, 1), (True, 1)])
+def test_star_subdivision_rejects_non_integers(v):
+    # truncating (1.9, 1.2) would subdivide P2 at (1, 1)
+    with pytest.raises(TypeError):
+        star_subdivision(P2, v)
 
 
 def test_conifold_small_resolution_fan():
@@ -323,3 +345,128 @@ def test_validate_fan_verdicts_unchanged():
         "bad-ray-index", "duplicate-cone-entry", "stray-ray",
         "nonpointed-cone", "nonextremal-generator", "nested-max-cones",
         "overlapping-cones"}
+
+
+def _facet_count_complete(fan):
+    """is_complete as it stood before the pseudomanifold test: a valid
+    fan is complete exactly when every maximal cone is full-dimensional
+    and every facet lies in exactly two of them."""
+    count = Counter()
+    for cone, (eqs, ineqs) in zip(fan.max_cones, fan.hforms):
+        if eqs:
+            return False
+        for phi in ineqs:
+            count[frozenset(i for i in cone
+                            if vec_dot(phi, fan.rays[i]) == 0)] += 1
+    return bool(fan.max_cones) and all(k == 2 for k in count.values())
+
+
+def _pairwise_diagnose(fan, monkeypatch):
+    """_diagnose with the pseudomanifold test switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(toricomplex.fan, "_covers_once", lambda fan: False)
+        return toricomplex.fan._diagnose(fan)[0]
+
+
+def _swap_cone(fan, k, rng):
+    """The fan with cone k swapped for a pointed full-dimensional cone
+    listing its extremal rays: cone k with one ray traded for another
+    ray of the fan.  None when no trade gives such a cone."""
+    cone = fan.max_cones[k]
+    trades = [tuple(sorted(set(cone) - {r} | {t}))
+              for r in cone for t in range(len(fan.rays)) if t not in cone]
+    rng.shuffle(trades)
+    for new in trades:
+        gens = fan.cone_rays(new)
+        hform = cone_hform(gens, fan.rank)
+        if not hform[0] and cone_is_pointed(gens, hform) and \
+                extremal_rays(gens, hform) == sorted(gens):
+            return make_fan(fan.rank, fan.rays, fan.max_cones[:k] + (new,)
+                            + fan.max_cones[k + 1:])
+    return None
+
+
+def _differential_fans(rng):
+    """Random star subdivisions of complete fans in ranks 2-5 under
+    unimodular maps, each also with one cone dropped, swapped for one
+    that overlaps others, or duplicated; products of FOLD and of a
+    double cover of the plane with P1 and P2, which pair every facet but
+    are not fans; and P2 with two opposite rays as extra cones, whose
+    one facet, the origin, is paired too."""
+    bases = [f for f in SUITE.values() if f.rank >= 2] + [
+        projective_space(4), projective_space(5), fan_product(P1, P3),
+        fan_product(P2, P2), fan_product(P1, projective_space(4))]
+    out = [fan_product(f, g) for f in (FOLD, PENTAGRAM) for g in (P1, P2)]
+    out.append(make_fan(2, P2.rays + ((1, 2), (-1, -2)),
+                        P2.max_cones + ((3,), (4,))))
+    for base in bases:
+        for _ in range(2):
+            f = _unimodular_image(base, rng)
+            # the pairwise check is quadratic in the cones: keep the
+            # higher ranks small
+            for _ in range(rng.randint(1, 3 if f.rank <= 3 else 1)):
+                cone = f.max_cones[rng.randrange(len(f.max_cones))]
+                v = primitive_vector(tuple(
+                    sum(rng.randint(1, 3) * g[i] for g in f.cone_rays(cone))
+                    for i in range(f.rank)))
+                f = star_subdivision(f, v)
+            out.append(f)
+            k = rng.randrange(len(f.max_cones))
+            kind = rng.choice(("drop", "swap", "duplicate"))
+            swapped = _swap_cone(f, k, rng) if kind == "swap" else None
+            if swapped is not None:
+                out.append(swapped)
+            elif kind == "drop":
+                out.append(make_fan(f.rank, f.rays, f.max_cones[:k]
+                                    + f.max_cones[k + 1:]))
+            else:
+                out.append(make_fan(f.rank, f.rays,
+                                    f.max_cones + (f.max_cones[k],)))
+    return out
+
+
+def test_fast_path_matches_pairwise_check(monkeypatch):
+    """validate_fan and is_complete against the pairwise check forced on
+    the same Fan, with the facet count that is_complete used before as
+    the completeness reference for valid fans."""
+    kinds = Counter()
+    for f in _differential_fans(random.Random(20261018)):
+        pairwise = _pairwise_diagnose(f, monkeypatch)
+        assert validate_fan(f) == pairwise, f
+        assert is_complete(f) == (not pairwise and _facet_count_complete(f)), f
+        if is_complete(f):
+            kinds["complete"] += 1
+        elif any(code == "overlapping-cones" for code, _ in pairwise):
+            kinds["overlapping"] += 1
+        else:
+            kinds["invalid" if pairwise else "open"] += 1
+    assert min(kinds.values()) >= 4, kinds
+    assert kinds["complete"] >= 20, kinds
+
+
+def test_complete_fans_skip_the_pairwise_check(monkeypatch):
+    """P^7 and (P^1)^6 are proved complete without intersecting a single
+    pair of cones; a fan that is not complete still takes the pairwise
+    check."""
+    calls = []
+    real = toricomplex.fan.cone_intersection
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(toricomplex.fan, "cone_intersection", counting)
+    p1_6 = P1
+    for _ in range(5):
+        p1_6 = fan_product(p1_6, P1)
+    for fan in (projective_space(7), p1_6):
+        assert validate_fan(fan) == [] and is_complete(fan)
+    assert (len(p1_6.max_cones), len(calls)) == (64, 0)
+
+    germ = star_subdivision(A3, (1, 1, 1))
+    assert validate_fan(germ) == [] and not is_complete(germ)
+    assert len(calls) > 0
+    calls.clear()
+    fold = make_fan(FOLD.rank, FOLD.rays, FOLD.max_cones)
+    assert validate_fan(fold) and not is_complete(fold)
+    assert len(calls) > 0
