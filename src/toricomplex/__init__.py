@@ -15,7 +15,6 @@ from .lattice import (  # noqa: F401
     cokernel,
     AbelianGroupPresentation,
     hilbert_basis,
-    simplex_solve,
 )
 from .fan import (  # noqa: F401
     Fan,

@@ -24,10 +24,10 @@ from fractions import Fraction
 
 from .lattice import (
     ToricomplexError,
-    cone_member,
+    cone_intersection,
+    in_hform,
     is_primitive,
     primitive_vector,
-    simplex_solve,
     vec_dot,
 )
 from .fan import (Fan, as_int, is_complete, is_simplicial, require_valid,
@@ -140,8 +140,7 @@ def contraction(source: Fan, target: Fan, ray_e: int) -> FanSurgery:
         ray_map.append(where[u])
     for cone in source.max_cones:
         gens = source.cone_rays(cone)
-        if not any(all(cone_member(target.cone_rays(t), u) for u in gens)
-                   for t in target.max_cones):
+        if not any(all(in_hform(h, u) for u in gens) for h in target.hforms):
             raise SurgeryMismatchError(
                 f"source cone {cone} is not contained in any target cone")
     return FanSurgery("contraction", source, target, tuple(ray_map), (ray_e,))
@@ -162,12 +161,8 @@ def small_modification(source: Fan, target: Fan) -> FanSurgery:
     if is_complete(source) != is_complete(target):
         raise SurgeryMismatchError(
             "one side is complete and the other is not")
-    for cone in source.max_cones:
-        for u in source.cone_rays(cone):
-            if not any(cone_member(target.cone_rays(t), u)
-                       for t in target.max_cones):
-                raise SurgeryMismatchError(
-                    f"generator {u} leaves the target's support")
+    # every source generator is a target ray, and require_valid(target)
+    # rejects a ray in no maximal cone, so each lies in the target support
     return FanSurgery("small", source, target, tuple(ray_map), ())
 
 
@@ -277,32 +272,20 @@ def _values(pair, dec):
 def _crepancy_witness(source, target, coeffs_src, coeffs_tgt):
     """Cone pair where the two support functions differ, or None.
 
-    For each pair of maximal cones, an exact LP decides whether the
-    difference of the two linear data changes sign (or is nonzero at
-    all) somewhere on the intersection.
+    For each pair of maximal cones, the difference of the two linear data
+    is tested on the extremal rays of their intersection: the source cone
+    is pointed, so the intersection is too, and a linear form vanishes on
+    it exactly when it vanishes on its extremal rays.
     """
     data_s = cartier_data(source, coeffs_src)
     data_t = cartier_data(target, coeffs_tgt)
     rank = source.rank
-    for si, sigma in enumerate(source.max_cones):
-        gs = source.cone_rays(sigma)
-        for ti, tau in enumerate(target.max_cones):
-            gt = target.cone_rays(tau)
+    for si, hs in enumerate(source.hforms):
+        for ti, ht in enumerate(target.hforms):
             d = [a - b for a, b in zip(data_s[si], data_t[ti])]
-            if not any(d):
-                continue
-            a_eq = [[Fraction(g[r]) for g in gs]
-                    + [-Fraction(g[r]) for g in gt] for r in range(rank)]
-            a_eq.append([Fraction(1)] * len(gs) + [Fraction(0)] * len(gt))
-            b_eq = [Fraction(0)] * rank + [Fraction(1)]
-            obj = [vec_dot(d, u) for u in gs] + [Fraction(0)] * len(gt)
-            for c in (obj, [-x for x in obj]):
-                status, _, value = simplex_solve(c, a_eq=a_eq, b_eq=b_eq)
-                if status == "infeasible":
-                    break
-                assert status == "optimal"
-                if value > 0:
-                    return (si, ti)
+            if any(d) and any(vec_dot(d, r)
+                              for r in cone_intersection(hs, ht, rank)):
+                return (si, ti)
     return None
 
 
@@ -413,8 +396,9 @@ def check_small(pair: ToricPair, surgery: FanSurgery,
     """Transport ``dec`` across an isomorphism in codimension one.
 
     The surgery must be trivial for ``K + B + M`` (support functions
-    agree on every overlap of maximal cones; exact LP check), and then
-    all three complexity measures agree on the nose.
+    agree on every overlap of maximal cones, checked on the extremal rays
+    of each overlap), and then all three complexity measures agree on the
+    nose.
     """
     if surgery.kind != "small":
         raise SurgeryMismatchError(f"not a small modification: {surgery.kind}")

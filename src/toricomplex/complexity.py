@@ -30,7 +30,6 @@ from .lattice import (
     ToricomplexError,
     cokernel,
     rank_q,
-    simplex_solve,
     transpose,
     vec_dot,
 )
@@ -513,9 +512,14 @@ def local_complexity_cloc(fan, cone) -> LocalComplexityReport:
     """Infimum of dim + rank Cl(germ) - sum(coefficients) over invariant
     boundaries that are log canonical at the cone's fixed point.
 
-    Solved as an exact linear program over boundary coefficients in
-    [0, 1] tied to a linear witness for K + B; the optimum is attained
-    by the full invariant boundary.
+    Such a boundary has coefficients a_i = 1 - <m, u_i> in [0, 1] for a
+    linear witness m of K + B on the cone's rays u_1, ..., u_r.  The sum
+    of the a_i is at most r, and the full invariant boundary (every
+    a_i = 1, m = 0) attains it.  It is the only optimum: every a_i = 1
+    forces <m, u_i> = 0, and the rays of a full-dimensional cone span
+    N_R, so m = 0.  The value is n + rank Cl(U_sigma) - r, which is 0
+    since rank Cl(U_sigma) = r - n; the rank still comes from the Smith
+    form of the germ's class group.
     """
     from .divisor import local_class_group
 
@@ -528,29 +532,10 @@ def local_complexity_cloc(fan, cone) -> LocalComplexityReport:
             "full-dimensional cone")
     n = fan.rank
     r = len(cone)
-    # variables: m+ (n), m- (n), a (r); rows: <m, u> + a = 1, a <= 1
-    a_eq, b_eq = [], []
-    for pos, i in enumerate(cone):
-        u = fan.rays[i]
-        row = list(u) + [-x for x in u] + [0] * r
-        row[2 * n + pos] = 1
-        a_eq.append(row)
-        b_eq.append(1)
-    a_ub, b_ub = [], []
-    for pos in range(r):
-        row = [0] * (2 * n + r)
-        row[2 * n + pos] = 1
-        a_ub.append(row)
-        b_ub.append(1)
-    objective = [0] * (2 * n) + [1] * r
-    status, x, value = simplex_solve(objective, a_ub, b_ub, a_eq, b_eq)
-    assert status == "optimal"  # a = 0, m = 0 is always feasible
     pres = local_class_group(fan, cone)
-    coeffs = tuple(x[2 * n + pos] for pos in range(r))
-    witness = tuple(x[k] - x[n + k] for k in range(n))
     return LocalComplexityReport(
-        value=fan.rank + pres.free_rank - value,
-        boundary=coeffs,
-        witness=witness,
-        components=sum(1 for a in coeffs if a == 1),
+        value=Fraction(n + pres.free_rank - r),
+        boundary=(Fraction(1),) * r,
+        witness=(Fraction(0),) * n,
+        components=r,
     )

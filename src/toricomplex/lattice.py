@@ -1,6 +1,6 @@
 """Exact lattice linear algebra: Smith normal form, finitely generated
-abelian group presentations, rational cones and their Hilbert bases, and a
-small exact-rational simplex solver.
+abelian group presentations, and rational cones with their H-forms,
+faces and Hilbert bases.
 
 Everything here is exact: matrices are lists of lists of Python ints,
 rational data uses fractions.Fraction.  No floats anywhere.
@@ -425,163 +425,8 @@ def lift_through_basis(basis, coords):
 
 
 # ---------------------------------------------------------------------------
-# exact simplex (two-phase, Bland's rule)
-# ---------------------------------------------------------------------------
-
-def simplex_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
-    """Maximize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
-
-    All data may be int or Fraction; arithmetic is exact.
-
-    Returns:
-        (status, x, value) with status one of "optimal", "infeasible",
-        "unbounded"; x and value are None unless optimal.
-    """
-    a_ub = a_ub or []
-    b_ub = b_ub or []
-    a_eq = a_eq or []
-    b_eq = b_eq or []
-    n = len(c)
-    rows = []
-    for row, rhs in zip(a_ub, b_ub):
-        rows.append(([Fraction(x) for x in row], Fraction(rhs), "<="))
-    for row, rhs in zip(a_eq, b_eq):
-        rows.append(([Fraction(x) for x in row], Fraction(rhs), "=="))
-    # build standard form with slack and artificial variables
-    m = len(rows)
-    slack_of = {}
-    ncols = n
-    for i, (_, rhs, rel) in enumerate(rows):
-        if rel == "<=" and rhs >= 0:
-            slack_of[i] = ncols
-            ncols += 1
-    surplus_of = {}
-    for i, (_, rhs, rel) in enumerate(rows):
-        if rel == "<=" and rhs < 0:
-            surplus_of[i] = ncols
-            ncols += 1
-    art_of = {}
-    for i, (_, rhs, rel) in enumerate(rows):
-        if rel == "==" or (rel == "<=" and rhs < 0):
-            art_of[i] = ncols
-            ncols += 1
-    tab = []
-    basis = []
-    for i, (row, rhs, rel) in enumerate(rows):
-        line = [Fraction(0)] * (ncols + 1)
-        if rhs < 0:
-            row = [-x for x in row]
-            rhs = -rhs
-        for j, x in enumerate(row):
-            line[j] = x
-        if i in slack_of:
-            line[slack_of[i]] = Fraction(1)
-            basis.append(slack_of[i])
-        elif i in surplus_of:
-            # flipped <= with negative rhs becomes >=, needs surplus
-            line[surplus_of[i]] = Fraction(-1)
-            line[art_of[i]] = Fraction(1)
-            basis.append(art_of[i])
-        else:
-            line[art_of[i]] = Fraction(1)
-            basis.append(art_of[i])
-        line[ncols] = rhs
-        tab.append(line)
-
-    def pivot(tab, basis, obj, row, col):
-        pv = tab[row][col]
-        tab[row] = [x / pv for x in tab[row]]
-        for i in range(len(tab)):
-            if i != row and tab[i][col] != 0:
-                f = tab[i][col]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[row])]
-        if obj[col] != 0:
-            f = obj[col]
-            for j in range(len(obj)):
-                obj[j] -= f * tab[row][j]
-        basis[row] = col
-
-    def run(tab, basis, obj, allowed, banned=frozenset()):
-        # Bland's rule: smallest improving column, smallest-index tie on rows
-        while True:
-            col = next((j for j in range(allowed)
-                        if j not in banned and obj[j] > 0), None)
-            if col is None:
-                return "optimal"
-            best = None
-            for i in range(len(tab)):
-                if tab[i][col] > 0:
-                    ratio = tab[i][-1] / tab[i][col]
-                    if best is None or ratio < best[0] or \
-                            (ratio == best[0] and basis[i] < basis[best[1]]):
-                        best = (ratio, i)
-            if best is None:
-                return "unbounded"
-            pivot(tab, basis, obj, best[1], col)
-
-    arts = frozenset(art_of.values())
-    if art_of:
-        # phase 1: maximize -sum(artificials)
-        obj = [Fraction(0)] * (ncols + 1)
-        for i in art_of.values():
-            obj[i] = Fraction(-1)
-        # express objective in terms of non-basic variables
-        for i, b in enumerate(basis):
-            if obj[b] != 0:
-                f = obj[b]
-                for j in range(ncols + 1):
-                    obj[j] -= f * tab[i][j]
-        run(tab, basis, obj, ncols)
-        if -obj[-1] != 0:
-            return "infeasible", None, None
-        # drive leftover artificial variables out of the basis
-        for i in range(len(basis)):
-            if basis[i] in arts:
-                col = next((j for j in range(ncols)
-                            if j not in arts and tab[i][j] != 0), None)
-                if col is not None:
-                    pivot(tab, basis, [Fraction(0)] * (ncols + 1), i, col)
-        keep = [i for i in range(len(basis)) if basis[i] not in arts]
-        tab = [tab[i] for i in keep]
-        basis = [basis[i] for i in keep]
-
-    obj = [Fraction(0)] * (ncols + 1)
-    for j in range(n):
-        obj[j] = Fraction(c[j])
-    for i, b in enumerate(basis):
-        if obj[b] != 0:
-            f = obj[b]
-            for j in range(ncols + 1):
-                obj[j] -= f * tab[i][j]
-    status = run(tab, basis, obj, ncols, banned=arts)
-    if status != "optimal":
-        return status, None, None
-    x = [Fraction(0)] * n
-    for i, b in enumerate(basis):
-        if b < n:
-            x[b] = tab[i][-1]
-    value = sum(Fraction(ci) * xi for ci, xi in zip(c, x))
-    return "optimal", x, value
-
-
-def lp_feasible(a_eq, b_eq, n):
-    """Is {x >= 0 : a_eq x = b_eq} non-empty?  (n = number of variables)."""
-    status, _, _ = simplex_solve([0] * n, a_eq=a_eq, b_eq=b_eq)
-    return status == "optimal"
-
-
-# ---------------------------------------------------------------------------
 # rational cones
 # ---------------------------------------------------------------------------
-
-def cone_member(gens, x):
-    """Is x a non-negative rational combination of gens?"""
-    gens = list(gens)
-    if not gens:
-        return not any(x)
-    a_eq = [[g[i] for g in gens] for i in range(len(x))]
-    return lp_feasible(a_eq, list(x), len(gens))
-
 
 def in_hform(hform, v):
     """Does v satisfy the H-form (equalities, inequalities) of a cone?"""

@@ -1,7 +1,8 @@
 """Independent test oracles: an exhaustive minimizer, the grouping
 search as it stood before its integer rewrite and as it stood before
 its nullity bound, a sampled completeness test, a unimodular cone-map
-search and LP tests of cone pointedness and extremality.
+search, and LP oracles for cone membership, pointedness, extremality,
+local complexity and crepancy.
 
 Deliberately shares no code with the package: groupings are enumerated
 as set partitions of every subset of the boundary primes, per-group
@@ -13,13 +14,15 @@ plus a fixed dense grid of rational sample points, with facet normals
 found by sympy; cone maps are solved by sympy over bijections of
 extremal rays.
 
-There are two exceptions.  The LP cone oracles pose pointedness and
-extremality as feasibility problems for the package's exact simplex:
-the library reads both off the H-form instead and keeps the simplex
-only for cone membership and its own linear programs.  The leaf-bound
-grouping search ranks with the package's ``rank_q``: it is the
-library's search before the nullity bound, a second enumeration of the
-same groupings, pruned differently and fast enough for seven primes.
+The LP oracles pose cone membership, pointedness, extremality, local
+complexity and crepancy as linear programs for an exact two-phase
+simplex kept here: the library reads all of them off integer H-forms
+and cone intersections instead and has no linear programming left.
+
+There is one exception.  The leaf-bound grouping search ranks with the
+package's ``rank_q``: it is the library's search before the nullity
+bound, a second enumeration of the same groupings, pruned differently
+and fast enough for seven primes.
 """
 
 from fractions import Fraction
@@ -29,7 +32,7 @@ from math import gcd, lcm
 
 import sympy
 
-from toricomplex.lattice import rank_q, simplex_solve
+from toricomplex.lattice import rank_q
 
 
 def set_partitions(items):
@@ -439,6 +442,146 @@ def unimodular_cone_map(gens_a, gens_b):
     return None
 
 
+# ---------------------------------------------------------------------------
+# exact simplex (two-phase, Bland's rule) and the LP oracles built on it
+# ---------------------------------------------------------------------------
+
+def simplex_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
+    """Maximize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
+
+    All data may be int or Fraction; arithmetic is exact.
+
+    Returns:
+        (status, x, value) with status one of "optimal", "infeasible",
+        "unbounded"; x and value are None unless optimal.
+    """
+    a_ub = a_ub or []
+    b_ub = b_ub or []
+    a_eq = a_eq or []
+    b_eq = b_eq or []
+    n = len(c)
+    rows = []
+    for row, rhs in zip(a_ub, b_ub):
+        rows.append(([Fraction(x) for x in row], Fraction(rhs), "<="))
+    for row, rhs in zip(a_eq, b_eq):
+        rows.append(([Fraction(x) for x in row], Fraction(rhs), "=="))
+    # build standard form with slack and artificial variables
+    m = len(rows)
+    slack_of = {}
+    ncols = n
+    for i, (_, rhs, rel) in enumerate(rows):
+        if rel == "<=" and rhs >= 0:
+            slack_of[i] = ncols
+            ncols += 1
+    surplus_of = {}
+    for i, (_, rhs, rel) in enumerate(rows):
+        if rel == "<=" and rhs < 0:
+            surplus_of[i] = ncols
+            ncols += 1
+    art_of = {}
+    for i, (_, rhs, rel) in enumerate(rows):
+        if rel == "==" or (rel == "<=" and rhs < 0):
+            art_of[i] = ncols
+            ncols += 1
+    tab = []
+    basis = []
+    for i, (row, rhs, rel) in enumerate(rows):
+        line = [Fraction(0)] * (ncols + 1)
+        if rhs < 0:
+            row = [-x for x in row]
+            rhs = -rhs
+        for j, x in enumerate(row):
+            line[j] = x
+        if i in slack_of:
+            line[slack_of[i]] = Fraction(1)
+            basis.append(slack_of[i])
+        elif i in surplus_of:
+            # flipped <= with negative rhs becomes >=, needs surplus
+            line[surplus_of[i]] = Fraction(-1)
+            line[art_of[i]] = Fraction(1)
+            basis.append(art_of[i])
+        else:
+            line[art_of[i]] = Fraction(1)
+            basis.append(art_of[i])
+        line[ncols] = rhs
+        tab.append(line)
+
+    def pivot(tab, basis, obj, row, col):
+        pv = tab[row][col]
+        tab[row] = [x / pv for x in tab[row]]
+        for i in range(len(tab)):
+            if i != row and tab[i][col] != 0:
+                f = tab[i][col]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[row])]
+        if obj[col] != 0:
+            f = obj[col]
+            for j in range(len(obj)):
+                obj[j] -= f * tab[row][j]
+        basis[row] = col
+
+    def run(tab, basis, obj, allowed, banned=frozenset()):
+        # Bland's rule: smallest improving column, smallest-index tie on rows
+        while True:
+            col = next((j for j in range(allowed)
+                        if j not in banned and obj[j] > 0), None)
+            if col is None:
+                return "optimal"
+            best = None
+            for i in range(len(tab)):
+                if tab[i][col] > 0:
+                    ratio = tab[i][-1] / tab[i][col]
+                    if best is None or ratio < best[0] or \
+                            (ratio == best[0] and basis[i] < basis[best[1]]):
+                        best = (ratio, i)
+            if best is None:
+                return "unbounded"
+            pivot(tab, basis, obj, best[1], col)
+
+    arts = frozenset(art_of.values())
+    if art_of:
+        # phase 1: maximize -sum(artificials)
+        obj = [Fraction(0)] * (ncols + 1)
+        for i in art_of.values():
+            obj[i] = Fraction(-1)
+        # express objective in terms of non-basic variables
+        for i, b in enumerate(basis):
+            if obj[b] != 0:
+                f = obj[b]
+                for j in range(ncols + 1):
+                    obj[j] -= f * tab[i][j]
+        run(tab, basis, obj, ncols)
+        if -obj[-1] != 0:
+            return "infeasible", None, None
+        # drive leftover artificial variables out of the basis
+        for i in range(len(basis)):
+            if basis[i] in arts:
+                col = next((j for j in range(ncols)
+                            if j not in arts and tab[i][j] != 0), None)
+                if col is not None:
+                    pivot(tab, basis, [Fraction(0)] * (ncols + 1), i, col)
+        keep = [i for i in range(len(basis)) if basis[i] not in arts]
+        tab = [tab[i] for i in keep]
+        basis = [basis[i] for i in keep]
+
+    obj = [Fraction(0)] * (ncols + 1)
+    for j in range(n):
+        obj[j] = Fraction(c[j])
+    for i, b in enumerate(basis):
+        if obj[b] != 0:
+            f = obj[b]
+            for j in range(ncols + 1):
+                obj[j] -= f * tab[i][j]
+    status = run(tab, basis, obj, ncols, banned=arts)
+    if status != "optimal":
+        return status, None, None
+    x = [Fraction(0)] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            x[b] = tab[i][-1]
+    value = sum(Fraction(ci) * xi for ci, xi in zip(c, x))
+    return "optimal", x, value
+
+
 def _lp_feasible(a_eq, b_eq, n):
     """Is {x >= 0 : a_eq x = b_eq} non-empty?  (n = number of variables)."""
     status, _, _ = simplex_solve([0] * n, a_eq=a_eq, b_eq=b_eq)
@@ -471,3 +614,75 @@ def lp_extremal_rays(gens):
     prims = sorted({tuple(x // gcd(*g) for x in g) for g in gens if any(g)})
     return [g for i, g in enumerate(prims)
             if not _lp_member(prims[:i] + prims[i + 1:], g)]
+
+
+def _linear_data(rays, cone, coeffs):
+    """A rational m with <m, u_i> = -coeffs[i] on the cone's rays, by
+    sympy (free parameters set to zero)."""
+    a = sympy.Matrix([list(rays[i]) for i in cone])
+    b = sympy.Matrix([-sympy.Rational(coeffs[i].numerator,
+                                      coeffs[i].denominator) for i in cone])
+    sol, params = a.gauss_jordan_solve(b)
+    sol = sol.subs({p: 0 for p in params})
+    return [Fraction(int(x.p), int(x.q)) for x in sol]
+
+
+def lp_crepancy_witness(rank, source, coeffs_src, target, coeffs_tgt):
+    """First (si, ti) over pairs of maximal cones where the two support
+    functions differ somewhere on the cones' intersection, or None.
+
+    ``source`` and ``target`` are (rays, max_cones).  Each pair poses
+    max and min of the difference over the points of the source cone
+    with coordinate sum one that lie in the target cone.
+    """
+    (rays_s, cones_s), (rays_t, cones_t) = source, target
+    data_s = [_linear_data(rays_s, c, coeffs_src) for c in cones_s]
+    data_t = [_linear_data(rays_t, c, coeffs_tgt) for c in cones_t]
+    for si, sigma in enumerate(cones_s):
+        gs = [rays_s[i] for i in sigma]
+        for ti, tau in enumerate(cones_t):
+            gt = [rays_t[i] for i in tau]
+            d = [a - b for a, b in zip(data_s[si], data_t[ti])]
+            if not any(d):
+                continue
+            a_eq = [[g[r] for g in gs] + [-g[r] for g in gt]
+                    for r in range(rank)]
+            a_eq.append([1] * len(gs) + [0] * len(gt))
+            b_eq = [0] * rank + [1]
+            obj = [sum(x * y for x, y in zip(d, u)) for u in gs] + \
+                [0] * len(gt)
+            for c in (obj, [-x for x in obj]):
+                status, _, value = simplex_solve(c, a_eq=a_eq, b_eq=b_eq)
+                if status == "infeasible":
+                    break
+                if value > 0:
+                    return (si, ti)
+    return None
+
+
+def lp_local_complexity(cone_rays, rank):
+    """(value, boundary, witness, components) at the fixed point of a
+    full-dimensional cone, as a linear program.
+
+    Variables m+, m- (rank each) and one coefficient a_i per ray, with
+    <m, u_i> + a_i = 1 and a_i <= 1; the sum of the a_i is maximized.
+    The germ's class group has free rank r - rank(rays), by sympy.
+    """
+    n, r = rank, len(cone_rays)
+    a_eq, b_eq = [], []
+    for pos, u in enumerate(cone_rays):
+        row = list(u) + [-x for x in u] + [0] * r
+        row[2 * n + pos] = 1
+        a_eq.append(row)
+        b_eq.append(1)
+    a_ub = [[int(j == 2 * n + pos) for j in range(2 * n + r)]
+            for pos in range(r)]
+    b_ub = [1] * r
+    status, x, best = simplex_solve([0] * (2 * n) + [1] * r,
+                                    a_ub, b_ub, a_eq, b_eq)
+    assert status == "optimal"
+    cl_rank = r - sympy.Matrix([list(u) for u in cone_rays]).rank()
+    boundary = tuple(x[2 * n + pos] for pos in range(r))
+    witness = tuple(x[k] - x[n + k] for k in range(n))
+    return (n + cl_rank - best, boundary, witness,
+            sum(1 for a in boundary if a == 1))

@@ -4,7 +4,7 @@ from itertools import product
 from math import atan2, gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from toricomplex.complexity import (
     IncompatibleOrbifoldError,
@@ -23,6 +23,7 @@ from toricomplex.complexity import (
     validate_decomposition,
 )
 from toricomplex.fan import make_fan
+from toricomplex.lattice import rank_q
 from toricomplex.pairmodel import (
     build_pair,
     is_log_canonical,
@@ -32,6 +33,8 @@ from toricomplex.pairmodel import (
 from bruteforce import (
     index_options,
     leaf_bound_search_fine,
+    lp_extremal_rays,
+    lp_local_complexity,
     oracle_minimize,
     reference_search_fine,
 )
@@ -557,3 +560,36 @@ def test_local_complexity_rejects_non_integer_indices(cone):
     # truncating (0.5, 1.7) would answer for the cone (0, 1)
     with pytest.raises(TypeError):
         local_complexity_cloc(P2, cone)
+
+
+def _as_lp_answer(rep):
+    return (rep.value, rep.boundary, rep.witness, rep.components)
+
+
+def test_local_complexity_matches_lp_on_suite():
+    for fan in SUITE.values():
+        for cone in fan.max_cones:
+            rep = local_complexity_cloc(fan, cone)
+            assert _as_lp_answer(rep) == \
+                lp_local_complexity(fan.cone_rays(cone), fan.rank)
+
+
+@st.composite
+def pointed_full_cones(draw):
+    """Extremal rays of a random cone in the half-space x_n > 0."""
+    n = draw(st.integers(2, 4))
+    entry = st.integers(-3, 3)
+    vec = st.tuples(*[entry] * (n - 1), st.integers(1, 3))
+    return n, lp_extremal_rays(draw(st.lists(vec, min_size=n, max_size=6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pointed_full_cones())
+def test_local_complexity_matches_lp_on_random_cones(drawn):
+    n, rays = drawn
+    assume(rank_q(rays) == n)
+    fan = make_fan(n, rays, [tuple(range(len(rays)))])
+    rep = local_complexity_cloc(fan, tuple(range(len(rays))))
+    assert _as_lp_answer(rep) == lp_local_complexity(rays, n)
+    assert type(rep.value) is F
+    assert all(type(x) is F for x in rep.boundary + rep.witness)

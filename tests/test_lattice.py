@@ -14,18 +14,17 @@ from toricomplex.lattice import (
     cone_hform,
     cone_intersection,
     cone_is_pointed,
-    cone_member,
     cone_vform,
     extremal_rays,
     faces_of_cone,
     hilbert_basis,
     identity_matrix,
+    in_hform,
     kernel_basis,
     mat_mul,
     mat_vec,
     primitive_vector,
     rank_q,
-    simplex_solve,
     snf,
     solve_integral,
     solve_rational,
@@ -33,7 +32,12 @@ from toricomplex.lattice import (
     vec_dot,
 )
 
-from bruteforce import facet_normals, lp_cone_is_pointed, lp_extremal_rays
+from bruteforce import (
+    facet_normals,
+    lp_cone_is_pointed,
+    lp_extremal_rays,
+    simplex_solve,
+)
 
 small_int = st.integers(min_value=-6, max_value=6)
 
@@ -204,9 +208,10 @@ def test_primitive_vector():
 
 
 def test_cone_member():
-    assert cone_member([(1, 0), (0, 1)], (5, 7))
-    assert not cone_member([(1, 0), (0, 1)], (-1, 0))
-    assert cone_member([], (0, 0))
+    quadrant = cone_hform([(1, 0), (0, 1)], 2)
+    assert in_hform(quadrant, (5, 7))
+    assert not in_hform(quadrant, (-1, 0))
+    assert in_hform(cone_hform([], 2), (0, 0))
 
 
 def test_pointedness():
@@ -412,7 +417,7 @@ def test_hilbert_simplicial_3d_singular():
 
 
 # ---------------------------------------------------------------------------
-# simplex
+# simplex (the LP oracles' solver in bruteforce.py)
 # ---------------------------------------------------------------------------
 
 def test_simplex_basic():
