@@ -9,6 +9,7 @@ __version__ = "0.1.0"
 
 from .lattice import (  # noqa: F401
     ToricomplexError,
+    InternalInvariantError,
     NotPointedError,
     snf,
     kernel_basis,

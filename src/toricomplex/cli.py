@@ -29,7 +29,8 @@ Exit codes
 1   invalid input (malformed document, bad fan/pair/decomposition, bad
     flags or usage);
 2   a checked claim failed or a theorem hypothesis was violated;
-3   I/O or JSON parse failure.
+3   I/O or JSON parse failure;
+4   internal error: a self-check of the library failed.
 """
 
 import argparse
@@ -54,7 +55,7 @@ from .conecox import (NotAmpleError, NotInteriorError,
                       degree_zero_monoid, verify_cone_iso)
 from .divisor import NotQCartierError, class_group
 from .fan import InvalidFanError, make_fan
-from .lattice import ToricomplexError
+from .lattice import InternalInvariantError, ToricomplexError
 from .pairmodel import (InvalidPairError, build_pair, format_rational,
                         is_log_canonical, is_log_cy, pair_from_dict,
                         parse_rational)
@@ -67,6 +68,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_CLAIM = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 # Malformed or inconsistent input: the job never got off the ground.
 _VALIDATION_ERRORS = (InvalidFanError, InvalidPairError,
@@ -148,7 +150,11 @@ def _load_fan(doc):
 
 
 def _ray_index(key, nrays):
+    # only the canonical spelling, so that no two keys name one ray
     i = int(key)
+    if key != str(i):
+        raise InvalidDecompositionError(
+            f"ray index {key!r} must be written {str(i)!r}")
     if not 0 <= i < nrays:
         raise InvalidDecompositionError(f"ray index {i} out of range")
     return i
@@ -672,6 +678,9 @@ def run(argv):
         return EXIT_INVALID
     try:
         payload = _HANDLERS[job.command](job)
+    except InternalInvariantError as exc:
+        print(f"toricomplex: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except _CLAIM_ERRORS as exc:
         print(f"toricomplex: claim failed: {exc}", file=sys.stderr)
         return EXIT_CLAIM

@@ -27,6 +27,7 @@ from math import lcm
 from .divisor import as_coeffs, q_span_dim
 from .fan import as_int, cone_dim
 from .lattice import (
+    InternalInvariantError,
     ToricomplexError,
     cokernel,
     rank_q,
@@ -76,6 +77,9 @@ class Decomposition:
         return sum((p.weight for p in self.parts), Fraction(0))
 
 
+_ZERO = Fraction(0)
+
+
 def trivial_orbifold(nrays: int) -> tuple:
     return (1,) * nrays
 
@@ -88,7 +92,7 @@ def make_decomposition(nrays: int, parts, orbifold=None) -> Decomposition:
     if orbifold is None:
         orb = trivial_orbifold(nrays)
     else:
-        orb = tuple(int(n) for n in orbifold)
+        orb = tuple(as_int(n, "an orbifold index") for n in orbifold)
         if len(orb) != nrays:
             raise IncompatibleOrbifoldError(
                 f"expected {nrays} orbifold indices, got {len(orb)}")
@@ -96,12 +100,15 @@ def make_decomposition(nrays: int, parts, orbifold=None) -> Decomposition:
 
 
 def decomposition_total(dec: Decomposition) -> tuple:
-    """Per-ray coefficient of the full divisor Sigma, orbifold tax included."""
-    nrays = len(dec.orbifold)
-    total = [Fraction(1) - Fraction(1, n) for n in dec.orbifold]
+    """Per-ray coefficient of the full divisor Sigma, orbifold tax included.
+
+    Only the non-zero coefficients of each part are added in.
+    """
+    total = [1 - Fraction(1, n) if n != 1 else _ZERO for n in dec.orbifold]
     for p in dec.parts:
         for i, c in enumerate(p.coeffs):
-            total[i] += p.weight * c
+            if c:
+                total[i] += p.weight * c
     return tuple(total)
 
 
@@ -110,43 +117,58 @@ def validate_decomposition(pair: ToricPair, dec: Decomposition) -> None:
 
     Raises :class:`IncompatibleOrbifoldError` for bad orbifold data and
     :class:`InvalidDecompositionError` for bad parts or budget overruns.
+
+    Each part is read through its non-zero coefficients only, and the
+    budget is checked on the rays where Sigma is non-zero: elsewhere its
+    coefficient is 0, which a pair's boundary (in [0, 1]) never falls
+    below.
     """
     nrays = len(pair.fan.rays)
-    if len(dec.orbifold) != nrays:
+    orbifold = dec.orbifold
+    if len(orbifold) != nrays:
         raise IncompatibleOrbifoldError(
-            f"expected {nrays} orbifold indices, got {len(dec.orbifold)}")
-    for i, n in enumerate(dec.orbifold):
+            f"expected {nrays} orbifold indices, got {len(orbifold)}")
+    total = {}  # ray -> coefficient of Sigma, for the rays it meets
+    for i, n in enumerate(orbifold):
         if not isinstance(n, int) or n < 1:
             raise IncompatibleOrbifoldError(f"orbifold index {n!r} at ray {i}")
-        if n > 1 and pair.boundary[i] < 1 - Fraction(1, n):
-            raise IncompatibleOrbifoldError(
-                f"index {n} at ray {i} needs boundary coefficient >= "
-                f"{1 - Fraction(1, n)}, found {pair.boundary[i]}")
-    local = set(pair.local_rays())
+        if n > 1:
+            tax = 1 - Fraction(1, n)
+            if pair.boundary[i] < tax:
+                raise IncompatibleOrbifoldError(
+                    f"index {n} at ray {i} needs boundary coefficient >= "
+                    f"{tax}, found {pair.boundary[i]}")
+            total[i] = tax
+    local = set(pair.cone) if pair.mode == "local" else None
     for j, p in enumerate(dec.parts):
         if p.weight <= 0:
             raise InvalidDecompositionError(f"part {j} has weight {p.weight}")
         if len(p.coeffs) != nrays:
             raise InvalidDecompositionError(
                 f"part {j} has {len(p.coeffs)} coefficients, expected {nrays}")
-        if all(c == 0 for c in p.coeffs):
+        support = [(i, c) for i, c in enumerate(p.coeffs) if c]
+        if not support:
             raise InvalidDecompositionError(f"part {j} is the zero divisor")
-        for i, c in enumerate(p.coeffs):
+        for i, c in support:
             if c < 0:
                 raise InvalidDecompositionError(
                     f"part {j} has negative coefficient at ray {i}")
-            if (c * dec.orbifold[i]).denominator != 1:
+            # c * n is an integer exactly when c's denominator divides n
+            if orbifold[i] % c.denominator:
                 raise InvalidDecompositionError(
                     f"part {j} is not integral against orbifold index "
-                    f"{dec.orbifold[i]} at ray {i}")
-        if pair.mode == "local" and not any(p.coeffs[i] > 0 for i in local):
+                    f"{orbifold[i]} at ray {i}")
+        # the support is positive now, so a part meets the point exactly
+        # when one of its rays is a ray of the cone
+        if local is not None and not any(i in local for i, _ in support):
             raise InvalidDecompositionError(
                 f"part {j} misses the chosen point (no ray of the cone)")
-    total = decomposition_total(dec)
-    for i, t in enumerate(total):
-        if t > pair.boundary[i]:
+        for i, c in support:
+            total[i] = total.get(i, _ZERO) + p.weight * c
+    for i in sorted(total):
+        if total[i] > pair.boundary[i]:
             raise InvalidDecompositionError(
-                f"total coefficient {t} at ray {i} exceeds boundary "
+                f"total coefficient {total[i]} at ray {i} exceeds boundary "
                 f"{pair.boundary[i]}")
 
 
@@ -390,6 +412,12 @@ def _search_fine(fixed_rank, fixed_norm, elems, options):
     return Fraction(best["F"], den), best["groups"]
 
 
+def _check(cond, msg):
+    """A self-check that stays on under ``python -O``, unlike ``assert``."""
+    if not cond:
+        raise InternalInvariantError(msg)
+
+
 def _realizing_decomposition(pair, ones, elems, groups):
     """Assemble the Decomposition realizing a search result."""
     nrays = len(pair.fan.rays)
@@ -485,10 +513,13 @@ def minimize(pair: ToricPair, orbifold_cap: int = 12,
     validate_decomposition(pair, dec_orb)
     span_fine = span_dimension(pair, dec_fine)
     span_orb = span_dimension(pair, dec_orb)
-    assert dec_fine.orbifold == trivial_orbifold(nrays)
-    assert pair.dim + span_fine - dec_fine.norm == c_fine
-    assert pair.dim + span_orb - dec_orb.norm == c_orb
-    assert c >= c_fine >= c_orb
+    _check(dec_fine.orbifold == trivial_orbifold(nrays),
+           "the fine decomposition carries an orbifold structure")
+    _check(pair.dim + span_fine - dec_fine.norm == c_fine,
+           "the fine decomposition does not realize c_fine")
+    _check(pair.dim + span_orb - dec_orb.norm == c_orb,
+           "the orbifold decomposition does not realize c_orb")
+    _check(c >= c_fine >= c_orb, "c >= c_fine >= c_orb fails")
     return MinimizeReport(
         c=c, c_fine=c_fine, c_orb=c_orb,
         dec_c=dec_c, dec_fine=dec_fine, dec_orb=dec_orb,

@@ -8,7 +8,7 @@ by its Smith normal form.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .lattice import (
     ToricomplexError,
@@ -68,12 +68,28 @@ def q_class(pres, coeffs):
 
 
 def q_span_dim(pres, divisors):
-    """Dimension over Q of the span of the divisor classes in Cl tensor Q."""
-    vecs = [q_class(pres, d) for d in divisors]
-    vecs = [v for v in vecs if any(v)]
-    if not vecs:
+    """Dimension over Q of the span of the divisor classes in Cl tensor Q.
+
+    The class of a divisor is the sum of c_k times the k-th column of
+    the free map over its non-zero coefficients c_k.  Scaled by the lcm
+    of their denominators it is one integer row with the same span, so
+    zero coefficients cost nothing and no Fraction is formed.
+    """
+    if not pres.free_map:
         return 0
-    return rank_q(vecs)
+    columns = list(zip(*pres.free_map))
+    rows = []
+    for d in divisors:
+        support = [(k, c) for k, c in enumerate(d) if c]
+        if not support:
+            continue
+        den = lcm(*(c.denominator for _, c in support))
+        row = [0] * len(pres.free_map)
+        for k, c in support:
+            m = c.numerator * (den // c.denominator)
+            row = [a + m * b for a, b in zip(row, columns[k])]
+        rows.append(row)
+    return rank_q(rows)
 
 
 def canonical_coeffs(fan):

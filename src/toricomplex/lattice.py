@@ -17,6 +17,10 @@ class ToricomplexError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InternalInvariantError(ToricomplexError):
+    """A self-check of the library failed: the bug is here, not in the input."""
+
+
 class NotPointedError(ToricomplexError):
     """Raised when a cone expected to be pointed has a lineality space."""
 

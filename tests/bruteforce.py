@@ -19,6 +19,14 @@ complexity and crepancy as linear programs for an exact two-phase
 simplex kept here: the library reads all of them off integer H-forms
 and cone intersections instead and has no linear programming left.
 
+The dense decomposition checks are the package's
+``validate_decomposition``, ``decomposition_total`` and
+``span_dimension`` as they stood before they went sparse: every part
+against every ray in Fraction arithmetic, classes by Fraction dot
+products with the free map, ranks by the Gauss elimination kept here.
+They raise the package's own error classes, so a differential test can
+compare class and message.
+
 There is one exception.  The leaf-bound grouping search ranks with the
 package's ``rank_q``: it is the library's search before the nullity
 bound, a second enumeration of the same groupings, pruned differently
@@ -32,6 +40,8 @@ from math import gcd, lcm
 
 import sympy
 
+from toricomplex.complexity import (IncompatibleOrbifoldError,
+                                   InvalidDecompositionError)
 from toricomplex.lattice import rank_q
 
 
@@ -686,3 +696,70 @@ def lp_local_complexity(cone_rays, rank):
     witness = tuple(x[k] - x[n + k] for k in range(n))
     return (n + cl_rank - best, boundary, witness,
             sum(1 for a in boundary if a == 1))
+
+
+# ---------------------------------------------------------------------------
+# dense decomposition checks
+
+
+def dense_decomposition_total(dec):
+    """Per-ray coefficient of Sigma, orbifold tax included, summed over
+    every part and every ray."""
+    total = [Fraction(1) - Fraction(1, n) for n in dec.orbifold]
+    for p in dec.parts:
+        for i, c in enumerate(p.coeffs):
+            total[i] += p.weight * c
+    return tuple(total)
+
+
+def dense_validate_decomposition(pair, dec):
+    """Raise what the package's validate_decomposition raises, checking
+    every coefficient of every part in Fraction arithmetic."""
+    nrays = len(pair.fan.rays)
+    if len(dec.orbifold) != nrays:
+        raise IncompatibleOrbifoldError(
+            f"expected {nrays} orbifold indices, got {len(dec.orbifold)}")
+    for i, n in enumerate(dec.orbifold):
+        if not isinstance(n, int) or n < 1:
+            raise IncompatibleOrbifoldError(f"orbifold index {n!r} at ray {i}")
+        if n > 1 and pair.boundary[i] < 1 - Fraction(1, n):
+            raise IncompatibleOrbifoldError(
+                f"index {n} at ray {i} needs boundary coefficient >= "
+                f"{1 - Fraction(1, n)}, found {pair.boundary[i]}")
+    local = set(pair.local_rays())
+    for j, p in enumerate(dec.parts):
+        if p.weight <= 0:
+            raise InvalidDecompositionError(f"part {j} has weight {p.weight}")
+        if len(p.coeffs) != nrays:
+            raise InvalidDecompositionError(
+                f"part {j} has {len(p.coeffs)} coefficients, expected {nrays}")
+        if all(c == 0 for c in p.coeffs):
+            raise InvalidDecompositionError(f"part {j} is the zero divisor")
+        for i, c in enumerate(p.coeffs):
+            if c < 0:
+                raise InvalidDecompositionError(
+                    f"part {j} has negative coefficient at ray {i}")
+            if (c * dec.orbifold[i]).denominator != 1:
+                raise InvalidDecompositionError(
+                    f"part {j} is not integral against orbifold index "
+                    f"{dec.orbifold[i]} at ray {i}")
+        if pair.mode == "local" and not any(p.coeffs[i] > 0 for i in local):
+            raise InvalidDecompositionError(
+                f"part {j} misses the chosen point (no ray of the cone)")
+    total = dense_decomposition_total(dec)
+    for i, t in enumerate(total):
+        if t > pair.boundary[i]:
+            raise InvalidDecompositionError(
+                f"total coefficient {t} at ray {i} exceeds boundary "
+                f"{pair.boundary[i]}")
+
+
+def dense_span_dimension(pair, dec):
+    """dim_Q of the span of the part classes: each class is the free map
+    applied to the part's coefficients on the working rays, in Fractions."""
+    pres = pair.class_group
+    rays = pair.local_rays()
+    divisors = [[p.coeffs[i] for i in rays] for p in dec.parts]
+    classes = [[sum((Fraction(x) * c for x, c in zip(f, d)), Fraction(0))
+                for f in pres.free_map] for d in divisors]
+    return gauss_rank([v for v in classes if any(v)])

@@ -2,14 +2,18 @@ import contextlib
 import copy
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toricomplex.cli import EXIT_CLAIM, EXIT_INVALID, EXIT_IO, EXIT_OK, run
+import toricomplex
+from toricomplex.cli import (EXIT_CLAIM, EXIT_INTERNAL, EXIT_INVALID, EXIT_IO,
+                             EXIT_OK, run)
 
 P2_DOC = {
     "rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
@@ -133,6 +137,88 @@ def test_complexity_with_orbifold_entries(capsys, monkeypatch):
     # plain and fine values are undefined once a multiplicity exceeds one
     assert payload["c"] is None and payload["c_fine"] is None
     assert payload["c_orb"] == "1/2"
+
+
+# each spelling parses with int() to ray 2 of P2, but only "2" names it
+RAY_ALIASES = ["02", " 2", "2 ", "+2", "0_2"]
+
+
+def _three_lines(key):
+    return dict(P2_DOC, decomposition=[
+        {"b": "1", "support": {"0": "1"}},
+        {"b": "1", "support": {"1": "1"}},
+        {"b": "1", "support": {key: "1"}},
+    ])
+
+
+def test_canonical_ray_keys_are_read(capsys, monkeypatch):
+    code, payload, _ = invoke_json(capsys, ["complexity"], _three_lines("2"),
+                                   monkeypatch)
+    assert code == EXIT_OK and payload["c"] == "0"
+    doc = dict(P2_DOC, orbifold={"2": 2})
+    code, payload, _ = invoke_json(capsys, ["complexity"], doc, monkeypatch)
+    assert code == EXIT_OK and payload["c_orb"] == "1/2"
+
+
+@pytest.mark.parametrize("key", RAY_ALIASES)
+def test_support_keys_must_be_canonical(capsys, monkeypatch, key):
+    code, out, err = invoke(capsys, ["complexity"], _three_lines(key),
+                            monkeypatch)
+    assert code == EXIT_INVALID and out == ""
+    assert repr(key) in err
+
+
+@pytest.mark.parametrize("key", RAY_ALIASES)
+def test_orbifold_keys_must_be_canonical(capsys, monkeypatch, key):
+    doc = dict(P2_DOC, orbifold={key: 2})
+    code, out, err = invoke(capsys, ["complexity"], doc, monkeypatch)
+    assert code == EXIT_INVALID and out == ""
+    assert repr(key) in err
+
+
+def test_aliased_keys_cannot_overwrite_a_ray(capsys, monkeypatch):
+    doc = dict(P2_DOC, boundary=["1", "1", "1"], decomposition=[
+        {"b": "1/2", "support": {"0": "1", "1": "1", "01": "0"}},
+        {"b": "1", "support": {"2": "1"}},
+    ])
+    code, out, _ = invoke(capsys, ["complexity"], doc, monkeypatch)
+    assert code == EXIT_INVALID and out == ""
+
+
+# Run as `python [-O] -c WRONG_C_ORB <expected optimize flag> <cli args>`:
+# makes minimize's second search, the orbifold one, report F one too
+# high, so the reported c_orb no longer matches its decomposition.
+WRONG_C_ORB = """
+import importlib, sys
+if sys.flags.optimize != int(sys.argv[1]):
+    sys.exit(99)
+C = importlib.import_module("toricomplex.complexity")
+search = C._search_fine
+calls = []
+def wrong(*args):
+    calls.append(None)
+    f, groups = search(*args)
+    return (f + 1 if len(calls) == 2 else f), groups
+C._search_fine = wrong
+from toricomplex.cli import run
+sys.exit(run(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_failed_self_check_exits_internal(tmp_path, flags):
+    src = str(Path(toricomplex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    path = write_doc(tmp_path, P2_DOC)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", WRONG_C_ORB, str(len(flags)),
+         "minimize", "--input", path],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_INTERNAL, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("toricomplex: internal error: ")
+    assert "c_orb" in proc.stderr
 
 
 def test_complexity_mode_override_builds_a_germ(capsys, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from toricomplex.complexity import (
+    Decomposition,
     IncompatibleOrbifoldError,
     InputTooLargeError,
     InvalidDecompositionError,
@@ -14,15 +15,18 @@ from toricomplex.complexity import (
     NotLogCanonicalError,
     _project_classes,
     _search_fine,
+    Part,
     complexity,
+    decomposition_total,
     fine_complexity,
     local_complexity_cloc,
     make_decomposition,
     minimize,
     orbifold_complexity,
+    span_dimension,
     validate_decomposition,
 )
-from toricomplex.fan import make_fan
+from toricomplex.fan import make_fan, star_subdivision
 from toricomplex.lattice import rank_q
 from toricomplex.pairmodel import (
     build_pair,
@@ -31,6 +35,9 @@ from toricomplex.pairmodel import (
 )
 
 from bruteforce import (
+    dense_decomposition_total,
+    dense_span_dimension,
+    dense_validate_decomposition,
     index_options,
     leaf_bound_search_fine,
     lp_extremal_rays,
@@ -38,7 +45,7 @@ from bruteforce import (
     oracle_minimize,
     reference_search_fine,
 )
-from fans import A1_SING, CONIFOLD, P1, P1XP1, P2, P3, SUITE
+from fans import A1_SING, BLP2, CONIFOLD, P1, P1XP1, P2, P3, SUITE
 
 CUBE = make_fan(
     3,
@@ -126,6 +133,132 @@ def test_local_support_condition():
     germ = build_pair(bl, [F(1), F(1), F(1)], mode="local", cone=(0, 2))
     with pytest.raises(InvalidDecompositionError):
         validate_decomposition(germ, make_decomposition(3, [(1, [0, 1, 0])]))
+
+
+@pytest.mark.parametrize("orbifold", [[F(2), 1, 1], [2.7, 1, 1],
+                                      [True, 1, 1], ["2", 1, 1]])
+def test_make_decomposition_rejects_non_integer_indices(orbifold):
+    with pytest.raises(TypeError):
+        make_decomposition(3, [(1, [1, 0, 0])], orbifold=orbifold)
+
+
+# ---------------------------------------------------------------------------
+# the sparse decomposition checks against their dense versions
+
+# (fan, mode, cone): bundled and subdivided fans in all three modes
+CHECK_FANS = [
+    (P2, "projective", None),
+    (P3, "projective", None),
+    (BLP2, "projective", None),
+    (star_subdivision(P1XP1, (1, 1)), "projective", None),
+    (star_subdivision(P3, (1, 1, 0)), "projective", None),
+    (star_subdivision(BLP2, (2, 1)), "projective", None),
+    (A1_SING, "local", (0, 1)),
+    (CONIFOLD, "local", (0, 1, 2, 3)),
+    (star_subdivision(BLP2, (2, 1)), "local", (0, 4)),
+    (star_subdivision(CONIFOLD, (1, 1, 2)), "local", (1, 3, 4)),
+    (A1_SING, "birational", None),
+    (CONIFOLD, "birational", None),
+    (star_subdivision(CONIFOLD, (1, 1, 2)), "birational", None),
+    (star_subdivision(A1_SING, (1, 1)), "birational", None),
+]
+
+CHECK_BOUNDARY = [F(0), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(5, 6), F(1)]
+CHECK_WEIGHTS = [F(-1, 3), F(0)] + [F(1, 6), F(1, 4), F(1, 3), F(1, 2),
+                                    F(1)] * 2
+CHECK_COEFFS = [F(-1, 2), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 2),
+                F(2)] + [F(1)] * 7
+# admissible indices and bad ones, at a few rays of an untwisted orbifold
+CHECK_INDICES = [2, 3, 4, 6, 2, 3, 0, -1, F(2), 2.0]
+
+
+def outcome(f, *args):
+    try:
+        return "returned", f(*args)
+    except Exception as exc:  # noqa: BLE001 - the class is the outcome
+        return type(exc), str(exc)
+
+
+def assert_checks_agree(pair, dec):
+    """The sparse checks raise the dense ones' class and message, or
+    both pass; totals and spans agree."""
+    assert (outcome(validate_decomposition, pair, dec)
+            == outcome(dense_validate_decomposition, pair, dec))
+    assert (outcome(span_dimension, pair, dec)
+            == outcome(dense_span_dimension, pair, dec))
+    nrays = len(pair.fan.rays)
+    if len(dec.orbifold) == nrays and all(len(p.coeffs) == nrays
+                                          for p in dec.parts):
+        total = outcome(decomposition_total, dec)
+        assert total == outcome(dense_decomposition_total, dec)
+        if total[0] == "returned":
+            assert all(type(t) is F for t in total[1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_sparse_checks_match_dense_checks(data):
+    fan, mode, cone = data.draw(st.sampled_from(CHECK_FANS))
+    nrays = len(fan.rays)
+    boundary = data.draw(st.lists(st.sampled_from(CHECK_BOUNDARY),
+                                  min_size=nrays, max_size=nrays))
+    pair = build_pair(fan, boundary, mode=mode, cone=cone)
+    coeff = st.one_of(st.just(F(0)), st.sampled_from(CHECK_COEFFS))
+    # a wrong length now and then, in the parts and in the orbifold
+    length = st.sampled_from([nrays] * 20 + [nrays - 1, nrays + 1])
+    parts = data.draw(st.lists(st.builds(
+        Part, st.sampled_from(CHECK_WEIGHTS),
+        length.flatmap(lambda n: st.lists(coeff, min_size=n, max_size=n)
+                       .map(tuple))), max_size=4))
+    orbifold = [1] * data.draw(length)
+    twists = data.draw(st.dictionaries(
+        st.integers(0, len(orbifold) - 1), st.sampled_from(CHECK_INDICES),
+        max_size=2))
+    for i, n in twists.items():
+        orbifold[i] = n
+    assert_checks_agree(pair, Decomposition(tuple(parts), tuple(orbifold)))
+
+
+def _dec(parts, orbifold):
+    return Decomposition(tuple(Part(F(w), tuple(F(c) for c in coeffs))
+                               for w, coeffs in parts), tuple(orbifold))
+
+
+P2_HALF = build_pair(P2, [F(1), F(1, 2), F(1)])
+GERM = build_pair(star_subdivision(BLP2, (2, 1)), [F(1)] * 5, mode="local",
+                  cone=(0, 4))
+
+
+@pytest.mark.parametrize("pair,dec,error", [
+    (P2_HALF, _dec([(1, [1, 0, 0]), (F(1, 2), [0, 1, 0]), (1, [0, 0, 1])],
+                   [1, 1, 1]), None),
+    (P2_HALF, _dec([], [1, 1, 1]), None),
+    (P2_HALF, _dec([(1, [0, 0, 0])], [1, 1, 1]), "zero divisor"),
+    (P2_HALF, _dec([(1, [1, 0, 0]), (1, [0, F(-1, 2), 1])], [1, 1, 1]),
+     "negative coefficient at ray 1"),
+    (P2_HALF, _dec([(F(1, 2), [F(1, 2), 0, 0])], [3, 1, 1]),
+     "not integral against orbifold index 3 at ray 0"),
+    (P2_HALF, _dec([(F(1, 2), [F(1, 3), 0, 0])], [6, 1, 1]), None),
+    (P2_HALF, _dec([(1, [0, 1, 0])], [1, 1, 1]),
+     "total coefficient 1 at ray 1 exceeds boundary 1/2"),
+    (P2_HALF, _dec([(1, [0, 0, 1]), (1, [1, 0, 0])], [1, 1, 2]),
+     "total coefficient 3/2 at ray 2 exceeds boundary 1"),
+    (P2_HALF, _dec([(1, [1, 0, 1]), (1, [1, 0, 0])], [1, 1, 2]),
+     "total coefficient 2 at ray 0 exceeds boundary 1"),
+    (P2_HALF, _dec([], [1, 0, 1]), "orbifold index 0 at ray 1"),
+    (P2_HALF, _dec([], [1, 3, 1]), "needs boundary coefficient >= 2/3"),
+    (P2_HALF, _dec([], [1, 1]), "expected 3 orbifold indices"),
+    (GERM, _dec([(1, [0, 1, 0, 0, 0])], [1] * 5), "misses the chosen point"),
+    (GERM, _dec([(1, [0, 1, 0, 0, 1])], [1] * 5), None),
+])
+def test_sparse_checks_match_dense_checks_on_each_error(pair, dec, error):
+    assert_checks_agree(pair, dec)
+    kind, result = outcome(validate_decomposition, pair, dec)
+    if error is None:
+        assert kind == "returned"
+    else:
+        assert kind in (InvalidDecompositionError, IncompatibleOrbifoldError)
+        assert error in result
 
 
 # ---------------------------------------------------------------------------
