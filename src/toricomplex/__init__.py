@@ -46,6 +46,7 @@ from .complexity import (  # noqa: F401
     NotLogCanonicalError,
     make_decomposition,
     complexity,
+    complexity_values,
     fine_complexity,
     orbifold_complexity,
     minimize,

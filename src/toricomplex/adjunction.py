@@ -21,13 +21,13 @@ from fractions import Fraction
 from .complexity import (
     Decomposition,
     Part,
+    _values,
     decomposition_total,
-    orbifold_complexity,
-    span_dimension,
     validate_decomposition,
 )
 from .fan import StarFan, is_complete, star_fan, wall_partners
-from .lattice import ToricomplexError, cartier_scale, solve_integral, vec_dot
+from .lattice import (ToricomplexError, _check, cartier_scale, solve_integral,
+                      vec_dot)
 from .pairmodel import ToricPair, build_pair, pair_class_group
 
 
@@ -99,19 +99,19 @@ def wall_ledger(pair: ToricPair, ray_e: int, orbifold=None):
         # Cartier index of E along the wall: smallest k with a monomial
         # witness for k*E on the two-dimensional cone
         scaled = cartier_scale([u_e, u_p], [-1, 0])
-        assert scaled is not None  # wall rays are linearly independent
+        _check(scaled is not None, "wall rays are linearly independent")
         i_q, _ = scaled
-        assert i_q == ell  # the wall's lattice index, two ways
+        _check(i_q == ell, "the Cartier index is the wall's lattice index")
         # restriction multiplier of the partner prime: the minimal
         # integral functional vanishing on u_e and positive on u_p,
         # evaluated on the primitive star ray
         mu = solve_integral([u_e, u_p], [0, ell])
-        assert mu is not None
+        _check(mu is not None, "the wall has a restriction functional")
         w = star.fan.rays[star.partner_star[partner]]
         lift = solve_integral(list(star.proj), list(w))
-        assert lift is not None
+        _check(lift is not None, "a star ray lifts to the lattice")
         gamma = vec_dot(mu, lift)
-        assert gamma > 0
+        _check(gamma > 0, "the restriction multiplier is positive")
         m_q, in_s, case = classify_wall(i_q, [orbifold[partner]])
         walls.append(WallData(partner=partner,
                               star_ray=star.partner_star[partner],
@@ -298,11 +298,17 @@ class AdjunctionCheck:
 
 def check_adjunction(pair: ToricPair, dec: Decomposition,
                      ray_e: int) -> AdjunctionCheck:
-    """Run adjunction and compare orbifold complexities on both sides."""
+    """Run adjunction and compare orbifold complexities on both sides.
+
+    :func:`induced_decomposition` has validated both decompositions, so
+    each is evaluated once, from one span.
+    """
     res = induced_decomposition(pair, dec, ray_e)
-    value_x = orbifold_complexity(pair, dec)
-    value_e = orbifold_complexity(res.e_pair, res.sigma)
-    span = span_dimension(res.e_pair, res.sigma)
+    value_x = _values(pair, dec)[2]
+    value_e = _values(res.e_pair, res.sigma)[2]
+    # value_e = dim E + span - |Sigma_E|, so the span fills Cl_Q(E)
+    # exactly when value_e is dim E + rank Cl_Q(E) - |Sigma_E|
+    full = res.e_pair.dim + pair_class_group(res.e_pair).free_rank
     total = decomposition_total(res.sigma)
     return AdjunctionCheck(
         result=res,
@@ -310,7 +316,7 @@ def check_adjunction(pair: ToricPair, dec: Decomposition,
         value_x=value_x,
         monotone=value_e <= value_x,
         equality=value_e == value_x,
-        span_full=span == pair_class_group(res.e_pair).free_rank,
+        span_full=value_e == full - res.sigma.norm,
         s_empty=not res.s_rays,
         sigma_is_boundary=total == res.e_pair.boundary,
     )

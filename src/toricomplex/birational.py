@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .lattice import (
     ToricomplexError,
+    _check,
     cone_intersection,
     in_hform,
     is_primitive,
@@ -36,12 +37,9 @@ from .divisor import cartier_data, support_value
 from .complexity import (
     Decomposition,
     NotLogCanonicalError,
-    complexity,
+    complexity_values,
     decomposition_total,
-    fine_complexity,
     make_decomposition,
-    orbifold_complexity,
-    validate_decomposition,
 )
 from .pairmodel import (
     ToricPair,
@@ -217,28 +215,20 @@ def pushforward(surgery: FanSurgery, dec: Decomposition):
     Returns ``(pushed, dropped_norm, dropped_parts)`` where the dropped
     parts are those whose support consists of contracted rays only.
     """
-    n_t = len(surgery.target.rays)
     parts, dropped = [], []
     for part in dec.parts:
-        coeffs = [Fraction(0)] * n_t
-        for i, c in enumerate(part.coeffs):
-            t = surgery.ray_map[i]
-            if t is not None and c:
-                coeffs[t] = c
+        coeffs = _transport_coeffs(surgery, part.coeffs)
         if any(coeffs):
             parts.append((part.weight, coeffs))
         else:
             dropped.append(part)
-    orbifold = [1] * n_t
-    for i, n in enumerate(dec.orbifold):
-        t = surgery.ray_map[i]
-        if t is not None:
-            orbifold[t] = n
-    pushed = make_decomposition(n_t, parts, orbifold)
+    orbifold = _transport_coeffs(surgery, dec.orbifold, fill=1)
+    pushed = make_decomposition(len(surgery.target.rays), parts, orbifold)
     return pushed, sum((p.weight for p in dropped), Fraction(0)), tuple(dropped)
 
 
 def _transport_coeffs(surgery, coeffs, fill=Fraction(0)):
+    """Per-ray data moved to the target's rays; ``fill`` where none lands."""
     out = [fill] * len(surgery.target.rays)
     for i, c in enumerate(coeffs):
         t = surgery.ray_map[i]
@@ -251,22 +241,19 @@ def _single_cone_germ(pair):
     return pair.mode == "local" and pair.fan.max_cones == (pair.cone,)
 
 
-def _contracted_pair(pair: ToricPair, surgery: FanSurgery) -> ToricPair:
+def _target_pair(pair: ToricPair, surgery: FanSurgery) -> ToricPair:
+    """The pair carried to the surgery's target fan.
+
+    A projective pair stays projective; any other pair becomes a
+    birational-mode pair, unless the target is the pair's own fan.
+    """
+    if pair.mode != "projective" and surgery.target == pair.fan:
+        return pair
     boundary = _transport_coeffs(surgery, pair.boundary)
     nef = (_transport_coeffs(surgery, pair.nef_part)
            if pair.nef_part is not None else None)
-    if pair.mode == "projective":
-        return build_pair(surgery.target, boundary, nef_part=nef)
-    return build_pair(surgery.target, boundary, mode="birational",
-                      nef_part=nef)
-
-
-def _values(pair, dec):
-    """(plain, fine, orbifold) complexity; plain/fine None when twisted."""
-    orb = orbifold_complexity(pair, dec)
-    if all(n == 1 for n in dec.orbifold):
-        return (complexity(pair, dec), fine_complexity(pair, dec), orb)
-    return (None, None, orb)
+    mode = "projective" if pair.mode == "projective" else "birational"
+    return build_pair(surgery.target, boundary, mode=mode, nef_part=nef)
 
 
 def _crepancy_witness(source, target, coeffs_src, coeffs_tgt):
@@ -325,13 +312,13 @@ def check_contraction(pair: ToricPair, surgery: FanSurgery,
         raise SurgeryMismatchError(
             "a germ is its own base; model a germ contraction with a "
             "birational-mode pair on the subdivided fan")
-    validate_decomposition(pair, dec)
+    vx = complexity_values(pair, dec)
     if not is_log_canonical(pair):
         raise NotLogCanonicalError("the source pair is not log canonical")
     if not is_log_cy(pair):
         raise SurgeryPreconditionError(
             "the source log divisor is not trivial in its mode")
-    target_pair = _contracted_pair(pair, surgery)
+    target_pair = _target_pair(pair, surgery)
     if not is_log_canonical(target_pair):
         raise NotLogCanonicalError("the contracted pair is not log canonical")
     if not is_log_cy(target_pair):
@@ -348,20 +335,21 @@ def check_contraction(pair: ToricPair, surgery: FanSurgery,
             f"discrepancy {a_e} downstairs, {expected} upstairs")
 
     pushed, dropped, _ = pushforward(surgery, dec)
-    validate_decomposition(target_pair, pushed)
-    vx = _values(pair, dec)
-    vy = _values(target_pair, pushed)
+    vy = complexity_values(target_pair, pushed)
     for x, y in zip(vx, vy):
         if x is not None:
-            assert y <= x
+            _check(y <= x, "a contraction increased a complexity")
             if dropped > 0:
                 # one span dimension dies with the contracted class
-                assert y == x - 1 + dropped
+                _check(y == x - 1 + dropped,
+                       "a contraction broke the drop identity")
             else:
-                assert y in (x, x - 1)
+                _check(y in (x, x - 1),
+                       "a contraction dropped a complexity by more than one")
     if vx[0] is not None:
         # the full class-group rank always drops by exactly one
-        assert vy[0] == vx[0] - 1 + dropped
+        _check(vy[0] == vx[0] - 1 + dropped,
+               "the class-group rank did not drop by exactly one")
 
     equality = vy[-1] == vx[-1] if vx[0] is None else vy[0] == vx[0]
     return ContractionReport(
@@ -407,20 +395,11 @@ def check_small(pair: ToricPair, surgery: FanSurgery,
     if pair.mode == "local" and not _single_cone_germ(pair):
         raise SurgeryMismatchError(
             "only a single-cone germ can be modified as a whole")
-    validate_decomposition(pair, dec)
+    vx = complexity_values(pair, dec)
     if not is_log_canonical(pair):
         raise NotLogCanonicalError("the source pair is not log canonical")
 
-    boundary = _transport_coeffs(surgery, pair.boundary)
-    nef = (_transport_coeffs(surgery, pair.nef_part)
-           if pair.nef_part is not None else None)
-    if pair.mode == "projective":
-        target_pair = build_pair(surgery.target, boundary, nef_part=nef)
-    elif surgery.target == pair.fan:
-        target_pair = pair
-    else:
-        target_pair = build_pair(surgery.target, boundary,
-                                 mode="birational", nef_part=nef)
+    target_pair = _target_pair(pair, surgery)
 
     witness = _crepancy_witness(
         surgery.source, surgery.target,
@@ -431,13 +410,11 @@ def check_small(pair: ToricPair, surgery: FanSurgery,
             f"cone {witness[0]} and target cone {witness[1]}")
 
     pushed, dropped, _ = pushforward(surgery, dec)
-    assert dropped == 0
-    validate_decomposition(target_pair, pushed)
-    vx = _values(pair, dec)
-    vy = _values(target_pair, pushed)
+    _check(dropped == 0, "a small modification dropped a part")
+    vy = complexity_values(target_pair, pushed)
     for x, y in zip(vx, vy):
         if x is not None:
-            assert x == y
+            _check(x == y, "a small modification changed a complexity")
     return SmallModificationReport(
         surgery=surgery,
         target_pair=target_pair,
@@ -479,7 +456,7 @@ def check_extraction(pair: ToricPair, surgery: FanSurgery,
     if pair.mode == "local" and not _single_cone_germ(pair):
         raise SurgeryMismatchError(
             "only a single-cone germ can be extracted from as a whole")
-    validate_decomposition(pair, dec)
+    vx = complexity_values(pair, dec)
     if not is_log_canonical(pair):
         raise NotLogCanonicalError("the pair is not log canonical")
 
@@ -514,13 +491,10 @@ def check_extraction(pair: ToricPair, surgery: FanSurgery,
                       list(part.coeffs) + [Fraction(0)] * n_new))
     orbifold = list(dec.orbifold) + [1] * n_new
     lifted = make_decomposition(n_src, parts, orbifold)
-    validate_decomposition(source_pair, lifted)
-
-    vy = _values(source_pair, lifted)
-    vx = _values(pair, dec)
+    vy = complexity_values(source_pair, lifted)
     for y, x in zip(vy, vx):
         if x is not None:
-            assert y <= x
+            _check(y <= x, "an extraction increased a complexity")
     return ExtractionReport(
         surgery=surgery,
         source_pair=source_pair,

@@ -47,9 +47,9 @@ from .birational import (CrepancyError, NotLcPlaceError, SurgeryMismatchError,
                          extraction, small_modification)
 from .complexity import (IncompatibleOrbifoldError, InputTooLargeError,
                          InvalidDecompositionError, NotFullDimensionalError,
-                         NotLogCanonicalError, complexity, fine_complexity,
+                         NotLogCanonicalError, complexity_values,
                          local_complexity_cloc, make_decomposition, minimize,
-                         orbifold_complexity, validate_decomposition)
+                         validate_decomposition)
 from .conecox import (NotAmpleError, NotInteriorError,
                       TorsionObstructionError, cox_degrees,
                       degree_zero_monoid, verify_cone_iso)
@@ -318,14 +318,14 @@ def _cmd_complexity(job):
             doc["cone"] = list(job.options["cone"])
     pair = pair_from_dict(doc)
     dec = _decomposition_from_doc(doc, pair)
-    trivial = all(n == 1 for n in dec.orbifold)
+    c, c_fine, c_orb = complexity_values(pair, dec)
     return {
         "claim": "complexity-values",
         "ok": True,
         "mode": pair.mode,
-        "c": _rat(complexity(pair, dec)) if trivial else None,
-        "c_fine": _rat(fine_complexity(pair, dec)) if trivial else None,
-        "c_orb": _rat(orbifold_complexity(pair, dec)),
+        "c": _opt_rat(c),
+        "c_fine": _opt_rat(c_fine),
+        "c_orb": _rat(c_orb),
         "norm": _rat(dec.norm),
     }
 

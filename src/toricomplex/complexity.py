@@ -27,8 +27,8 @@ from math import lcm
 from .divisor import as_coeffs, q_span_dim
 from .fan import as_int, cone_dim
 from .lattice import (
-    InternalInvariantError,
     ToricomplexError,
+    _check,
     cokernel,
     rank_q,
     transpose,
@@ -130,7 +130,7 @@ def validate_decomposition(pair: ToricPair, dec: Decomposition) -> None:
             f"expected {nrays} orbifold indices, got {len(orbifold)}")
     total = {}  # ray -> coefficient of Sigma, for the rays it meets
     for i, n in enumerate(orbifold):
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise IncompatibleOrbifoldError(f"orbifold index {n!r} at ray {i}")
         if n > 1:
             tax = 1 - Fraction(1, n)
@@ -196,14 +196,35 @@ def complexity(pair: ToricPair, dec: Decomposition) -> Fraction:
 def fine_complexity(pair: ToricPair, dec: Decomposition) -> Fraction:
     """dim X + dim_Q<Sigma> - |Sigma| for an untwisted decomposition."""
     _require_trivial_orbifold(dec)
-    validate_decomposition(pair, dec)
-    return pair.dim + span_dimension(pair, dec) - dec.norm
+    return orbifold_complexity(pair, dec)
 
 
 def orbifold_complexity(pair: ToricPair, dec: Decomposition) -> Fraction:
     """dim X + dim_Q<Sigma> - |Sigma|; the orbifold tax is budget-only."""
+    return complexity_values(pair, dec)[2]
+
+
+def _values(pair: ToricPair, dec: Decomposition) -> tuple:
+    """(c, c_fine, c_orb) of a decomposition already validated on pair.
+
+    One span gives c_orb.  An untwisted decomposition has c_fine = c_orb,
+    the same formula, and c from the class-group rank; a twisted one has
+    neither, so both are None.
+    """
+    c_orb = pair.dim + span_dimension(pair, dec) - dec.norm
+    if any(n != 1 for n in dec.orbifold):
+        return None, None, c_orb
+    return pair.dim + pair_class_group(pair).free_rank - dec.norm, c_orb, c_orb
+
+
+def complexity_values(pair: ToricPair, dec: Decomposition) -> tuple:
+    """(c, c_fine, c_orb) of one decomposition, validated once.
+
+    c and c_fine are None when the decomposition is twisted, where
+    :func:`complexity` and :func:`fine_complexity` raise.
+    """
     validate_decomposition(pair, dec)
-    return pair.dim + span_dimension(pair, dec) - dec.norm
+    return _values(pair, dec)
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +431,6 @@ def _search_fine(fixed_rank, fixed_norm, elems, options):
 
     node(tuple(range(t)), (fixed_norm - fixed_rank) * den, 0, t, False)
     return Fraction(best["F"], den), best["groups"]
-
-
-def _check(cond, msg):
-    """A self-check that stays on under ``python -O``, unlike ``assert``."""
-    if not cond:
-        raise InternalInvariantError(msg)
 
 
 def _realizing_decomposition(pair, ones, elems, groups):

@@ -24,6 +24,7 @@ from fractions import Fraction
 from .lattice import (
     AbelianGroupPresentation,
     ToricomplexError,
+    _check,
     cone_hform,
     cone_is_pointed,
     cone_vform,
@@ -155,16 +156,16 @@ def cox_degrees(x_fan, v_e):
     cl_x = local_class_group(x_fan, x_fan.max_cones[0])
     # Adding the interior ray raises the number of divisors by one while
     # the relation lattice (the character lattice) stays the same.
-    if cl_y.free_rank != cl_x.free_rank + 1:
-        raise AssertionError("rank of Cl must step by exactly one")
+    _check(cl_y.free_rank == cl_x.free_rank + 1,
+           "rank of Cl must step by exactly one")
     units = []
     for i in range(r + 1):
         unit = [0] * (r + 1)
         unit[i] = 1
         units.append(cl_y.class_of(unit))
     e_class = units[r]
-    if not any(e_class[0]) and not any(e_class[1]):
-        raise AssertionError("the exceptional class cannot vanish")
+    _check(any(e_class[0]) or any(e_class[1]),
+           "the exceptional class cannot vanish")
     return CoxDegrees(x_fan, y_fan, v_e, cl_y, cl_x, tuple(units[:r]), e_class)
 
 
@@ -231,8 +232,7 @@ def _torsion_witness(y_fan, pres):
     divisor = tuple(s.left_inv[i][row] for i in range(n))
     target = [order * c for c in divisor]
     m = solve_integral([list(u) for u in y_fan.rays], target)
-    if m is None:
-        raise AssertionError("a torsion multiple must be principal")
+    _check(m is not None, "a torsion multiple must be principal")
     return divisor, order, tuple(m)
 
 
@@ -244,8 +244,7 @@ def _refine_by_character(x_fan, v_e, m, order):
 
     def coords(u):
         z = solve_integral(mat, list(u))
-        if z is None:
-            raise AssertionError("cone rays must lie in the refined lattice")
+        _check(z is not None, "cone rays must lie in the refined lattice")
         return tuple(z)
 
     rays = [primitive_vector(coords(u)) for u in x_fan.rays]
@@ -289,18 +288,16 @@ def degree_zero_monoid(g, torsion_cover=False):
     # lattice, computed in kernel coordinates where the lattice is Z^k.
     ineqs = [tuple(b[i] for b in basis) for i in range(n)]
     rays, lineality = cone_vform([], ineqs, len(basis))
-    if lineality:
-        raise AssertionError("the non-negative slice of the kernel is pointed")
+    _check(not lineality, "the non-negative slice of the kernel is pointed")
     gens = []
     for z in hilbert_basis(rays, len(basis)) if rays else []:
         x = tuple(sum(b[i] * zi for b, zi in zip(basis, z)) for i in range(n))
         gens.append(x)
     gens.sort()
     for x in gens:
-        if not g.cl_y.is_zero_class(list(x)):
-            raise AssertionError("every generator must have degree zero")
-        if x[-1] < 0:
-            raise AssertionError("e-exponents are non-negative on the monoid")
+        _check(g.cl_y.is_zero_class(list(x)),
+               "every generator must have degree zero")
+        _check(x[-1] >= 0, "e-exponents are non-negative on the monoid")
     return GradedMonoid(tuple(gens), tuple(x[-1] for x in gens), g,
                         tuple(steps))
 
@@ -321,8 +318,7 @@ def _star_polarization(x_fan, v_e):
     v_e = _require_interior(x_fan, v_e)
     q_rows = kernel_basis([list(v_e)])
     m = solve_integral([list(v_e)], [-1])
-    if m is None:
-        raise AssertionError("a primitive vector admits a dual form")
+    _check(m is not None, "a primitive vector admits a dual form")
     m = tuple(m)
     e_rays = []
     coeffs = []
@@ -336,8 +332,8 @@ def _star_polarization(x_fan, v_e):
         # m, so the restricted coefficient at the image ray is -<m, u>
         # spread over the wall multiplicity.
         coeffs.append(Fraction(-vec_dot(m, u), ell))
-    if len(set(e_rays)) != len(e_rays):
-        raise AssertionError("walls through the center are distinct")
+    _check(len(set(e_rays)) == len(e_rays),
+           "walls through the center are distinct")
     _, ineqs = x_fan.hforms[0]
     cones = []
     for phi in ineqs:
@@ -345,8 +341,7 @@ def _star_polarization(x_fan, v_e):
                       if vec_dot(phi, u) == 0)
         cones.append(facet)
     e_fan = make_fan(x_fan.rank - 1, e_rays, cones)
-    if not is_complete(e_fan):
-        raise AssertionError("the star of an interior ray is complete")
+    _check(is_complete(e_fan), "the star of an interior ray is complete")
     return e_fan, tuple(coeffs), q_rows, m, v_e
 
 
@@ -382,11 +377,11 @@ def verify_cone_iso(x_fan, v_e):
     det = 1
     for i in range(s.rank):
         det *= s.diag[i][i]
-    if s.rank != x_fan.rank or det != 1:
-        raise AssertionError("the witness map must be unimodular")
+    _check(s.rank == x_fan.rank and det == 1,
+           "the witness map must be unimodular")
     apex = tuple(vec_dot(row, v_e) for row in witness)
-    if apex != (0,) * (x_fan.rank - 1) + (1,):
-        raise AssertionError("the center must map to the height axis")
+    _check(apex == (0,) * (x_fan.rank - 1) + (1,),
+           "the center must map to the height axis")
     ray_map = []
     ok = True
     for u in x_fan.rays:

@@ -399,9 +399,6 @@ class StarFan:
     multiplicity: dict
     proj: tuple
 
-    def star_ray_of(self, partner):
-        return self.partner_star[partner]
-
 
 def star_fan(fan, ray_idx):
     """Quotient fan seen by the invariant divisor at ray_idx."""
@@ -410,7 +407,8 @@ def star_fan(fan, ray_idx):
         raise ValueError("star fan needs ambient rank >= 2")
     u = list(fan.rays[ray_idx])
     s = snf([[x] for x in u])
-    assert s.diag[0][0] == 1, "fan rays must be primitive"
+    if s.diag[0][0] != 1:
+        raise ValueError("fan rays must be primitive")
     # s.left * u = e_1, so rows 1.. of s.left realize N / Z u
     proj = [list(s.left[i]) for i in range(1, n)]
     members = [wall_partners(fan, ci, ray_idx)

@@ -21,6 +21,12 @@ class InternalInvariantError(ToricomplexError):
     """A self-check of the library failed: the bug is here, not in the input."""
 
 
+def _check(cond, msg):
+    """A self-check that stays on under ``python -O``, unlike ``assert``."""
+    if not cond:
+        raise InternalInvariantError(msg)
+
+
 class NotPointedError(ToricomplexError):
     """Raised when a cone expected to be pointed has a lineality space."""
 

@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import copy
+import importlib
 import io
 import json
 import os
@@ -205,6 +207,25 @@ sys.exit(run(sys.argv[2:]))
 """
 
 
+# The same, but makes the evaluator that birational binds report every
+# value of its second call, the contracted side, one too high.
+WRONG_TARGET_VALUE = """
+import importlib, sys
+if sys.flags.optimize != int(sys.argv[1]):
+    sys.exit(99)
+B = importlib.import_module("toricomplex.birational")
+values = B.complexity_values
+calls = []
+def wrong(*args):
+    calls.append(None)
+    return tuple(v if v is None or len(calls) == 1 else v + 1
+                 for v in values(*args))
+B.complexity_values = wrong
+from toricomplex.cli import run
+sys.exit(run(sys.argv[2:]))
+"""
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_failed_self_check_exits_internal(tmp_path, flags):
     src = str(Path(toricomplex.__file__).resolve().parents[1])
@@ -219,6 +240,35 @@ def test_failed_self_check_exits_internal(tmp_path, flags):
     assert proc.stdout == ""
     assert proc.stderr.startswith("toricomplex: internal error: ")
     assert "c_orb" in proc.stderr
+    path = write_doc(tmp_path, CONTRACT_DOC)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", WRONG_TARGET_VALUE, str(len(flags)),
+         "check", "contract", "--input", path],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_INTERNAL, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("toricomplex: internal error: ")
+    assert "contraction" in proc.stderr
+
+
+def _raises_assertion_error(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def test_library_self_checks_survive_optimize():
+    """No assert and no AssertionError in the library: ``python -O``
+    strips the one, and the other escapes the CLI as a traceback."""
+    package = Path(toricomplex.__file__).resolve().parent
+    sites = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assert) or (
+                    isinstance(node, ast.Raise) and node.exc is not None
+                    and _raises_assertion_error(node)):
+                sites.append(f"{path.name}:{node.lineno}")
+    assert sites == []
 
 
 def test_complexity_mode_override_builds_a_germ(capsys, monkeypatch):
@@ -513,3 +563,81 @@ def test_malformed_pair_documents_are_rejected(command, text):
     assert out.getvalue() == ""
     assert "Traceback" not in err.getvalue()
     assert err.getvalue().startswith("toricomplex: ")
+
+
+FLOP_DOC = {
+    "pair": {"rank": 3, "rays": [[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]],
+             "max_cones": [[0, 1, 3], [0, 2, 3]],
+             "boundary": ["1"] * 4, "mode": "birational"},
+    "target": {"rays": [[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]],
+               "max_cones": [[0, 1, 2], [1, 2, 3]]},
+}
+
+
+# the primes meeting the center (1, 1) of BlP2 along a wall
+ADJOIN_DOC = dict(BLP2_DOC, decomposition=[
+    {"b": "1", "support": {str(i): "1"}} for i in (0, 1, 3)])
+
+
+def test_each_decomposition_is_evaluated_once(capsys, monkeypatch):
+    """One validation and one span per decomposition a call handles;
+    the CLI validates the document's decomposition once more, first."""
+    # the package exports a function named complexity, so the modules
+    # are looked up by their full names
+    adjunction, birational, complexity, cli_module, pairmodel = (
+        importlib.import_module(f"toricomplex.{name}") for name in
+        ("adjunction", "birational", "complexity", "cli", "pairmodel"))
+    calls = {"validations": 0, "spans": 0}
+
+    def counting(key, real):
+        def wrapper(*args):
+            calls[key] += 1
+            return real(*args)
+        return wrapper
+
+    validate = counting("validations", complexity.validate_decomposition)
+    for module in (complexity, adjunction, birational, cli_module):
+        if hasattr(module, "validate_decomposition"):
+            monkeypatch.setattr(module, "validate_decomposition", validate)
+    monkeypatch.setattr(complexity, "q_span_dim",
+                        counting("spans", complexity.q_span_dim))
+
+    def counted(f, *args):
+        calls.update(dict.fromkeys(calls, 0))
+        f(*args)
+        return calls["validations"], calls["spans"]
+
+    blp2 = pairmodel.pair_from_dict(BLP2_DOC)
+    primes = cli_module._decomposition_from_doc(BLP2_DOC, blp2)
+    p2 = pairmodel.pair_from_dict(P2_DOC)
+    flop = pairmodel.pair_from_dict(FLOP_DOC["pair"])
+    target = cli_module._target_fan(CONTRACT_DOC, 2)
+    cases = [
+        (adjunction.check_adjunction, blp2,
+         cli_module._decomposition_from_doc(ADJOIN_DOC, blp2), 3),
+        (birational.check_contraction, blp2,
+         birational.contraction(blp2.fan, target, 3), primes),
+        (birational.check_small, flop,
+         birational.small_modification(
+             flop.fan, cli_module._target_fan(FLOP_DOC, 3)),
+         cli_module._decomposition_from_doc(FLOP_DOC["pair"], flop)),
+        (birational.check_extraction, p2,
+         birational.extraction(p2.fan, [(1, 1)]),
+         cli_module._decomposition_from_doc(P2_DOC, p2)),
+    ]
+    for f, *args in cases:
+        assert counted(f, *args) == (2, 2), f.__name__
+    half = pairmodel.pair_from_dict(dict(P2_DOC, boundary=["1", "1/2", "1/2"]))
+    assert counted(complexity.minimize, half) == (3, 2)
+
+    for args, doc, expected in [
+            (["complexity"], P2_DOC, (2, 1)),
+            (["adjoin", "--ray", "3"], ADJOIN_DOC, (3, 2)),
+            (["check", "contract"], CONTRACT_DOC, (3, 2)),
+            (["check", "small"], FLOP_DOC, (3, 2)),
+            (["check", "extract"], {"pair": P2_DOC, "vectors": [[1, 1]]},
+             (3, 2))]:
+        calls.update(dict.fromkeys(calls, 0))
+        code, _, err = invoke(capsys, args, doc, monkeypatch)
+        assert code == EXIT_OK, err
+        assert (calls["validations"], calls["spans"]) == expected, args

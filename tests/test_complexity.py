@@ -17,6 +17,7 @@ from toricomplex.complexity import (
     _search_fine,
     Part,
     complexity,
+    complexity_values,
     decomposition_total,
     fine_complexity,
     local_complexity_cloc,
@@ -142,6 +143,16 @@ def test_make_decomposition_rejects_non_integer_indices(orbifold):
         make_decomposition(3, [(1, [1, 0, 0])], orbifold=orbifold)
 
 
+def test_bool_orbifold_index_is_rejected():
+    # a directly built Decomposition skips make_decomposition's check
+    pair = build_pair(P2, full_boundary(P2))
+    dec = Decomposition((Part(F(1), (F(1), F(0), F(0))),), (True, 1, 1))
+    for f in (validate_decomposition, orbifold_complexity, complexity_values):
+        with pytest.raises(IncompatibleOrbifoldError,
+                           match="orbifold index True at ray 0"):
+            f(pair, dec)
+
+
 # ---------------------------------------------------------------------------
 # the sparse decomposition checks against their dense versions
 
@@ -186,6 +197,12 @@ def assert_checks_agree(pair, dec):
             == outcome(dense_validate_decomposition, pair, dec))
     assert (outcome(span_dimension, pair, dec)
             == outcome(dense_span_dimension, pair, dec))
+    if outcome(validate_decomposition, pair, dec)[0] == "returned":
+        twisted = any(n != 1 for n in dec.orbifold)
+        assert complexity_values(pair, dec) == (
+            None if twisted else complexity(pair, dec),
+            None if twisted else fine_complexity(pair, dec),
+            orbifold_complexity(pair, dec))
     nrays = len(pair.fan.rays)
     if len(dec.orbifold) == nrays and all(len(p.coeffs) == nrays
                                           for p in dec.parts):

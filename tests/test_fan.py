@@ -163,6 +163,13 @@ def test_star_fan_multiplicity():
     assert sf.multiplicity[1] == 2
 
 
+def test_star_fan_rejects_a_nonprimitive_ray():
+    # the check stays on under python -O, as the rank check does
+    fan = make_fan(2, [(2, 0), (0, 1)], [(0, 1)])
+    with pytest.raises(ValueError, match="primitive"):
+        star_fan(fan, 0)
+
+
 def test_cones_of_dim():
     assert len(cones_of_dim(P2, 1)) == 3
     assert len(cones_of_dim(P2, 2)) == 3
