@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, inf, lcm
 
 from .divisor import as_coeffs, q_span_dim
 from .fan import as_int, cone_dim
@@ -30,7 +30,6 @@ from .lattice import (
     ToricomplexError,
     _check,
     cokernel,
-    rank_q,
     transpose,
     vec_dot,
 )
@@ -54,7 +53,7 @@ class NotFullDimensionalError(ToricomplexError):
 
 
 class InputTooLargeError(ToricomplexError):
-    """The exhaustive search would exceed the configured partition limit."""
+    """The exhaustive search exceeds the partition limit or its work budget."""
 
 
 @dataclass(frozen=True)
@@ -277,6 +276,56 @@ def _project_classes(fixed_vecs, vecs):
             [[vec_dot(row, v) for row in quotient.free_map] for v in vecs])
 
 
+# Groups one _search_fine call may close before it raises
+# InputTooLargeError.  The polygon ladder of the README closes 0.52 M
+# groups at t = 12 in about 7 s and the 11/12 polygon 1.69 M at t = 8 in
+# about 14 s; at the ladder's rate this budget is under a minute.
+_CLOSE_BUDGET = 4_000_000
+
+
+def _echelon_insert(basis, row):
+    """Reduce an integer row against an echelon basis; keep it if non-zero.
+
+    ``basis`` is a list of (pivot column, integer row), each row zero at
+    the pivot columns of the rows before it, so one pass in order clears
+    every pivot column of ``row``.  Each step is fraction-free: with
+    g = gcd(p, f) for the pivot p and the entry f, row becomes
+    (p / g) row - (f / g) basis row, all in ints.  A non-zero remainder,
+    divided by its content, joins the basis at its first non-zero
+    column.  Returns whether it joined, that is, the rank it adds.
+    """
+    for col, b in basis:
+        f = row[col]
+        if f:
+            p = b[col]
+            g = gcd(p, f)
+            p, f = p // g, f // g
+            row = [p * x - f * y for x, y in zip(row, b)]
+    content = gcd(*row)
+    if not content:
+        return False
+    if content != 1:
+        row = [x // content for x in row]
+    basis.append((row.index(next(filter(None, row))), row))
+    return True
+
+
+def _rank_added(basis, rows):
+    """The rank that ``rows`` add to the span of an echelon basis.
+
+    They are inserted one at a time into a copy of ``basis`` (see
+    :func:`_echelon_insert`), which stays unchanged, until the copy
+    spans the whole space.
+    """
+    basis = list(basis)
+    added = 0
+    for row in rows:
+        if len(basis) == len(row):
+            break  # the basis spans everything
+        added += _echelon_insert(basis, row)
+    return added
+
+
 def _search_fine(fixed_rank, fixed_norm, elems, options):
     """Exhaustive search for the best grouping of the fractional primes.
 
@@ -290,7 +339,8 @@ def _search_fine(fixed_rank, fixed_norm, elems, options):
     group any index per member, and a group weighs the smallest budget
     of its members.  Returns (best F, groups) where groups is a list of
     ([(element, index)...], weight), groups ordered by their first
-    member and members by element.
+    member and members by element.  Raises InputTooLargeError once it
+    has closed more than ``_CLOSE_BUDGET`` groups.
 
     The search takes the smallest remaining element and either drops
     it or closes its group: the element plus a subset of the remaining
@@ -329,7 +379,9 @@ def _search_fine(fixed_rank, fixed_norm, elems, options):
     inherited bound does not prune it.  Nothing is ranked once nu = 0,
     where every row leaves S, or once nu is the number of remaining
     elements, which then all lie in S.  Rank and nullity as in Oxley,
-    Matroid Theory (2011), ch. 1; ranks by :func:`rank_q`.
+    Matroid Theory (2011), ch. 1.  Ranks are taken against an echelon
+    basis of the rows closed along the path (:func:`_echelon_insert`);
+    a row joins it only where something below may still rank.
     """
     t = len(elems)
     # weights and F are counted in units of 1/den, so the search compares
@@ -337,27 +389,18 @@ def _search_fine(fixed_rank, fixed_norm, elems, options):
     den = lcm(*(b.denominator for opts in options for _, b in opts))
     budgets = [{n: (b * den).numerator for n, b in opts} for opts in options]
     top = [max(b.values()) for b in budgets]
+    order = sorted(range(t), key=lambda e: -top[e])  # by budget, once
     classes = [v for _, _, v in elems]
 
-    best = {"key": None, "F": None, "groups": None}
+    best_F = -inf  # no grouping reached yet
+    best_key = best_groups = None
     groups = []  # closed groups: (members, weight)
-    rows = []  # their class rows
-
-    def group_row(members):
-        # the class of sum(D_e / n_e), scaled by the lcm of the n_e so it
-        # stays integral; scaling a row does not change the rank
-        scale = lcm(*(n for _, n in members))
-        row = [0] * len(classes[0])
-        for e, n in members:
-            k = scale // n
-            row = [a + k * b for a, b in zip(row, classes[e])]
-        return row
-
-    def beaten(bound):
-        return best["F"] is not None and bound < best["F"]
+    basis = []  # echelon basis of their rows, where they are ranked
+    closes = 0
 
     def leaf(F):
-        if beaten(F):
+        nonlocal best_F, best_key, best_groups
+        if F < best_F:
             return
         labels = [(1,)] * t
         orb = [1] * t
@@ -367,70 +410,93 @@ def _search_fine(fixed_rank, fixed_norm, elems, options):
                                              if m != e)))
                 orb[e] = n
         key = (-F, tuple(labels), tuple(orb))
-        if best["key"] is None or key < best["key"]:
-            best["key"] = key
-            best["F"] = F
-            best["groups"] = [(list(members), Fraction(w, den))
-                              for members, w in groups]
+        if best_key is None or key < best_key:
+            best_F, best_key = F, key
+            best_groups = [(list(members), Fraction(w, den))
+                           for members, w in groups]
 
     def gain(elements, k):
         # the sum of the k largest budgets among the elements
-        return sum(sorted((top[e] for e in elements), reverse=True)[:k])
+        total = 0
+        for e in order:
+            if not k:
+                break
+            if e in elements:
+                total += top[e]
+                k -= 1
+        return total
 
-    def node(rem, cur, rank, nu, exact):
-        # nu is the nullity of rem modulo span(rows) when exact, else an
+    def node(rem, cur, nu, exact):
+        # nu is the nullity of rem modulo span(basis) when exact, else an
         # upper bound on it
         if not rem:
             leaf(cur)
             return
         if nu and not exact:
-            if beaten(cur + gain(rem, nu)):
+            if cur + gain(rem, nu) < best_F:
                 return
-            nu = len(rem) + rank - rank_q(rows + [classes[e] for e in rem])
-        if beaten(cur + gain(rem, nu)):
+            nu = len(rem) - _rank_added(basis, [classes[e] for e in rem])
+        if cur + gain(rem, nu) < best_F:
             return
         # nu = len(rem): every remaining class lies in span(rows), and so
-        # does every row closed below; nu = 0: every row leaves it
+        # does every row closed below; nu = 0: every row leaves it.  Only
+        # in between are rows ranked, so only there are they carried.
         inside = nu == len(rem)
+        ranked = nu and not inside
         p, rest = rem[0], rem[1:]
-        node(rest, cur, rank, nu - inside, inside)  # drop p
+        node(rest, cur, nu - inside, inside)  # drop p
 
-        def close(members, w):
-            left = tuple(e for e in rest
-                         if all(e != m for m, _ in members))
-            if beaten(cur + w + gain(left, nu - 1) if nu else cur + w - den):
+        def close(members, w, row, taken):
+            # row is the group's class when ranked; taken holds its
+            # members in rest.  members stays as it is until this returns.
+            nonlocal closes
+            closes += 1
+            if closes > _CLOSE_BUDGET:
+                raise InputTooLargeError(
+                    f"the grouping search closed more than {_CLOSE_BUDGET} "
+                    "groups; the input has too many fractional primes or "
+                    "orbifold options")
+            left = [e for e in rest if e not in taken]
+            if (cur + w + gain(left, nu - 1) if nu else cur + w - den) < best_F:
                 return False
-            row = group_row(members)
-            if not nu:
-                delta = 1
-            elif inside:
-                delta = 0
-            else:
-                delta = rank_q(rows + [row]) - rank
-            groups.append((tuple(members), w))
-            rows.append(row)
-            node(left, cur + w - delta * den, rank + delta,
+            # the rank the row adds: 1 when nu = 0, 0 when inside
+            delta = _echelon_insert(basis, row) if ranked else not nu
+            groups.append((members, w))
+            node(left, cur + w - delta * den,
                  len(left) if inside else nu - 1 + delta, inside)
             groups.pop()
-            rows.pop()
+            if ranked and delta:
+                basis.pop()
             return True
 
-        def grow(members, w, start):
-            # every group holding members plus elements of rest[start:]
+        def grow(members, w, start, row, scale, taken):
+            # every group holding members plus elements of rest[start:];
+            # when ranked, row is the class of sum(D_e / n_e) over the
+            # members, scaled by scale, the lcm of their n_e, so it stays
+            # integral (scaling a row does not change the rank)
             for j in range(start, len(rest)):
                 e = rest[j]
+                taken.add(e)
                 for n, b in budgets[e].items():
                     members.append((e, n))
-                    if close(members, min(w, b)):
-                        grow(members, min(w, b), j + 1)
+                    w_e = min(w, b)
+                    row_e = scale_e = None
+                    if ranked:
+                        scale_e = lcm(scale, n)
+                        a, c = scale_e // scale, scale_e // n
+                        row_e = [a * x + c * y
+                                 for x, y in zip(row, classes[e])]
+                    if close(members, w_e, row_e, taken):
+                        grow(members, w_e, j + 1, row_e, scale_e, taken)
                     members.pop()
+                taken.discard(e)
 
-        close([(p, 1)], budgets[p][1])
+        close([(p, 1)], budgets[p][1], classes[p], ())
         for n, b in budgets[p].items():
-            grow([(p, n)], b, 0)
+            grow([(p, n)], b, 0, classes[p], n, set())
 
-    node(tuple(range(t)), (fixed_norm - fixed_rank) * den, 0, t, False)
-    return Fraction(best["F"], den), best["groups"]
+    node(list(range(t)), (fixed_norm - fixed_rank) * den, t, False)
+    return Fraction(best_F, den), best_groups
 
 
 def _realizing_decomposition(pair, ones, elems, groups):
@@ -471,7 +537,10 @@ def minimize(pair: ToricPair, orbifold_cap: int = 12,
 
     Raises NotLogCanonicalError for non-lc pairs and InputTooLargeError
     when more than ``partition_limit`` fractional primes would have to
-    be grouped exhaustively.
+    be grouped exhaustively, or when either search closes more than
+    ``_CLOSE_BUDGET`` groups.  That budget is a count of work, set so
+    that the slowest inputs measured stop within about a minute; the
+    README's notes on the search space give the table.
     """
     if not 1 <= partition_limit <= 64:
         raise ValueError("partition_limit must be between 1 and 64")

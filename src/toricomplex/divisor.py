@@ -8,14 +8,13 @@ by its Smith normal form.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .lattice import (
     ToricomplexError,
     cokernel,
     rank_q,
     solve_rational,
-    cartier_scale,
     vec_dot,
 )
 from .fan import locate_max_cone
@@ -52,19 +51,6 @@ def local_class_group(fan, cone):
     presentation's coordinates follow the cone's ray order.
     """
     return cokernel(ray_matrix(fan, cone))
-
-
-def divisor_class(pres, coeffs):
-    """Integral class (free, torsion) of an integer divisor."""
-    v = [int(c) for c in coeffs]
-    if any(Fraction(c) != iv for c, iv in zip(coeffs, v)):
-        raise ValueError("integral class requires integer coefficients")
-    return pres.class_of(v)
-
-
-def q_class(pres, coeffs):
-    """Class in Cl tensor Q (free coordinates only)."""
-    return pres.q_class_of(list(coeffs))
 
 
 def q_span_dim(pres, divisors):
@@ -123,27 +109,6 @@ def is_q_cartier(fan, coeffs):
         return True
     except NotQCartierError:
         return False
-
-
-def cartier_index(fan, coeffs):
-    """Smallest k >= 1 such that k * divisor is Cartier.
-
-    Raises NotQCartierError if no multiple is Cartier.
-    """
-    k_total = 1
-    for ci, cone in enumerate(fan.max_cones):
-        denom = 1
-        for i in cone:
-            d = coeffs[i].denominator
-            denom = denom * d // gcd(denom, d)
-        a = ray_matrix(fan, cone)
-        b = [int(-coeffs[i] * denom) for i in cone]
-        res = cartier_scale(a, b)
-        if res is None:
-            raise NotQCartierError(ci)
-        k_cone = res[0] * denom
-        k_total = k_total * k_cone // gcd(k_total, k_cone)
-    return k_total
 
 
 def support_value(fan, coeffs, v):

@@ -280,16 +280,6 @@ def wall_partners(fan, ci, ray_idx):
             for j in f} - {ray_idx}
 
 
-def cones_of_dim(fan, d):
-    """All d-dimensional cones of the fan, as sorted ray-index tuples."""
-    out = set()
-    for faces in fan.faces:
-        for f in faces:
-            if f and len(span_saturation([fan.rays[i] for i in f])[0]) == d:
-                out.add(tuple(sorted(f)))
-    return sorted(out)
-
-
 def cone_dim(fan, cone):
     if not cone:
         return 0
@@ -316,11 +306,6 @@ def cone_multiplicity(fan, cone):
 
 def is_simplicial(fan):
     return all(is_simplicial_cone(fan, c) for c in fan.max_cones)
-
-
-def is_smooth(fan):
-    return all(is_simplicial_cone(fan, c) and cone_multiplicity(fan, c) == 1
-               for c in fan.max_cones)
 
 
 def is_complete(fan):

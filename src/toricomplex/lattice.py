@@ -39,21 +39,6 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    nr, nm, nc = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * nc for _ in range(nr)]
-    for i in range(nr):
-        ai = a[i]
-        for k in range(nm):
-            aik = ai[k]
-            if aik:
-                bk = b[k]
-                oi = out[i]
-                for j in range(nc):
-                    oi[j] += aik * bk[j]
-    return out
-
-
 def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
@@ -382,18 +367,6 @@ class AbelianGroupPresentation:
     def is_zero_class(self, v):
         free, tors = self.class_of(v)
         return not any(free) and not any(tors)
-
-    def order_of_class(self, v):
-        """Order of the class of v (0 means infinite order)."""
-        free, tors = self.class_of(v)
-        if any(free):
-            return 0
-        k = 1
-        for t, d in zip(tors, self.torsion):
-            if t:
-                step = d // gcd(t, d)
-                k = k * step // gcd(k, step)
-        return k
 
 
 def cokernel(m):

@@ -395,6 +395,29 @@ def test_check_suite_is_green_in_bundled_order(capsys):
     assert all(row["ok"] for row in payload["fans"])
 
 
+# The 12-ray polygon of the search-time ladder in the README, with
+# coefficient 11/12 (five orbifold options) at its first seven rays.
+ELEVEN_TWELFTHS_DOC = {
+    "rank": 2,
+    "rays": [[1, 0], [2, 1], [1, 1], [1, 2], [0, 1], [-1, 1], [-1, 0],
+             [-2, -1], [-1, -1], [-1, -2], [0, -1], [1, -1]],
+    "max_cones": [sorted([i, (i + 1) % 12]) for i in range(12)],
+    "boundary": ["11/12"] * 7 + ["1"] * 5,
+}
+
+
+def test_search_over_its_work_budget_exits_invalid(capsys, monkeypatch):
+    C = importlib.import_module("toricomplex.complexity")
+    monkeypatch.setattr(C, "_CLOSE_BUDGET", 2000)
+    code, _, _ = invoke(capsys, ["check", "suite"])
+    assert code == EXIT_OK
+    code, out, err = invoke(capsys, ["minimize"], ELEVEN_TWELFTHS_DOC,
+                            monkeypatch)
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith("toricomplex: ")
+    assert "closed more than 2000 groups" in err
+
+
 def test_module_entry_point_runs(tmp_path):
     path = write_doc(tmp_path, P2_DOC)
     proc = subprocess.run(

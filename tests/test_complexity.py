@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -13,7 +14,9 @@ from toricomplex.complexity import (
     InvalidDecompositionError,
     NotFullDimensionalError,
     NotLogCanonicalError,
+    _echelon_insert,
     _project_classes,
+    _rank_added,
     _search_fine,
     Part,
     complexity,
@@ -634,6 +637,62 @@ def test_search_matches_leaf_bound_search_on_random_classes(data):
     classes = data.draw(st.lists(vec, min_size=1, max_size=8))
     options = [data.draw(small_option_lists()) for _ in classes]
     assert_search_matches_leaf_bound(fixed, classes, options)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_echelon_helpers_match_rank_q(data):
+    """Each inserted row adds the rank rank_q sees, and _rank_added
+    counts the rank new rows add without changing the basis."""
+    width = data.draw(st.integers(0, 5))
+    vec = st.lists(st.integers(-3, 3), min_size=width, max_size=width)
+    rows = data.draw(st.lists(vec, max_size=6))
+    basis = []
+    for k, row in enumerate(rows):
+        added = rank_q(rows[:k + 1]) - rank_q(rows[:k])
+        assert _echelon_insert(basis, row) == added
+        assert len(basis) == rank_q(rows[:k + 1])
+    new = data.draw(st.lists(vec, max_size=6))
+    before = [(col, list(row)) for col, row in basis]
+    assert _rank_added(basis, new) == rank_q(rows + new) - rank_q(rows)
+    assert basis == before
+
+
+@st.composite
+def divisor_option_lists(draw):
+    """Index 1 plus at most one other divisor of 12, budgets up to 1."""
+    budget = st.sampled_from([F(k, 12) for k in range(1, 13)])
+    others = draw(st.lists(st.sampled_from([2, 3, 4, 6, 12]), max_size=1))
+    return [(n, draw(budget)) for n in [1] + others]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_search_matches_leaf_bound_search_on_wide_classes(data):
+    """Classes with 4 to 6 coordinates, so a group's row and the rows
+    it is reduced against carry large orbifold scalings."""
+    width = data.draw(st.integers(4, 6))
+    vec = st.lists(st.integers(-2, 2), min_size=width, max_size=width)
+    fixed = data.draw(st.lists(vec, max_size=2))
+    classes = data.draw(st.lists(vec, min_size=1, max_size=7))
+    options = [data.draw(divisor_option_lists()) for _ in classes]
+    assert_search_matches_leaf_bound(fixed, classes, options)
+
+
+# A work budget that admits the ladder up to t = 6 (at most 707 closed
+# groups) and stops the polygon with every coefficient 11/12 at t = 7.
+SMALL_CLOSE_BUDGET = 2000
+
+
+def test_search_stops_at_its_work_budget(monkeypatch):
+    C = importlib.import_module("toricomplex.complexity")
+    monkeypatch.setattr(C, "_CLOSE_BUDGET", SMALL_CLOSE_BUDGET)
+    for t in range(7):
+        minimize(ladder_pair(t))
+    pair = build_pair(LADDER, [F(11, 12)] * 7 + [F(1)] * 5)
+    with pytest.raises(InputTooLargeError,
+                       match=f"closed more than {SMALL_CLOSE_BUDGET} groups"):
+        minimize(pair)
 
 
 def cy_germ_boundaries(fan):

@@ -7,22 +7,20 @@ from toricomplex.divisor import (
     NotQCartierError,
     canonical_coeffs,
     cartier_data,
-    cartier_index,
     class_group,
-    divisor_class,
     is_ample,
     is_nef,
     is_q_cartier,
     is_q_principal,
     local_class_group,
     principal_witness,
-    q_class,
     q_span_dim,
     support_value,
 )
 from toricomplex.lattice import mat_vec, solve_integral, vec_dot
 
 from fans import A1_SING, A2, BLP2, CONIFOLD, P1, P1XP1, P2, P3, SUITE
+from helpers import cartier_index, divisor_class, q_class
 
 
 def test_class_group_ranks():

@@ -21,7 +21,6 @@ from toricomplex.lattice import (
     identity_matrix,
     in_hform,
     kernel_basis,
-    mat_mul,
     mat_vec,
     primitive_vector,
     rank_q,
@@ -38,6 +37,7 @@ from bruteforce import (
     lp_extremal_rays,
     simplex_solve,
 )
+from helpers import mat_mul, order_of_class
 
 small_int = st.integers(min_value=-6, max_value=6)
 
@@ -128,8 +128,8 @@ def test_cokernel_a1():
     assert g.class_of([1, 0]) == ((), (1,))
     assert not g.is_zero_class([1, 0])
     assert g.is_zero_class([1, 1]) or g.class_of([1, 1]) == ((), (0,))
-    assert g.order_of_class([1, 0]) == 2
-    assert g.order_of_class([1, 1]) == 1
+    assert order_of_class(g, [1, 0]) == 2
+    assert order_of_class(g, [1, 1]) == 1
 
 
 @settings(max_examples=100)
