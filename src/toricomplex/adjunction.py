@@ -128,20 +128,6 @@ def _restrict_coeffs(star: StarFan, walls, coeffs) -> tuple:
     return tuple(out)
 
 
-def different(pair: ToricPair, ray_e: int):
-    """The boundary induced on E by (X, B): per-wall coefficients
-    ``1 - 1/i_Q + coeff_partner(B - E) * gamma / i_Q``.
-
-    Returns (coefficients on the star fan, star, walls).
-    """
-    if pair.boundary[ray_e] != 1:
-        raise NotDivisorialCenterError(
-            f"ray {ray_e} has boundary coefficient {pair.boundary[ray_e]}, "
-            "adjunction needs coefficient one")
-    star, walls = wall_ledger(pair, ray_e)
-    return _different_coeffs(pair, ray_e, star, walls), star, walls
-
-
 def _different_coeffs(pair: ToricPair, ray_e: int, star: StarFan, walls):
     """The different's coefficients from a wall ledger of the center.
 

@@ -200,8 +200,9 @@ def log_discrepancy(pair: ToricPair, v) -> Fraction:
     """Log discrepancy of the invariant valuation at primitive ``v``.
 
     Computed as the value at ``v`` of the support function of
-    ``K + B + M``; raises NotQCartierError when that divisor has no
-    linear data on the cone containing ``v``.
+    ``K + B + M``, solved on the first maximal cone containing ``v``
+    only; raises NotQCartierError when that divisor has no linear data
+    on that cone, whatever it does on the other cones.
     """
     v = tuple(as_int(x, "a valuation vector entry") for x in v)
     if not is_primitive(v):

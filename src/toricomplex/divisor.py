@@ -94,34 +94,30 @@ def cartier_data(fan, coeffs):
     """
     out = []
     for ci, cone in enumerate(fan.max_cones):
-        a = [[Fraction(x) for x in fan.rays[i]] for i in cone]
-        b = [-coeffs[i] for i in cone]
-        m = solve_rational(a, b)
+        m = solve_rational(ray_matrix(fan, cone), [-coeffs[i] for i in cone])
         if m is None:
             raise NotQCartierError(ci)
         out.append(m)
     return out
 
 
-def is_q_cartier(fan, coeffs):
-    try:
-        cartier_data(fan, coeffs)
-        return True
-    except NotQCartierError:
-        return False
-
-
 def support_value(fan, coeffs, v):
-    """Value at v of the support function of a Q-Cartier divisor.
+    """Value at v of the support function of a divisor that is Q-Cartier
+    on the maximal cone containing v.
 
     The support function is linear on each cone with value -coeff_rho at
-    u_rho.  v must lie in the support of the fan.
+    u_rho.  v must lie in the support of the fan.  Only the first
+    maximal cone containing v is solved: NotQCartierError names it when
+    the divisor has no linear data there.
     """
-    data = cartier_data(fan, coeffs)
     ci = locate_max_cone(fan, v)
     if ci is None:
         raise ValueError(f"{tuple(v)} is not in the support of the fan")
-    return sum(m * Fraction(x) for m, x in zip(data[ci], v))
+    cone = fan.max_cones[ci]
+    m = solve_rational(ray_matrix(fan, cone), [-coeffs[i] for i in cone])
+    if m is None:
+        raise NotQCartierError(ci)
+    return sum(x * y for x, y in zip(m, v))
 
 
 def is_nef(fan, coeffs):
@@ -152,14 +148,3 @@ def is_ample(fan, coeffs):
             if val <= -coeffs[i]:
                 return False
     return True
-
-
-def principal_witness(fan, coeffs):
-    """Rational m with div(chi^m) = divisor (i.e. <m, u_rho> = coeff_rho for
-    every ray), or None when the divisor is not principal over Q."""
-    a = [[Fraction(x) for x in r] for r in fan.rays]
-    return solve_rational(a, list(coeffs))
-
-
-def is_q_principal(fan, coeffs):
-    return principal_witness(fan, coeffs) is not None

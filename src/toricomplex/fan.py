@@ -290,20 +290,6 @@ def is_simplicial_cone(fan, cone):
     return cone_dim(fan, cone) == len(cone)
 
 
-def cone_multiplicity(fan, cone):
-    """Index of the sublattice spanned by the cone's rays in the saturated
-    lattice of its span (1 iff the cone is smooth).  Simplicial cones only."""
-    if not is_simplicial_cone(fan, cone):
-        raise ValueError("multiplicity is defined for simplicial cones")
-    if not cone:
-        return 1
-    s = snf([list(fan.rays[i]) for i in cone])
-    out = 1
-    for d in s.invariants:
-        out *= d
-    return out
-
-
 def is_simplicial(fan):
     return all(is_simplicial_cone(fan, c) for c in fan.max_cones)
 

@@ -229,37 +229,69 @@ def kernel_basis(m):
     return [tuple(cols[j]) for j in range(r, nc)]
 
 
+def _bareiss(rows):
+    """Fraction-free forward elimination of integer rows, in place.
+
+    Bareiss elimination (Bareiss 1968): the pivot of each column is its
+    first non-zero entry at or below the current row, so the pivot
+    columns are the leftmost independent ones.  Each update divides by
+    the previous pivot, which divides it exactly, so every entry stays
+    an int; after the last step the pivot of row i is a minor of order
+    i + 1.  Returns (pivot columns, sign of the row permutation).
+    """
+    nrows = len(rows)
+    pivots = []
+    sign = 1
+    prev = 1  # the previous pivot, which divides every updated entry
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        pr = next((i for i in range(rank, nrows) if rows[i][col]), None)
+        if pr is None:
+            continue
+        if pr != rank:
+            rows[rank], rows[pr] = rows[pr], rows[rank]
+            sign = -sign
+        pivot_row = rows[rank]
+        p = pivot_row[col]
+        for i in range(rank + 1, nrows):
+            f = rows[i][col]
+            rows[i] = [(p * a - f * b) // prev
+                       for a, b in zip(rows[i], pivot_row)]
+        prev = p
+        pivots.append(col)
+        if rank + 1 == nrows:
+            break
+    return pivots, sign
+
+
 def solve_rational(a, b):
     """One exact rational solution x of a x = b, or None if inconsistent.
 
-    Free variables are set to zero.  a is a list of rows, b a vector.
+    Free variables are set to zero.  a is a list of integer rows, b a
+    vector of ints or Fractions.  Each row is scaled by the denominator
+    of its entry of b and the augmented rows are eliminated by
+    _bareiss: the system is inconsistent exactly when b's column is a
+    pivot.  Otherwise, with d the last pivot (the minor of the pivot
+    rows and columns), d * x is integral by Cramer's rule and comes out
+    of back-substitution by exact divisions.
     """
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(nr):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    for i in range(r, nr):
-        if aug[i][nc] != 0:
-            return None
+    nc = len(a[0]) if a else 0
+    rows = [[x * y.denominator for x in row] + [y.numerator]
+            for row, y in zip(a, b)]
+    pivots, _ = _bareiss(rows)
+    if pivots and pivots[-1] == nc:
+        return None
     x = [Fraction(0)] * nc
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][nc]
+    if not pivots:
+        return x
+    d = rows[len(pivots) - 1][pivots[-1]]
+    dx = [0] * nc  # d * x
+    for i in range(len(pivots) - 1, -1, -1):
+        row = rows[i]
+        t = d * row[nc] - sum(row[c] * dx[c] for c in pivots[i + 1:])
+        dx[pivots[i]] = t // row[pivots[i]]
+    for c in pivots:
+        x[c] = Fraction(dx[c], d)
     return x
 
 
@@ -267,8 +299,7 @@ def rank_q(vectors):
     """Rank over Q of a list of rational (int or Fraction) vectors.
 
     Each row is scaled by the lcm of its denominators, then reduced by
-    fraction-free Bareiss elimination (Bareiss 1968): every division is
-    exact, so all intermediate entries stay Python ints.
+    _bareiss, so all intermediate entries stay Python ints.
     """
     rows = []
     for v in vectors:
@@ -276,24 +307,7 @@ def rank_q(vectors):
         row = [(x * den).numerator for x in v]
         if any(row):
             rows.append(row)
-    rank = 0
-    prev = 1  # the previous pivot, which divides every updated entry
-    for col in range(len(rows[0]) if rows else 0):
-        pr = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pr is None:
-            continue
-        rows[rank], rows[pr] = rows[pr], rows[rank]
-        pivot_row = rows[rank]
-        p = pivot_row[col]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col]
-            rows[i] = [(p * a - f * b) // prev
-                       for a, b in zip(rows[i], pivot_row)]
-        prev = p
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    return len(_bareiss(rows)[0])
 
 
 def solve_integral(a, b):
@@ -459,22 +473,9 @@ def extremal_rays(gens, hform):
 def _det(m):
     """Determinant of a square integer matrix by Bareiss elimination."""
     a = [list(row) for row in m]
-    n = len(a)
-    sign = 1
-    prev = 1  # the previous pivot, which divides every updated entry
-    for k in range(n - 1):
-        if not a[k][k]:
-            pr = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if pr is None:
-                return 0
-            a[k], a[pr] = a[pr], a[k]
-            sign = -sign
-        pivot_row = a[k]
-        p = pivot_row[k]
-        for i in range(k + 1, n):
-            f = a[i][k]
-            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
-        prev = p
+    pivots, sign = _bareiss(a)
+    if len(pivots) < len(a):
+        return 0
     return sign * a[-1][-1]
 
 

@@ -28,11 +28,9 @@ from .divisor import (
     as_coeffs,
     canonical_coeffs,
     class_group,
-    is_q_cartier,
-    is_q_principal,
     local_class_group,
 )
-from .lattice import AbelianGroupPresentation, ToricomplexError
+from .lattice import AbelianGroupPresentation, ToricomplexError, solve_rational
 
 
 class InvalidPairError(ToricomplexError):
@@ -84,6 +82,18 @@ class ToricPair:
         if self.mode == "local":
             return local_class_group(self.fan, self.cone)
         return class_group(self.fan)
+
+    @cached_property
+    def log_linear_data(self) -> tuple:
+        """Linear data of ``K + B + M``, solved once: for each maximal cone
+        of the working locus (the chosen cone in local mode, every maximal
+        cone otherwise), a rational m with ``<m, u> = -(K + B + M)_u`` on
+        the cone's rays, or None where no such m exists."""
+        kb = log_canonical_coeffs(self)
+        cones = (self.cone,) if self.mode == "local" else self.fan.max_cones
+        return tuple(solve_rational([self.fan.rays[i] for i in cone],
+                                    [-kb[i] for i in cone])
+                     for cone in cones)
 
     def local_rays(self) -> tuple:
         """Indices of the rays meeting the working locus (all, or the cone's)."""
@@ -168,15 +178,13 @@ def is_log_cy(pair: ToricPair) -> bool:
     """Whether ``K + B + M`` is numerically trivial for the mode.
 
     Projective and birational modes ask for a global rational witness;
-    the local mode only needs one on the chosen cone's rays.
+    the local mode only needs one on the chosen cone's rays, which is
+    the pair's linear data there.
     """
-    kb = log_canonical_coeffs(pair)
     if pair.mode == "local":
-        rays = [pair.fan.rays[i] for i in pair.cone]
-        vals = [kb[i] for i in pair.cone]
-        from .lattice import solve_rational
-        return solve_rational([list(u) for u in rays], vals) is not None
-    return is_q_principal(pair.fan, kb)
+        return pair.log_linear_data[0] is not None
+    kb = log_canonical_coeffs(pair)
+    return solve_rational(pair.fan.rays, kb) is not None
 
 
 def is_log_canonical(pair: ToricPair) -> bool:
@@ -185,17 +193,10 @@ def is_log_canonical(pair: ToricPair) -> bool:
     For invariant boundaries this comes down to ``b <= 1`` on the
     relevant rays together with ``K + B + M`` being Q-Cartier there.
     """
-    kb = log_canonical_coeffs(pair)
-    if pair.mode == "local":
-        from .lattice import solve_rational
-        rays = [list(pair.fan.rays[i]) for i in pair.cone]
-        vals = [kb[i] for i in pair.cone]
-        if solve_rational(rays, vals) is None:
-            return False
-        return all(pair.total_coeffs()[i] <= 1 for i in pair.cone)
-    if not is_q_cartier(pair.fan, kb):
+    if any(m is None for m in pair.log_linear_data):
         return False
-    return all(x <= 1 for x in pair.total_coeffs())
+    total = pair.total_coeffs()
+    return all(total[i] <= 1 for i in pair.local_rays())
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ as set partitions of every subset of the boundary primes, per-group
 weights come from the closed-form budget minimum, and span ranks are
 computed by sympy on the quotient presentation (rank of rays+parts
 minus rank of rays).  The reference grouping search ranks with its own
-Fraction Gauss elimination.  Completeness is decided by facet counting
-plus a fixed dense grid of rational sample points, with facet normals
-found by sympy; cone maps are solved by sympy over bijections of
-extremal rays.
+Fraction Gauss elimination, and a Fraction Gauss-Jordan solver is the
+referee of the library's fraction-free ``solve_rational``.
+Completeness is decided by facet counting plus a fixed dense grid of
+rational sample points, with facet normals found by sympy; cone maps
+are solved by sympy over bijections of extremal rays.
 
 The LP oracles pose cone membership, pointedness, extremality, local
 complexity and crepancy as linear programs for an exact two-phase
@@ -144,6 +145,41 @@ def gauss_rank(vectors):
         rank += 1
         col += 1
     return rank
+
+
+def gauss_jordan_solve(a, b):
+    """One rational solution x of a x = b with the free variables set to
+    zero, or None if inconsistent, by Gauss-Jordan elimination on
+    Fractions: the library's ``solve_rational`` as it stood before it
+    ran on the integer Bareiss kernel."""
+    nr = len(a)
+    nc = len(a[0]) if nr else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(b[i])]
+           for i, row in enumerate(a)]
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if aug[i][c] != 0), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        pv = aug[r][c]
+        aug[r] = [x / pv for x in aug[r]]
+        for i in range(nr):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    for i in range(r, nr):
+        if aug[i][nc] != 0:
+            return None
+    x = [Fraction(0)] * nc
+    for i, c in enumerate(pivots):
+        x[c] = aug[i][nc]
+    return x
 
 
 def reference_search_fine(fixed_vecs, elems, options):

@@ -1,16 +1,19 @@
 """Small functions that only the tests call, kept out of the library.
 
 They check results of the library (a matrix product, the order of a
-class, a Cartier index, the cones of one dimension, smoothness) and are
+class, a Cartier index, Q-Cartier and principal divisors, the cones of
+one dimension, cone multiplicities, smoothness, the different) and are
 built from its public pieces.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from toricomplex.divisor import NotQCartierError, ray_matrix
-from toricomplex.fan import cone_dim, cone_multiplicity, is_simplicial_cone
-from toricomplex.lattice import cartier_scale
+from toricomplex.adjunction import (NotDivisorialCenterError,
+                                    _different_coeffs, wall_ledger)
+from toricomplex.divisor import NotQCartierError, cartier_data, ray_matrix
+from toricomplex.fan import cone_dim, is_simplicial_cone
+from toricomplex.lattice import cartier_scale, snf, solve_rational
 
 
 def mat_mul(a, b):
@@ -71,12 +74,58 @@ def cartier_index(fan, coeffs):
     return k_total
 
 
+def is_q_cartier(fan, coeffs):
+    try:
+        cartier_data(fan, coeffs)
+        return True
+    except NotQCartierError:
+        return False
+
+
+def principal_witness(fan, coeffs):
+    """Rational m with div(chi^m) = divisor (i.e. <m, u_rho> = coeff_rho for
+    every ray), or None when the divisor is not principal over Q."""
+    return solve_rational(ray_matrix(fan), list(coeffs))
+
+
+def is_q_principal(fan, coeffs):
+    return principal_witness(fan, coeffs) is not None
+
+
 def cones_of_dim(fan, d):
     """All d-dimensional cones of the fan, as sorted ray-index tuples."""
     return sorted({tuple(sorted(f)) for faces in fan.faces for f in faces
                    if f and cone_dim(fan, f) == d})
 
 
+def cone_multiplicity(fan, cone):
+    """Index of the sublattice spanned by the cone's rays in the saturated
+    lattice of its span (1 iff the cone is smooth).  Simplicial cones only."""
+    if not is_simplicial_cone(fan, cone):
+        raise ValueError("multiplicity is defined for simplicial cones")
+    if not cone:
+        return 1
+    s = snf([list(fan.rays[i]) for i in cone])
+    out = 1
+    for d in s.invariants:
+        out *= d
+    return out
+
+
 def is_smooth(fan):
     return all(is_simplicial_cone(fan, c) and cone_multiplicity(fan, c) == 1
                for c in fan.max_cones)
+
+
+def different(pair, ray_e):
+    """The boundary induced on E by (X, B): per-wall coefficients
+    ``1 - 1/i_Q + coeff_partner(B - E) * gamma / i_Q``.
+
+    Returns (coefficients on the star fan, star, walls).
+    """
+    if pair.boundary[ray_e] != 1:
+        raise NotDivisorialCenterError(
+            f"ray {ray_e} has boundary coefficient {pair.boundary[ray_e]}, "
+            "adjunction needs coefficient one")
+    star, walls = wall_ledger(pair, ray_e)
+    return _different_coeffs(pair, ray_e, star, walls), star, walls

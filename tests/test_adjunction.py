@@ -9,7 +9,6 @@ from toricomplex.adjunction import (
     NotDivisorialCenterError,
     check_adjunction,
     classify_wall,
-    different,
     induced_decomposition,
     normalize_center,
     wall_ledger,
@@ -23,6 +22,7 @@ from toricomplex.fan import make_fan
 from toricomplex.pairmodel import build_pair
 
 from fans import A1_SING, BLP2, P1XP1, P2
+from helpers import different
 
 BL_A2 = make_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 2), (1, 2)])
 

@@ -19,7 +19,7 @@ from toricomplex.birational import (
     small_modification,
 )
 from toricomplex.complexity import make_decomposition
-from toricomplex.divisor import cartier_data
+from toricomplex.divisor import NotQCartierError, cartier_data
 from toricomplex.fan import locate_max_cone, make_fan, star_subdivision
 from toricomplex.lattice import in_hform, primitive_vector, vec_dot
 from toricomplex.pairmodel import build_pair
@@ -96,6 +96,17 @@ def test_log_discrepancy_values():
         assert log_discrepancy(full, v) == 0
     with pytest.raises(ValueError):
         log_discrepancy(full, (2, 2))
+
+
+def test_log_discrepancy_reads_only_the_cone_containing_v():
+    # K + B is not Q-Cartier on the square cone 0, but (-1, 1, 1) lies
+    # in the simplicial cone 1, where <m, u> = (1, 1, 0) has m = (0, 1, 0)
+    fan = make_fan(3, [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1),
+                       (-1, 0, 0)], [(0, 1, 2, 3), (1, 3, 4)])
+    pair = build_pair(fan, [1, 0, 0, 0, 1], mode="birational")
+    assert log_discrepancy(pair, (-1, 1, 1)) == 1
+    with pytest.raises(NotQCartierError, match="maximal cone 0"):
+        log_discrepancy(pair, (1, 1, 1))
 
 
 @pytest.mark.parametrize("v", [(1.5, 1.2), (1.0, 1), (True, 1)])

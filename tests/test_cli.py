@@ -271,6 +271,39 @@ def test_library_self_checks_survive_optimize():
     assert sites == []
 
 
+def _exported_strings(node):
+    """String constants in an ``__all__`` or ``_LAZY`` assignment."""
+    if not isinstance(node, ast.Assign) or not any(
+            isinstance(t, ast.Name) and t.id in ("__all__", "_LAZY")
+            for t in node.targets):
+        return set()
+    return {n.value for n in ast.walk(node.value)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def test_every_public_library_name_has_a_library_caller():
+    """No helper without a caller: each public top-level function or
+    class of the package is named somewhere in the package, by a call,
+    an attribute, an import, ``__all__`` or ``__init__``'s lazy table."""
+    package = Path(toricomplex.__file__).resolve().parent
+    defined, referenced = [], set()
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        defined += [(path.stem, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.asname or node.name)
+            referenced |= _exported_strings(node)
+    assert [f"{mod}.{name}" for mod, name in defined
+            if name not in referenced] == []
+
+
 def test_complexity_mode_override_builds_a_germ(capsys, monkeypatch):
     doc = {"rank": 2, "rays": [[0, 1], [2, 1]], "max_cones": [[0, 1]],
            "boundary": ["1", "1"]}

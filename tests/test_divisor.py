@@ -10,17 +10,15 @@ from toricomplex.divisor import (
     class_group,
     is_ample,
     is_nef,
-    is_q_cartier,
-    is_q_principal,
     local_class_group,
-    principal_witness,
     q_span_dim,
     support_value,
 )
 from toricomplex.lattice import mat_vec, solve_integral, vec_dot
 
 from fans import A1_SING, A2, BLP2, CONIFOLD, P1, P1XP1, P2, P3, SUITE
-from helpers import cartier_index, divisor_class, q_class
+from helpers import (cartier_index, divisor_class, is_q_cartier,
+                     is_q_principal, principal_witness, q_class)
 
 
 def test_class_group_ranks():

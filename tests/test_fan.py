@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 import toricomplex.fan
 from toricomplex.fan import (
-    cone_multiplicity,
     is_complete,
     is_simplicial,
     locate_max_cone,
@@ -30,7 +29,7 @@ from fans import (
     A1_SING, A2, A3, BLP2, CONIFOLD, P1, P1XP1, P2, P3, SUITE, fan_product,
     projective_space,
 )
-from helpers import cones_of_dim, is_smooth
+from helpers import cone_multiplicity, cones_of_dim, is_smooth
 
 # Full-dimensional cones with every facet in exactly two of them, yet not
 # fans: three overlapping quadrants, and five cones winding twice around

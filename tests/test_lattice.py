@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from toricomplex.lattice import (
     AbelianGroupPresentation,
     NotPointedError,
+    _det,
     _hyperplane_normal,
     cartier_scale,
     cokernel,
@@ -33,6 +34,7 @@ from toricomplex.lattice import (
 
 from bruteforce import (
     facet_normals,
+    gauss_jordan_solve,
     lp_cone_is_pointed,
     lp_extremal_rays,
     simplex_solve,
@@ -176,6 +178,43 @@ def test_solve_rational():
     assert solve_rational([[1, 1], [1, 1]], [0, 1]) is None
 
 
+@st.composite
+def linear_systems(draw):
+    """1-6 integer rows of length 1-5 with entries in [-4, 4] and a
+    right-hand side of ints and Fractions; often a row is a combination
+    of others, with a right-hand side that keeps or breaks consistency."""
+    nc = draw(st.integers(1, 5))
+    a = draw(st.lists(st.lists(st.integers(-4, 4), min_size=nc, max_size=nc),
+                      min_size=1, max_size=6))
+    b = draw(st.lists(rational_entry, min_size=len(a), max_size=len(a)))
+    for _ in range(draw(st.integers(0, 2))):
+        if len(a) == 6:
+            break
+        coeffs = draw(st.lists(st.integers(-2, 2),
+                               min_size=len(a), max_size=len(a)))
+        a.append([sum(c * r[j] for c, r in zip(coeffs, a))
+                  for j in range(nc)])
+        b.append(sum((c * y for c, y in zip(coeffs, b)), Fraction(0))
+                 + draw(st.sampled_from([0, 0, 1, Fraction(-1, 3)])))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_systems())
+@example(([[0, 0]], [0]))
+@example(([[0, 0]], [Fraction(1, 2)]))
+@example(([[1, 2], [2, 4]], [1, 2]))
+@example(([[1, 2], [2, 4]], [1, 3]))
+@example(([[0, 2, 4], [0, 1, 3], [0, 3, 5]], [Fraction(1, 3), 0, 1]))
+def test_solve_rational_matches_gauss_jordan(system):
+    a, b = system
+    got = solve_rational(a, b)
+    assert got == gauss_jordan_solve(a, b)
+    if got is not None:
+        assert all(sum(x * y for x, y in zip(row, got)) == y
+                   for row, y in zip(a, b))
+
+
 def test_solve_integral():
     assert solve_integral([[1, 0], [0, 1]], [3, 4]) == [3, 4]
     assert solve_integral([[0, 1], [2, 1]], [-1, 0]) is None
@@ -305,6 +344,9 @@ def test_facet_normals_match_sympy(gens):
     d = len(gens[0])
     assume(d >= 2 and sympy.Matrix(gens).rank() == d)
     assert cone_hform(gens, d) == ([], sorted(facet_normals(gens, d)))
+    square = [list(g) for g in gens[:d]]
+    if len(square) == d:
+        assert _det(square) == sympy.Matrix(square).det()
 
 
 @st.composite
