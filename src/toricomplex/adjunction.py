@@ -9,8 +9,9 @@ never exceeds the one upstairs.
 
 Everything is computed from two-dimensional cones ("walls") containing
 the ray of ``E``: each wall carries the codimension-one point ``Q`` of
-``E`` it determines, the Cartier index ``i_Q`` of ``E`` there, and the
-restriction multiplier ``gamma / i_Q`` for the partner prime.
+``E`` it determines and the Cartier index ``i_Q`` of ``E`` there; the
+partner prime restricts to ``E`` with multiplier ``1 / i_Q`` (proved in
+:func:`wall_ledger`).
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from .complexity import (
     validate_decomposition,
 )
 from .fan import StarFan, is_complete, star_fan, wall_partners
-from .lattice import (ToricomplexError, _check, cartier_scale, solve_integral,
-                      vec_dot)
+from .lattice import ToricomplexError, _check, cartier_scale
 from .pairmodel import ToricPair, build_pair, pair_class_group
 
 
@@ -50,7 +50,6 @@ class WallData:
     partner: int  # source-fan ray index
     star_ray: int  # ray index on the star fan
     index: int  # i_Q: Cartier index of E along the wall
-    gamma: int  # restriction numerator of the partner prime
     orb_index: int  # m(Q): induced orbifold index
     case: str  # "plain" | "a" | "b"
 
@@ -82,6 +81,16 @@ def wall_ledger(pair: ToricPair, ray_e: int, orbifold=None):
 
     orbifold: per-ray indices of the source (defaults to all 1).  The
     center itself must be unmarked; normalize first if it is not.
+
+    Let P = star.proj and P(u_p) = l * w, with w the primitive star ray
+    and l the wall's lattice index.  A partner prime D_p restricts to E
+    as (gamma / i_Q) Q, where gamma = <mu, lift> for an integral mu with
+    mu(u_E) = 0 and mu(u_p) = l, and a lattice point lift with
+    P(lift) = w.  gamma is always 1: P maps N onto Z^(n-1) with kernel
+    Z u_E, u_E being primitive, and mu vanishes on u_E, so mu = mu' o P
+    for an integral mu'.  Then l = mu(u_p) = l * mu'(w) gives
+    mu'(w) = 1, and gamma = mu'(P(lift)) = mu'(w) = 1.  So the
+    restriction is (1 / i_Q) Q and no wall solves for gamma.
     """
     fan = pair.fan
     if orbifold is None:
@@ -102,21 +111,10 @@ def wall_ledger(pair: ToricPair, ray_e: int, orbifold=None):
         _check(scaled is not None, "wall rays are linearly independent")
         i_q, _ = scaled
         _check(i_q == ell, "the Cartier index is the wall's lattice index")
-        # restriction multiplier of the partner prime: the minimal
-        # integral functional vanishing on u_e and positive on u_p,
-        # evaluated on the primitive star ray
-        mu = solve_integral([u_e, u_p], [0, ell])
-        _check(mu is not None, "the wall has a restriction functional")
-        w = star.fan.rays[star.partner_star[partner]]
-        lift = solve_integral(list(star.proj), list(w))
-        _check(lift is not None, "a star ray lifts to the lattice")
-        gamma = vec_dot(mu, lift)
-        _check(gamma > 0, "the restriction multiplier is positive")
         m_q, in_s, case = classify_wall(i_q, [orbifold[partner]])
         walls.append(WallData(partner=partner,
                               star_ray=star.partner_star[partner],
-                              index=i_q, gamma=gamma, orb_index=m_q,
-                              case=case))
+                              index=i_q, orb_index=m_q, case=case))
     return star, walls
 
 
@@ -124,7 +122,7 @@ def _restrict_coeffs(star: StarFan, walls, coeffs) -> tuple:
     """Restrict an invariant divisor without center component to E."""
     out = [Fraction(0)] * len(star.fan.rays)
     for w in walls:
-        out[w.star_ray] += Fraction(coeffs[w.partner] * w.gamma, w.index)
+        out[w.star_ray] += Fraction(coeffs[w.partner], w.index)
     return tuple(out)
 
 
@@ -202,9 +200,13 @@ def induced_decomposition(pair: ToricPair, dec: Decomposition,
     prime alone with weight one (after :func:`normalize_center`), and
     every other part meets E along some wall.  Produces the induced
     decomposition ``Sigma_E = sum (1 - 1/m_Q) Q + sum b_j B_j|_E`` on
-    the pair ``(E, B_E)``.
+    the pair ``(E, B_E)``.  A center that is not an int indexing a ray
+    (a bool is not) raises ValueError.
     """
     validate_decomposition(pair, dec)
+    if not isinstance(ray_e, int) or isinstance(ray_e, bool) \
+            or not 0 <= ray_e < len(pair.fan.rays):
+        raise ValueError(f"the center {ray_e!r} is not a ray index")
     dec = normalize_center(dec, ray_e)
     if pair.boundary[ray_e] != 1:
         raise NotDivisorialCenterError(

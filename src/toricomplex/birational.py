@@ -33,7 +33,7 @@ from .lattice import (
 )
 from .fan import (Fan, as_int, is_complete, is_simplicial, require_valid,
                   star_subdivision)
-from .divisor import cartier_data, support_value
+from .divisor import NotQCartierError, support_value
 from .complexity import (
     Decomposition,
     NotLogCanonicalError,
@@ -257,16 +257,16 @@ def _target_pair(pair: ToricPair, surgery: FanSurgery) -> ToricPair:
     return build_pair(surgery.target, boundary, mode=mode, nef_part=nef)
 
 
-def _crepancy_witness(source, target, coeffs_src, coeffs_tgt):
+def _crepancy_witness(source, target, data_s, data_t):
     """Cone pair where the two support functions differ, or None.
 
-    For each pair of maximal cones, the difference of the two linear data
+    data_s and data_t list the linear data of the source's and the
+    target's maximal cones, in order, as divisor.cartier_data does.  For
+    each pair of maximal cones, the difference of the two linear data
     is tested on the extremal rays of their intersection: the source cone
     is pointed, so the intersection is too, and a linear form vanishes on
     it exactly when it vanishes on its extremal rays.
     """
-    data_s = cartier_data(source, coeffs_src)
-    data_t = cartier_data(target, coeffs_tgt)
     rank = source.rank
     for si, hs in enumerate(source.hforms):
         for ti, ht in enumerate(target.hforms):
@@ -402,9 +402,13 @@ def check_small(pair: ToricPair, surgery: FanSurgery,
 
     target_pair = _target_pair(pair, surgery)
 
-    witness = _crepancy_witness(
-        surgery.source, surgery.target,
-        log_canonical_coeffs(pair), log_canonical_coeffs(target_pair))
+    # the source's data exists on every cone, as the pair is log canonical
+    data_t = target_pair.log_linear_data
+    for ci, m in enumerate(data_t):
+        if m is None:
+            raise NotQCartierError(ci)
+    witness = _crepancy_witness(surgery.source, surgery.target,
+                                pair.log_linear_data, data_t)
     if witness is not None:
         raise CrepancyError(
             "the log divisor's support functions disagree between source "

@@ -25,6 +25,7 @@ from .lattice import (
     AbelianGroupPresentation,
     ToricomplexError,
     _check,
+    _det,
     cone_hform,
     cone_is_pointed,
     cone_vform,
@@ -373,12 +374,7 @@ def verify_cone_iso(x_fan, v_e):
     e_fan, coeffs, q_rows, m, v_e = _star_polarization(x_fan, v_e)
     target = cone_over(polarize(e_fan, coeffs))
     witness = [tuple(row) for row in q_rows] + [tuple(-c for c in m)]
-    s = snf([list(row) for row in witness])
-    det = 1
-    for i in range(s.rank):
-        det *= s.diag[i][i]
-    _check(s.rank == x_fan.rank and det == 1,
-           "the witness map must be unimodular")
+    _check(abs(_det(witness)) == 1, "the witness map must be unimodular")
     apex = tuple(vec_dot(row, v_e) for row in witness)
     _check(apex == (0,) * (x_fan.rank - 1) + (1,),
            "the center must map to the height axis")

@@ -19,9 +19,9 @@ from .lattice import (
     is_primitive,
     mat_vec,
     primitive_vector,
+    rank_q,
     smallest_face_containing,
     snf,
-    span_saturation,
     vec_dot,
     vec_gcd,
 )
@@ -281,9 +281,7 @@ def wall_partners(fan, ci, ray_idx):
 
 
 def cone_dim(fan, cone):
-    if not cone:
-        return 0
-    return len(span_saturation([fan.rays[i] for i in cone])[0])
+    return rank_q(fan.cone_rays(cone))
 
 
 def is_simplicial_cone(fan, cone):

@@ -505,12 +505,23 @@ def _hyperplane_normal(rows):
 
 
 def _fulldim_facet_normals(gens, dim):
-    """Facet normals of a full-dimensional cone (each normal >= 0 on gens)."""
+    """Facet normals of a full-dimensional cone (each normal >= 0 on gens).
+
+    gens are non-zero.  A facet hyperplane is the span of dim - 1 of
+    them, and dim - 1 generators span it exactly when their lines do:
+    two generators on one line are dependent.  So each distinct line
+    enters the subsets once, and the hyperplanes tried, hence the sorted
+    output, are those of the subsets of generators.
+    """
     if dim == 0:
         return []
+    lines = set()
+    for g in gens:
+        p = primitive_vector(g)
+        lines.add(max(p, tuple(-x for x in p)))
     tried = set()
     out = []
-    for subset in combinations(gens, dim - 1):
+    for subset in combinations(sorted(lines), dim - 1):
         phi = _hyperplane_normal(subset)
         if phi is None or phi in tried:
             continue
@@ -519,13 +530,9 @@ def _fulldim_facet_normals(gens, dim):
         tried.add(neg)
         vals = [vec_dot(phi, g) for g in gens]
         if all(v >= 0 for v in vals):
-            cand = phi
+            out.append(phi)
         elif all(v <= 0 for v in vals):
-            cand = neg
-        else:
-            continue
-        if any(vals):
-            out.append(cand)
+            out.append(neg)
     return sorted(out)
 
 
@@ -538,17 +545,15 @@ def cone_hform(gens, dim):
     gens = [g for g in gens if any(g)]
     if not gens:
         return [tuple(row) for row in identity_matrix(dim)], []
+    if rank_q(gens) == dim:
+        return [], _fulldim_facet_normals(gens, dim)
     basis, proj = span_saturation(gens)
     r = len(basis)
-    eqs = [tuple(v) for v in kernel_basis([list(g) for g in gens])] if r < dim else []
-    if r == dim:
-        return [], _fulldim_facet_normals(gens, dim)
+    eqs = [tuple(v) for v in kernel_basis([list(g) for g in gens])]
     small = [tuple(mat_vec(proj, list(g))) for g in gens]
-    small_normals = _fulldim_facet_normals(small, r)
-    lifted = []
-    for phi in small_normals:
-        lifted.append(tuple(sum(phi[i] * proj[i][j] for i in range(r))
-                            for j in range(dim)))
+    lifted = [tuple(sum(phi[i] * proj[i][j] for i in range(r))
+                    for j in range(dim))
+              for phi in _fulldim_facet_normals(small, r)]
     return eqs, lifted
 
 
@@ -558,6 +563,16 @@ def cone_vform(equalities, inequalities, dim):
     Returns (rays, lineality_basis).  rays is sorted; if lineality_basis is
     non-empty the region is not pointed and rays only describes it modulo
     the lineality space.
+
+    Let A be the normals: the inequalities and each equality with both
+    signs, so the region is R = {x : a.x >= 0 for a in A}, the dual of
+    C = cone(A).  When A has rank dim, C is full-dimensional and R is
+    pointed; x != 0 in R spans an extremal ray of R exactly when the
+    normals vanishing on x have rank dim - 1.  A primitive u is a facet
+    normal of C exactly when u >= 0 on C, i.e. u is in R, and the
+    generators of C on u's hyperplane span it, i.e. have rank dim - 1.
+    The two conditions agree, so the extremal rays of R, primitive and
+    sorted, are the facet normals of C.
     """
     normals = []
     seen = set()
@@ -575,39 +590,7 @@ def cone_vform(equalities, inequalities, dim):
         lin = kernel_basis([list(nrm) for nrm in normals]) if normals else \
             [tuple(row) for row in identity_matrix(dim)]
         return [], lin
-    rays = set()
-    # a vertex ray spans the kernel of dim - 1 normals; only their lines
-    # matter, so each line enters the subsets once
-    lines = set()
-    for v in normals:
-        p = primitive_vector(v)
-        lines.add(max(p, tuple(-x for x in p)))
-    tried = set()
-    for subset in combinations(sorted(lines), dim - 1):
-        v = _hyperplane_normal(subset)
-        if v is None or v in tried:
-            continue
-        nv = tuple(-x for x in v)
-        tried.add(v)
-        tried.add(nv)
-        if any(vec_dot(e, v) for e in equalities):
-            continue
-        pos = neg = True
-        for f in inequalities:
-            t = vec_dot(f, v)
-            if t < 0:
-                pos = False
-            elif t > 0:
-                neg = False
-            else:
-                continue
-            if not (pos or neg):
-                break
-        if pos:
-            rays.add(v)
-        if neg:
-            rays.add(nv)
-    return sorted(rays), []
+    return _fulldim_facet_normals(normals, dim), []
 
 
 def cone_intersection(hform1, hform2, dim):
@@ -674,13 +657,11 @@ def _pulling_triangulation(rays, dim):
         return [rays]
     apex = rays[0]
     pieces = []
-    faces = faces_of_cone(rays, cone_hform(rays, dim))
-    facets = [f for f in faces
-              if f and len(span_saturation([rays[i] for i in f])[0]) == dim - 1]
-    for f in facets:
-        sub = [rays[i] for i in sorted(f)]
-        if apex in sub:
+    # each facet normal cuts out one facet: the rays on its hyperplane
+    for phi in cone_hform(rays, dim)[1]:
+        if vec_dot(phi, apex) == 0:
             continue
+        sub = [r for r in rays if vec_dot(phi, r) == 0]
         basis, proj = span_saturation(sub)
         small = [tuple(mat_vec(proj, list(g))) for g in sub]
         for tri in _pulling_triangulation(small, dim - 1):
@@ -740,12 +721,11 @@ def hilbert_basis(gens, dim=None):
         dim = len(gens[0])
     if not gens:
         return []
-    basis, proj = span_saturation(gens)
-    r = len(basis)
-    if r < dim:
+    if rank_q(gens) < dim:
         # pointed exactly when its image in the saturated span is
+        basis, proj = span_saturation(gens)
         small = [tuple(mat_vec(proj, list(g))) for g in gens]
-        hb = hilbert_basis(small, r)
+        hb = hilbert_basis(small, len(basis))
         return sorted(lift_through_basis(basis, h) for h in hb)
     hform = cone_hform(gens, dim)
     if not cone_is_pointed(gens, hform):

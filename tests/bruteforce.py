@@ -1,8 +1,9 @@
 """Independent test oracles: an exhaustive minimizer, the grouping
 search as it stood before its integer rewrite and as it stood before
 its nullity bound, a sampled completeness test, a unimodular cone-map
-search, and LP oracles for cone membership, pointedness, extremality,
-local complexity and crepancy.
+search, the vertex enumeration of an H-form as it stood before it read
+cone duality, and LP oracles for cone membership, pointedness,
+extremality, local complexity and crepancy.
 
 Deliberately shares no code with the package: groupings are enumerated
 as set partitions of every subset of the boundary primes, per-group
@@ -28,10 +29,15 @@ products with the free map, ranks by the Gauss elimination kept here.
 They raise the package's own error classes, so a differential test can
 compare class and message.
 
-There is one exception.  The leaf-bound grouping search ranks with the
-package's ``rank_q``: it is the library's search before the nullity
+There are two exceptions.  The leaf-bound grouping search ranks with
+the package's ``rank_q``: it is the library's search before the nullity
 bound, a second enumeration of the same groupings, pruned differently
-and fast enough for seven primes.
+and fast enough for seven primes.  And ``vform_by_vertex_subsets`` is
+the package's ``cone_vform`` as it stood before it read extremal rays
+as the facet normals of the dual cone: it solves each (dim - 1)-subset
+of the normals' lines for a ray and tests it on every normal, with the
+package's ``_hyperplane_normal`` (refereed by sympy in its own test),
+``rank_q`` and ``kernel_basis``.
 """
 
 from fractions import Fraction
@@ -43,7 +49,9 @@ import sympy
 
 from toricomplex.complexity import (IncompatibleOrbifoldError,
                                    InvalidDecompositionError)
-from toricomplex.lattice import rank_q
+from toricomplex.lattice import (_hyperplane_normal, identity_matrix,
+                                 kernel_basis, primitive_vector, rank_q,
+                                 vec_dot)
 
 
 def set_partitions(items):
@@ -387,6 +395,60 @@ def leaf_bound_search_fine(fixed_rank, fixed_norm, elems, options):
 
     rec(0)
     return Fraction(best["F"], den), best["groups"]
+
+
+def vform_by_vertex_subsets(equalities, inequalities, dim):
+    """Extremal rays of {x : eq.x == 0, ineq.x >= 0} as (rays,
+    lineality_basis), like the package's cone_vform: each ray spans the
+    kernel of dim - 1 normals, so every subset of dim - 1 lines of the
+    normals is solved for a candidate and tested on every normal."""
+    normals = []
+    seen = set()
+    for e in equalities:
+        for v in (tuple(e), tuple(-x for x in e)):
+            if any(v) and v not in seen:
+                seen.add(v)
+                normals.append(v)
+    for f in inequalities:
+        t = tuple(f)
+        if any(t) and t not in seen:
+            seen.add(t)
+            normals.append(t)
+    if rank_q(normals) < dim:
+        lin = kernel_basis([list(nrm) for nrm in normals]) if normals else \
+            [tuple(row) for row in identity_matrix(dim)]
+        return [], lin
+    rays = set()
+    lines = set()
+    for v in normals:
+        p = primitive_vector(v)
+        lines.add(max(p, tuple(-x for x in p)))
+    tried = set()
+    for subset in combinations(sorted(lines), dim - 1):
+        v = _hyperplane_normal(subset)
+        if v is None or v in tried:
+            continue
+        nv = tuple(-x for x in v)
+        tried.add(v)
+        tried.add(nv)
+        if any(vec_dot(e, v) for e in equalities):
+            continue
+        pos = neg = True
+        for f in inequalities:
+            t = vec_dot(f, v)
+            if t < 0:
+                pos = False
+            elif t > 0:
+                neg = False
+            else:
+                continue
+            if not (pos or neg):
+                break
+        if pos:
+            rays.add(v)
+        if neg:
+            rays.add(nv)
+    return sorted(rays), []
 
 
 SAMPLE_COORDS = (Fraction(-1), Fraction(-2, 3), Fraction(-1, 5),

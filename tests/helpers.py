@@ -2,8 +2,8 @@
 
 They check results of the library (a matrix product, the order of a
 class, a Cartier index, Q-Cartier and principal divisors, the cones of
-one dimension, cone multiplicities, smoothness, the different) and are
-built from its public pieces.
+one dimension, cone multiplicities, smoothness, the different, a wall's
+restriction multiplier) and are built from its public pieces.
 """
 
 from fractions import Fraction
@@ -13,7 +13,8 @@ from toricomplex.adjunction import (NotDivisorialCenterError,
                                     _different_coeffs, wall_ledger)
 from toricomplex.divisor import NotQCartierError, cartier_data, ray_matrix
 from toricomplex.fan import cone_dim, is_simplicial_cone
-from toricomplex.lattice import cartier_scale, snf, solve_rational
+from toricomplex.lattice import (cartier_scale, snf, solve_integral,
+                                 solve_rational, vec_dot)
 
 
 def mat_mul(a, b):
@@ -119,7 +120,7 @@ def is_smooth(fan):
 
 def different(pair, ray_e):
     """The boundary induced on E by (X, B): per-wall coefficients
-    ``1 - 1/i_Q + coeff_partner(B - E) * gamma / i_Q``.
+    ``1 - 1/i_Q + coeff_partner(B - E) / i_Q``.
 
     Returns (coefficients on the star fan, star, walls).
     """
@@ -129,3 +130,17 @@ def different(pair, ray_e):
             "adjunction needs coefficient one")
     star, walls = wall_ledger(pair, ray_e)
     return _different_coeffs(pair, ray_e, star, walls), star, walls
+
+
+def wall_gamma(fan, star, wall):
+    """Restriction numerator gamma of a wall by two integral solves: the
+    functional mu vanishing on the center ray with mu(u_p) = l, the
+    wall's lattice index, evaluated on a lattice lift of the partner's
+    primitive star ray.  adjunction.wall_ledger proves it is always 1.
+    """
+    u_e = list(fan.rays[star.center])
+    u_p = list(fan.rays[wall.partner])
+    mu = solve_integral([u_e, u_p], [0, star.multiplicity[wall.partner]])
+    lift = solve_integral(list(star.proj),
+                          list(star.fan.rays[wall.star_ray]))
+    return vec_dot(mu, lift)

@@ -1,3 +1,5 @@
+import importlib
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -18,11 +20,12 @@ from toricomplex.complexity import (
     make_decomposition,
     orbifold_complexity,
 )
-from toricomplex.fan import make_fan
+from toricomplex.fan import make_fan, star_subdivision
+from toricomplex.lattice import primitive_vector, rank_q, vec_gcd
 from toricomplex.pairmodel import build_pair
 
-from fans import A1_SING, BLP2, P1XP1, P2
-from helpers import different
+from fans import A1_SING, BLP2, P1XP1, P2, SUITE
+from helpers import different, wall_gamma
 
 BL_A2 = make_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 2), (1, 2)])
 
@@ -45,7 +48,7 @@ def test_different_on_plane():
     coeffs, star, walls = different(pair, 0)
     assert coeffs == (F(1), F(1))
     assert [w.index for w in walls] == [1, 1]
-    assert [w.gamma for w in walls] == [1, 1]
+    assert [wall_gamma(P2, star, w) for w in walls] == [1, 1]
 
 
 def test_different_quadric_cone_point():
@@ -74,6 +77,76 @@ def test_wall_index_matches_star_multiplicity():
     for e in range(4):
         _, walls = wall_ledger(pair, e)
         assert all(w.index == 1 for w in walls)
+
+
+def _gamma_cases():
+    """Pairs on the bundled fans of rank >= 2, their star subdivisions,
+    P(1, 1, 2) and germs, among them walls of index > 1."""
+    complete = [f for f in SUITE.values() if f.rank >= 2]
+    complete.append(make_fan(2, [(1, 0), (0, 1), (-1, -2)],
+                             [(0, 1), (1, 2), (0, 2)]))
+    complete += [star_subdivision(f, primitive_vector(
+        [sum(xs) for xs in zip(*f.cone_rays(f.max_cones[0]))]))
+        for f in list(complete)]
+    germs = [A1_SING, make_fan(3, [(1, 0, 0), (1, 2, 0), (0, 0, 1)],
+                               [(0, 1, 2)])]
+    rng = random.Random(5)
+    while len(germs) < 30:
+        rays = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3)]
+        if all(any(r) and vec_gcd(r) == 1 for r in rays) and \
+                rank_q(rays) == 3:
+            germs.append(make_fan(3, rays, [(0, 1, 2)]))
+    return ([build_pair(f, [0] * len(f.rays)) for f in complete]
+            + [build_pair(f, [0] * len(f.rays), mode="local",
+                          cone=f.max_cones[0]) for f in germs])
+
+
+def test_restriction_multiplier_is_one():
+    # the two-solve gamma that wall_ledger proves to be 1
+    indices = []
+    for pair in _gamma_cases():
+        for e in range(len(pair.fan.rays)):
+            star, walls = wall_ledger(pair, e)
+            assert all(wall_gamma(pair.fan, star, w) == 1 for w in walls)
+            indices += [w.index for w in walls]
+    assert max(indices) > 2
+
+
+def test_wall_ledger_solves_once_per_wall(monkeypatch):
+    """One cartier_scale per wall and no integral solve."""
+    adjunction = importlib.import_module("toricomplex.adjunction")
+    lattice = importlib.import_module("toricomplex.lattice")
+    calls = {"cartier_scale": 0, "solve_integral": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(adjunction, "cartier_scale",
+                        counting("cartier_scale", lattice.cartier_scale))
+    solve = counting("solve_integral", lattice.solve_integral)
+    for module in (lattice, adjunction):
+        monkeypatch.setattr(module, "solve_integral", solve, raising=False)
+    nwalls = 0
+    for pair in (build_pair(P2, [F(1)] * 3),
+                 build_pair(A1_SING, [F(1), F(0)], mode="local",
+                            cone=(0, 1))):
+        for e in range(len(pair.fan.rays)):
+            nwalls += len(wall_ledger(pair, e)[1])
+    assert nwalls == 8
+    assert calls == {"cartier_scale": nwalls, "solve_integral": 0}
+
+
+@pytest.mark.parametrize("center", [-1, 3, True, 1.0])
+def test_center_must_be_a_ray_index(center):
+    pair = build_pair(P2, [F(1)] * 3)
+    dec = prime_dec(3, [0, 1, 2])
+    with pytest.raises(ValueError, match="is not a ray index"):
+        induced_decomposition(pair, dec, center)
+    with pytest.raises(ValueError, match="is not a ray index"):
+        check_adjunction(pair, dec, center)
 
 
 # ---------------------------------------------------------------------------

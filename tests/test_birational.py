@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction as F
 
@@ -209,6 +210,31 @@ def test_flop_of_the_cone_germ():
     assert report.values_source == report.values_target == (0, 0, 0)
 
 
+def test_check_small_solves_each_cone_once(monkeypatch):
+    """is_log_canonical's cached linear data of the source is reused, so
+    each of the conifold flop's four cones is solved once."""
+    s = small_modification(FLOP_A, FLOP_B)
+    pair = build_pair(FLOP_A, [F(1)] * 4, mode="birational")
+    solved = []
+    for name in ("pairmodel", "divisor"):
+        module = importlib.import_module(f"toricomplex.{name}")
+
+        def counting(a, b, real=module.solve_rational):
+            solved.append(tuple(map(tuple, a)))
+            return real(a, b)
+        monkeypatch.setattr(module, "solve_rational", counting)
+    check_small(pair, s, primes(range(4), 4))
+    assert len(solved) == len(set(solved)) == 4
+
+
+def test_small_modification_to_a_non_q_cartier_target():
+    # K + B is not Q-Cartier on the conifold's one cone
+    s = small_modification(FLOP_A, CONIFOLD)
+    pair = build_pair(FLOP_A, [F(0), F(0), F(0), F(1, 2)], mode="birational")
+    with pytest.raises(NotQCartierError, match="on maximal cone 0$"):
+        check_small(pair, s, make_decomposition(4, []))
+
+
 def test_non_crepant_modification_is_an_error():
     s = small_modification(FLOP_A, FLOP_B)
     pair = build_pair(FLOP_A, [F(0), F(0), F(0), F(1, 2)], mode="birational")
@@ -314,7 +340,9 @@ def test_crepancy_witness_matches_lp():
             if rng.random() < 0.5:
                 coeffs_s[rng.randrange(len(coeffs_s))] += \
                     rng.choice([-1, 1]) * F(1, rng.randint(1, 4))
-        got = _crepancy_witness(source, target, coeffs_s, coeffs_t)
+        got = _crepancy_witness(source, target,
+                                cartier_data(source, coeffs_s),
+                                cartier_data(target, coeffs_t))
         assert got == lp_crepancy_witness(
             base.rank, (source.rays, source.max_cones), coeffs_s,
             (target.rays, target.max_cones), coeffs_t)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import toricomplex.fan
+import toricomplex.lattice
 from toricomplex.fan import (
+    cone_dim,
     is_complete,
     is_simplicial,
     locate_max_cone,
@@ -475,3 +477,24 @@ def test_complete_fans_skip_the_pairwise_check(monkeypatch):
     fold = make_fan(FOLD.rank, FOLD.rays, FOLD.max_cones)
     assert validate_fan(fold) and not is_complete(fold)
     assert len(calls) > 0
+
+
+def test_validation_and_cone_dim_need_no_smith_form(monkeypatch):
+    """Validating a complete fan and the dimension of a cone are ranks
+    by elimination: neither computes a Smith normal form."""
+    calls = []
+    real = toricomplex.lattice.snf
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    for module in (toricomplex.lattice, toricomplex.fan):
+        monkeypatch.setattr(module, "snf", counting)
+    p1_3 = fan_product(P1, fan_product(P1, P1))
+    for fan in (make_fan(P2.rank, P2.rays, P2.max_cones), p1_3,
+                star_subdivision(projective_space(3), (1, 1, 1))):
+        assert validate_fan(fan) == [] and is_complete(fan)
+    assert [cone_dim(p1_3, c) for c in ((), (0,), (0, 2), (0, 2, 4))] == \
+        [0, 1, 2, 3]
+    assert calls == []

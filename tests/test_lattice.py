@@ -3,7 +3,7 @@ from math import gcd, lcm
 
 import pytest
 import sympy
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from toricomplex.lattice import (
     AbelianGroupPresentation,
@@ -38,6 +38,7 @@ from bruteforce import (
     lp_cone_is_pointed,
     lp_extremal_rays,
     simplex_solve,
+    vform_by_vertex_subsets,
 )
 from helpers import mat_mul, order_of_class
 
@@ -304,6 +305,12 @@ def cone_generators(draw):
     d = draw(st.integers(1, 4))
     gens = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d),
                          min_size=1, max_size=4))
+    return _add_degenerate(draw, gens, d)
+
+
+def _add_degenerate(draw, gens, d):
+    """gens with up to two zero, duplicate, sum or opposite generators
+    appended."""
     for kind in draw(st.lists(st.sampled_from(
             ("zero", "duplicate", "sum", "opposite")), max_size=2)):
         a = gens[draw(st.integers(0, len(gens) - 1))]
@@ -313,6 +320,22 @@ def cone_generators(draw):
                      "sum": tuple(x + y for x, y in zip(a, b)),
                      "opposite": tuple(-x for x in a)}[kind])
     return gens
+
+
+@st.composite
+def full_rank_generators(draw):
+    """Generators of rank d in dimension 2 <= d <= 4, entries in [-3, 3]:
+    1-4 drawn vectors, plus a signed unit vector at each column that is
+    not a pivot of their reduced echelon form, plus degenerate ones as in
+    cone_generators, in a drawn order."""
+    d = draw(st.integers(2, 4))
+    gens = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d),
+                         min_size=1, max_size=4))
+    pivots = sympy.Matrix(gens).rref()[1]
+    gens += [tuple(sign * (i == j) for i in range(d))
+             for j in range(d) if j not in pivots
+             for sign in [draw(st.sampled_from((1, -1)))]]
+    return draw(st.permutations(_add_degenerate(draw, gens, d)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -339,14 +362,46 @@ def test_pointedness_and_extremality_match_lp(gens):
 
 
 @settings(max_examples=200, deadline=None)
-@given(cone_generators())
+@given(full_rank_generators())
 def test_facet_normals_match_sympy(gens):
     d = len(gens[0])
-    assume(d >= 2 and sympy.Matrix(gens).rank() == d)
     assert cone_hform(gens, d) == ([], sorted(facet_normals(gens, d)))
     square = [list(g) for g in gens[:d]]
     if len(square) == d:
         assert _det(square) == sympy.Matrix(square).det()
+
+
+@st.composite
+def stacked_hforms(draw):
+    """(equalities, inequalities, d): the H-forms of two cones in R^d
+    stacked, as cone_intersection stacks them, with up to three
+    antiparallel, repeated or scaled inequalities added; the equalities
+    are sometimes rewritten as inequalities of both signs."""
+    d = draw(st.integers(1, 4))
+    gens = st.lists(st.tuples(*[st.integers(-3, 3)] * d),
+                    min_size=1, max_size=4)
+    (e1, f1), (e2, f2) = (cone_hform(draw(gens), d) for _ in range(2))
+    eqs, ineqs = list(e1) + list(e2), list(f1) + list(f2)
+    for kind in draw(st.lists(st.sampled_from(
+            ("antiparallel", "repeated", "scaled")), max_size=3)):
+        if ineqs:
+            f = ineqs[draw(st.integers(0, len(ineqs) - 1))]
+            ineqs.append({"antiparallel": tuple(-x for x in f),
+                          "repeated": f,
+                          "scaled": tuple(2 * x for x in f)}[kind])
+    if draw(st.booleans()):
+        ineqs += eqs + [tuple(-x for x in e) for e in eqs]
+        eqs = []
+    return eqs, ineqs, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacked_hforms())
+@example(([], [(1, 0), (-1, 0), (0, 1)], 2))
+@example(([(0, 0, 1)], [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (1, 0, 0)], 3))
+def test_vform_matches_vertex_subsets(hform):
+    eqs, ineqs, d = hform
+    assert cone_vform(eqs, ineqs, d) == vform_by_vertex_subsets(eqs, ineqs, d)
 
 
 @st.composite
