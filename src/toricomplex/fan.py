@@ -14,7 +14,6 @@ from .lattice import (
     cone_intersection,
     cone_is_pointed,
     extremal_rays,
-    faces_of_cone,
     in_hform,
     is_primitive,
     mat_vec,
@@ -38,8 +37,10 @@ class Fan:
     """rank: ambient lattice rank; rays: tuple of primitive integer tuples;
     max_cones: tuple of sorted ray-index tuples.
 
-    Derived geometry (the validation verdict, the H-form and the faces of
-    each maximal cone) is computed on first use and kept on the object.
+    Derived geometry (the validation verdict and the H-form of each
+    maximal cone) is computed on first use and kept on the object.  The
+    H-form is the one per-cone structure: pointedness, extremal rays,
+    facets, walls and containment are all read from it.
     """
 
     rank: int
@@ -66,13 +67,6 @@ class Fan:
         """(equalities, inequalities) of each maximal cone, in order."""
         return tuple(cone_hform(self.cone_rays(c), self.rank)
                      for c in self.max_cones)
-
-    @cached_property
-    def faces(self):
-        """Faces of each maximal cone as frozensets of global ray indices."""
-        return tuple(tuple(frozenset(cone[i] for i in f)
-                           for f in faces_of_cone(self.cone_rays(cone), hform))
-                     for cone, hform in zip(self.max_cones, self.hforms))
 
 
 def as_int(x, what):
@@ -272,12 +266,29 @@ def locate_max_cone(fan, v):
 
 
 def wall_partners(fan, ci, ray_idx):
-    """Rays spanning a two-dimensional face with ray_idx in max cone ci.
+    """Rays spanning a two-dimensional face with ray_idx in max cone ci
+    of a valid fan: every other ray of a simplicial full-dimensional
+    cone, otherwise the rays j for which the equalities and the facet
+    normals vanishing on u_i and u_j (i = ray_idx) have rank n - 2.
 
-    In a valid fan the two-dimensional faces are those with two rays.
+    Proof.  Let S be those facet normals and T the smallest face
+    containing u_i and u_j.  Each normal is >= 0 on the cone, so it
+    vanishes on T exactly when it is in S, and T is the cone cut by the
+    zero sets of S (a face is the intersection of the facets containing
+    it; Cox-Little-Schenck, Toric Varieties, 1.2).  At a point of T
+    where every normal off S is positive, T fills a neighbourhood in the
+    zero set of the equalities and S, so that set is T's span.  The
+    cone is pointed and lists its extremal rays, so T has dimension 2
+    exactly when it is the face spanned by u_i and u_j alone.
     """
-    return {j for f in fan.faces[ci] if len(f) == 2 and ray_idx in f
-            for j in f} - {ray_idx}
+    cone = fan.max_cones[ci]
+    eqs, ineqs = fan.hforms[ci]
+    if not eqs and len(cone) == fan.rank:
+        return set(cone) - {ray_idx}
+    on_u = [phi for phi in ineqs if vec_dot(phi, fan.rays[ray_idx]) == 0]
+    return {j for j in cone if j != ray_idx and rank_q(
+        list(eqs) + [phi for phi in on_u if vec_dot(phi, fan.rays[j]) == 0])
+        == fan.rank - 2}
 
 
 def cone_dim(fan, cone):

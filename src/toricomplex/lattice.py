@@ -1,6 +1,6 @@
 """Exact lattice linear algebra: Smith normal form, finitely generated
 abelian group presentations, and rational cones with their H-forms,
-faces and Hilbert bases.
+extremal rays and Hilbert bases.
 
 Everything here is exact: matrices are lists of lists of Python ints,
 rational data uses fractions.Fraction.  No floats anywhere.
@@ -82,15 +82,14 @@ class SmithForm:
     """Result of a Smith normal form computation.
 
     left * original * right == diag, where left and right are unimodular and
-    diag has a non-negative diagonal d_1 | d_2 | ... .  left_inv and
-    right_inv are the exact integer inverses of the witnesses.
+    diag has a non-negative diagonal d_1 | d_2 | ... .  left_inv is the
+    exact integer inverse of left.
     """
 
     diag: list
     left: list
     right: list
     left_inv: list
-    right_inv: list
 
     @property
     def invariants(self):
@@ -120,7 +119,6 @@ def snf(m):
     left = identity_matrix(nr)
     left_inv = identity_matrix(nr)
     right = identity_matrix(nc)
-    right_inv = identity_matrix(nc)
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -133,7 +131,6 @@ def snf(m):
             r[i], r[j] = r[j], r[i]
         for r in right:
             r[i], r[j] = r[j], r[i]
-        right_inv[i], right_inv[j] = right_inv[j], right_inv[i]
 
     def row_add(i, j, c):
         # row_i += c * row_j
@@ -148,7 +145,6 @@ def snf(m):
             r[j] += c * r[i]
         for r in right:
             r[j] += c * r[i]
-        right_inv[i] = [x - c * y for x, y in zip(right_inv[i], right_inv[j])]
 
     def row_neg(i):
         a[i] = [-x for x in a[i]]
@@ -210,8 +206,7 @@ def snf(m):
     for i in range(min(nr, nc)):
         if a[i][i] < 0:
             row_neg(i)
-    return SmithForm(diag=a, left=left, right=right,
-                     left_inv=left_inv, right_inv=right_inv)
+    return SmithForm(diag=a, left=left, right=right, left_inv=left_inv)
 
 
 def kernel_basis(m):
@@ -438,6 +433,9 @@ def cone_is_pointed(gens, hform):
     The lineality space is where every equality and inequality vanishes,
     so the cone is pointed exactly when they have rank dim.  A zero
     generator makes 0 a non-trivial positive combination: not pointed.
+    Without equalities the cone is full-dimensional, so dim distinct
+    primitive generators are independent: the cone is simplicial, hence
+    pointed, and every generator is extremal; no rank is needed.
     """
     gens = list(gens)
     if not gens:
@@ -445,15 +443,19 @@ def cone_is_pointed(gens, hform):
     if not all(any(g) for g in gens):
         return False
     eqs, ineqs = hform
-    return rank_q(list(eqs) + list(ineqs)) == len(gens[0])
+    dim = len(gens[0])
+    if not eqs and len({primitive_vector(g) for g in gens}) == dim:
+        return True
+    return rank_q(list(eqs) + list(ineqs)) == dim
 
 
 def extremal_rays(gens, hform):
     """The primitive generators outside the cone of the others, sorted;
     hform is the H-form of cone(gens) (see cone_hform).
 
-    On a pointed cone these are its extremal rays: g spans one exactly
-    when the equalities and the facet normals vanishing on g have rank
+    On a simplicial cone (see cone_is_pointed) these are all of them.  On
+    a pointed cone they are its extremal rays: g spans one exactly when
+    the equalities and the facet normals vanishing on g have rank
     dim - 1.  On a non-pointed cone each g is tested against the H-form
     of the others.
     """
@@ -461,6 +463,8 @@ def extremal_rays(gens, hform):
     if not prims:
         return []
     dim = len(prims[0])
+    if not hform[0] and len(prims) == dim:
+        return prims
     eqs, ineqs = list(hform[0]), hform[1]
     if rank_q(eqs + list(ineqs)) == dim:
         return [g for g in prims
@@ -541,15 +545,21 @@ def cone_hform(gens, dim):
 
     Returns (equalities, inequalities): integer functionals with
     cone = {x : e.x == 0 for e in equalities, f.x >= 0 for f in inequalities}.
+    The equalities are empty exactly when the cone is full-dimensional.
+    Otherwise one Smith form left * G * right = D of the generator
+    columns G serves: rows :r of left, r the rank, project the span onto
+    Z^r, and rows r: kill G, as rows r: of D * right^-1 = left * G are
+    zero while rows :r are independent; left being unimodular, they are
+    a basis of the integer functionals vanishing on gens.
     """
     gens = [g for g in gens if any(g)]
     if not gens:
         return [tuple(row) for row in identity_matrix(dim)], []
     if rank_q(gens) == dim:
         return [], _fulldim_facet_normals(gens, dim)
-    basis, proj = span_saturation(gens)
-    r = len(basis)
-    eqs = [tuple(v) for v in kernel_basis([list(g) for g in gens])]
+    s = snf(transpose([list(g) for g in gens]))
+    r = s.rank
+    proj, eqs = s.left[:r], [tuple(row) for row in s.left[r:]]
     small = [tuple(mat_vec(proj, list(g))) for g in gens]
     lifted = [tuple(sum(phi[i] * proj[i][j] for i in range(r))
                     for j in range(dim))
@@ -601,34 +611,6 @@ def cone_intersection(hform1, hform2, dim):
     if lin:
         raise NotPointedError("intersection has a lineality space")
     return rays
-
-
-def faces_of_cone(gens, hform):
-    """All faces of a pointed cone as frozensets of generator indices.
-
-    gens must be the extremal rays of the cone (no redundant generators);
-    hform is the cone's H-form (see cone_hform).  Includes the cone
-    itself and, for pointed cones, the empty face.
-    """
-    idx_all = frozenset(range(len(gens)))
-    if not gens:
-        return [idx_all]
-    _, ineqs = hform
-    faces = {idx_all}
-    frontier = {idx_all}
-    facet_sets = [frozenset(i for i in idx_all if vec_dot(phi, gens[i]) == 0)
-                  for phi in ineqs]
-    while frontier:
-        nxt = set()
-        for f in frontier:
-            for fs in facet_sets:
-                g = f & fs
-                if g not in faces:
-                    faces.add(g)
-                    nxt.add(g)
-        frontier = nxt
-    faces.add(frozenset())
-    return sorted(faces, key=lambda f: (len(f), sorted(f)))
 
 
 def smallest_face_containing(gens, hform, sub):

@@ -1,9 +1,10 @@
 """Small functions that only the tests call, kept out of the library.
 
 They check results of the library (a matrix product, the order of a
-class, a Cartier index, Q-Cartier and principal divisors, the cones of
-one dimension, cone multiplicities, smoothness, the different, a wall's
-restriction multiplier) and are built from its public pieces.
+class, a Cartier index, Q-Cartier and principal divisors, the face
+lattice of a cone and of a fan, the cones of one dimension, cone
+multiplicities, smoothness, the different, a wall's restriction
+multiplier) and are built from its public pieces.
 """
 
 from fractions import Fraction
@@ -93,9 +94,53 @@ def is_q_principal(fan, coeffs):
     return principal_witness(fan, coeffs) is not None
 
 
+def faces_of_cone(gens, hform):
+    """All faces of a pointed cone as frozensets of generator indices.
+
+    gens must be the extremal rays of the cone (no redundant generators);
+    hform is the cone's H-form (see cone_hform).  A face is the
+    intersection of the facets containing it, so the faces are the
+    cone itself, the intersections of facets and, for pointed cones,
+    the empty face.
+    """
+    idx_all = frozenset(range(len(gens)))
+    if not gens:
+        return [idx_all]
+    _, ineqs = hform
+    faces = {idx_all}
+    frontier = {idx_all}
+    facet_sets = [frozenset(i for i in idx_all if vec_dot(phi, gens[i]) == 0)
+                  for phi in ineqs]
+    while frontier:
+        nxt = set()
+        for f in frontier:
+            for fs in facet_sets:
+                g = f & fs
+                if g not in faces:
+                    faces.add(g)
+                    nxt.add(g)
+        frontier = nxt
+    faces.add(frozenset())
+    return sorted(faces, key=lambda f: (len(f), sorted(f)))
+
+
+def fan_faces(fan):
+    """Faces of each maximal cone as frozensets of global ray indices."""
+    return tuple(tuple(frozenset(cone[i] for i in f)
+                       for f in faces_of_cone(fan.cone_rays(cone), hform))
+                 for cone, hform in zip(fan.max_cones, fan.hforms))
+
+
+def face_lattice_partners(fan, ci, ray_idx):
+    """wall_partners read off the face lattice: the rays sharing a face
+    with exactly two rays with ray_idx in max cone ci."""
+    return {j for f in fan_faces(fan)[ci] if len(f) == 2 and ray_idx in f
+            for j in f} - {ray_idx}
+
+
 def cones_of_dim(fan, d):
     """All d-dimensional cones of the fan, as sorted ray-index tuples."""
-    return sorted({tuple(sorted(f)) for faces in fan.faces for f in faces
+    return sorted({tuple(sorted(f)) for faces in fan_faces(fan) for f in faces
                    if f and cone_dim(fan, f) == d})
 
 

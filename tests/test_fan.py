@@ -16,12 +16,15 @@ from toricomplex.fan import (
     star_fan,
     star_subdivision,
     validate_fan,
+    wall_partners,
 )
 from toricomplex.lattice import (
     cone_hform,
     cone_is_pointed,
     extremal_rays,
+    is_primitive,
     primitive_vector,
+    rank_q,
     vec_dot,
 )
 from toricomplex.pairmodel import build_pair, pair_class_group
@@ -31,7 +34,8 @@ from fans import (
     A1_SING, A2, A3, BLP2, CONIFOLD, P1, P1XP1, P2, P3, SUITE, fan_product,
     projective_space,
 )
-from helpers import cone_multiplicity, cones_of_dim, is_smooth
+from helpers import (cone_multiplicity, cones_of_dim, face_lattice_partners,
+                     is_smooth)
 
 # Full-dimensional cones with every facet in exactly two of them, yet not
 # fans: three overlapping quadrants, and five cones winding twice around
@@ -498,3 +502,87 @@ def test_validation_and_cone_dim_need_no_smith_form(monkeypatch):
     assert [cone_dim(p1_3, c) for c in ((), (0,), (0, 2), (0, 2, 4))] == \
         [0, 1, 2, 3]
     assert calls == []
+
+
+def _cube_cone(d):
+    """The one-cone fan over the (d - 1)-cube: rays (e, 1), e in {0, 1}^(d-1)."""
+    rays = [tuple((k >> b) & 1 for b in range(d - 1)) + (1,)
+            for k in range(2 ** (d - 1))]
+    return make_fan(d, rays, [tuple(range(len(rays)))])
+
+
+def _random_subdivisions(fan, rng, times):
+    """fan star-subdivided at `times` random interior points of cones."""
+    for _ in range(times):
+        cone = fan.max_cones[rng.randrange(len(fan.max_cones))]
+        v = [sum(xs) for xs in zip(*(
+            [rng.randint(1, 3) * x for x in fan.rays[i]] for i in cone))]
+        fan = star_subdivision(fan, primitive_vector(v))
+    return fan
+
+
+def _wall_cases():
+    """Valid fans with simplicial, non-simplicial and lower-dimensional
+    maximal cones."""
+    rng = random.Random(16)
+    fans = list(SUITE.values())
+    fans += [_random_subdivisions(f, rng, 2) for f in SUITE.values()
+             for _ in range(2)]
+    fans += [A1_SING, A2, A3, CONIFOLD, make_fan(3, [(1, 0, 1), (0, 1, 1),
+                                                      (-1, 0, 1), (0, -1, 1)],
+                                                  [(0, 1, 2, 3)])]
+    while len(fans) < 60:
+        rays = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3)]
+        if all(is_primitive(r) for r in rays) and rank_q(rays) == 3:
+            fans.append(make_fan(3, rays, [(0, 1, 2)]))
+    fans += [_cube_cone(d) for d in (3, 4, 5)]
+    # the complete fan over the faces of the cube, a star subdivision of
+    # it, and (P^1)^3, the fan over the faces of the octahedron
+    cube = [(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    cube_fan = make_fan(3, cube, [
+        tuple(i for i, r in enumerate(cube) if r[k] == s)
+        for k in range(3) for s in (1, -1)])
+    fans += [cube_fan, _random_subdivisions(cube_fan, rng, 2),
+             fan_product(P1, fan_product(P1, P1))]
+    # lower-dimensional maximal cones: a plane cone next to the orthant,
+    # and the cone over a square and a triangle in rank 4
+    fans.append(make_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+                         [(0, 1, 2), (0, 3)]))
+    fans.append(make_fan(4, [(0, 0, 1, 0), (1, 0, 1, 0), (0, 1, 1, 0),
+                             (1, 1, 1, 0)], [(0, 1, 2, 3)]))
+    fans.append(make_fan(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)],
+                         [(0, 1, 2)]))
+    return fans
+
+
+def test_wall_partners_match_face_lattice():
+    kinds = Counter()
+    for fan in _wall_cases():
+        assert validate_fan(fan) == [], fan
+        for ci, cone in enumerate(fan.max_cones):
+            eqs, _ = fan.hforms[ci]
+            kinds["simplicial" if not eqs and len(cone) == fan.rank
+                  else "lower-dimensional" if eqs else "non-simplicial"] += 1
+            for i in cone:
+                assert wall_partners(fan, ci, i) == \
+                    face_lattice_partners(fan, ci, i), (fan, ci, i)
+    assert min(kinds.values()) >= 3 and len(kinds) == 3, kinds
+
+
+def test_simplicial_validation_takes_one_rank_per_cone(monkeypatch):
+    """Pointedness and extremality of a simplicial cone need no rank:
+    validating a simplicial fan ranks each cone once, in cone_hform."""
+    calls = []
+    real = toricomplex.lattice.rank_q
+
+    def counting(vectors):
+        calls.append(vectors)
+        return real(vectors)
+
+    for module in (toricomplex.lattice, toricomplex.fan):
+        monkeypatch.setattr(module, "rank_q", counting)
+    for fan in (projective_space(4), fan_product(P1, fan_product(P2, P1))):
+        fan = make_fan(fan.rank, fan.rays, fan.max_cones)
+        calls.clear()
+        assert validate_fan(fan) == [] and is_complete(fan)
+        assert len(calls) == len(fan.max_cones)

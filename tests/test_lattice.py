@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+import toricomplex.lattice
 from toricomplex.lattice import (
     AbelianGroupPresentation,
     NotPointedError,
@@ -17,7 +18,6 @@ from toricomplex.lattice import (
     cone_is_pointed,
     cone_vform,
     extremal_rays,
-    faces_of_cone,
     hilbert_basis,
     identity_matrix,
     in_hform,
@@ -40,7 +40,7 @@ from bruteforce import (
     simplex_solve,
     vform_by_vertex_subsets,
 )
-from helpers import mat_mul, order_of_class
+from helpers import faces_of_cone, mat_mul, order_of_class
 
 small_int = st.integers(min_value=-6, max_value=6)
 
@@ -82,7 +82,7 @@ def test_snf_properties(m):
     nr, nc = len(m), len(m[0])
     assert mat_mul(mat_mul(s.left, m), s.right) == s.diag
     assert mat_mul(s.left, s.left_inv) == identity_matrix(nr)
-    assert mat_mul(s.right, s.right_inv) == identity_matrix(nc)
+    assert abs(_det(s.right)) == 1
     inv = s.invariants
     assert all(d > 0 for d in inv)
     for a, b in zip(inv, inv[1:]):
@@ -292,6 +292,24 @@ def test_lower_dim_cone_hform():
     assert rays == [(1, 1)] and lin == []
 
 
+def test_lower_dim_cone_hform_takes_one_smith_form(monkeypatch):
+    """Projection and equalities come from one Smith form; the
+    equality is the primitive functional vanishing on the cone."""
+    calls = []
+    real = toricomplex.lattice.snf
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(toricomplex.lattice, "snf", counting)
+    gens = [(1, 1, 0), (0, 1, 1)]
+    eqs, ineqs = cone_hform(gens, 3)
+    assert len(calls) == 1
+    assert eqs in ([(1, -1, 1)], [(-1, 1, -1)])
+    assert cone_vform(eqs, ineqs, 3) == (sorted(gens), [])
+
+
 def test_cone_intersection():
     got = cone_intersection(cone_hform([(1, 0), (0, 1)], 2),
                             cone_hform([(1, -1), (1, 1)], 2), 2)
@@ -350,6 +368,10 @@ def full_rank_generators(draw):
 @example([(1, 1, 0, 0), (0, 1, 1, 0), (1, 2, 1, 0)])
 @example([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 1)])
 @example([(2,), (-1,)])
+@example([(2, 0), (0, 3)])
+@example([(1, 0, 0), (0, 2, 0), (0, 0, 1), (0, 0, 1)])
+@example([(1, 0), (2, 0), (0, 1)])
+@example([(1, 0), (-1, 0)])
 def test_pointedness_and_extremality_match_lp(gens):
     hform = cone_hform(gens, len(gens[0]))
     assert cone_is_pointed(gens, hform) == lp_cone_is_pointed(gens)
