@@ -54,7 +54,7 @@ from .conecox import (NotAmpleError, NotInteriorError,
                       TorsionObstructionError, cox_degrees,
                       degree_zero_monoid, verify_cone_iso)
 from .divisor import NotQCartierError, class_group
-from .fan import InvalidFanError, make_fan
+from .fan import InvalidFanError, make_fan, require_valid
 from .lattice import InternalInvariantError, ToricomplexError
 from .pairmodel import (InvalidPairError, build_pair, format_rational,
                         is_log_canonical, is_log_cy, pair_from_dict,
@@ -296,7 +296,7 @@ def _cmd_validate(job):
 
 def _cmd_classgroup(job):
     doc = _load_doc(job.input_path)
-    fan = _load_fan(doc)
+    fan = require_valid(_load_fan(doc))
     pres = class_group(fan)
     nrays = len(fan.rays)
     units = [[1 if j == i else 0 for j in range(nrays)] for i in range(nrays)]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, lcm
 
-from .divisor import as_coeffs, q_span_dim
+from .divisor import as_coeffs, local_class_group, q_span_dim
 from .fan import as_int, cone_dim
 from .lattice import (
     ToricomplexError,
@@ -636,8 +636,6 @@ def local_complexity_cloc(fan, cone) -> LocalComplexityReport:
     since rank Cl(U_sigma) = r - n; the rank still comes from the Smith
     form of the germ's class group.
     """
-    from .divisor import local_class_group
-
     cone = tuple(sorted(as_int(i, "a cone index") for i in cone))
     if cone not in fan.max_cones:
         raise ValueError(f"{cone} is not a maximal cone of the fan")

@@ -27,8 +27,8 @@ from .lattice import (
     _check,
     _det,
     cone_hform,
-    cone_is_pointed,
     cone_vform,
+    extremal_rays,
     hilbert_basis,
     is_primitive,
     kernel_basis,
@@ -89,7 +89,7 @@ def cone_over(p):
     for u, a in zip(p.fan.rays, p.coeffs):
         den = a.denominator
         rays.append(primitive_vector(tuple(c * den for c in u) + (a.numerator,)))
-    if not cone_is_pointed(rays, cone_hform(rays, p.fan.rank + 1)):
+    if extremal_rays(rays, cone_hform(rays, p.fan.rank + 1)) is None:
         raise NotAmpleError("cone over the polytope is not pointed")
     return make_fan(p.fan.rank + 1, rays, [tuple(range(len(rays)))])
 
@@ -288,8 +288,8 @@ def degree_zero_monoid(g, torsion_cover=False):
     # Hilbert basis of the lattice points of {x >= 0} inside the kernel
     # lattice, computed in kernel coordinates where the lattice is Z^k.
     ineqs = [tuple(b[i] for b in basis) for i in range(n)]
-    rays, lineality = cone_vform([], ineqs, len(basis))
-    _check(not lineality, "the non-negative slice of the kernel is pointed")
+    rays = cone_vform([], ineqs, len(basis))
+    _check(rays is not None, "the non-negative slice of the kernel is pointed")
     gens = []
     for z in hilbert_basis(rays, len(basis)) if rays else []:
         x = tuple(sum(b[i] * zi for b, zi in zip(basis, z)) for i in range(n))

@@ -12,7 +12,6 @@ from .lattice import (
     ToricomplexError,
     cone_hform,
     cone_intersection,
-    cone_is_pointed,
     extremal_rays,
     in_hform,
     is_primitive,
@@ -137,10 +136,11 @@ def _diagnose(fan):
         gens = fan.cone_rays(cone)
         if per_cone:
             hforms[ci] = cone_hform(gens, n)
-        if gens and not cone_is_pointed(gens, hforms[ci]):
+        rays = extremal_rays(gens, hforms[ci])
+        if rays is None:
             diags.append(("nonpointed-cone", f"cone {ci} has a lineality space"))
             continue
-        if gens and extremal_rays(gens, hforms[ci]) != sorted(set(gens)):
+        if rays != sorted(set(gens)):
             diags.append(("nonextremal-generator",
                           f"cone {ci} lists a non-extremal ray"))
             continue

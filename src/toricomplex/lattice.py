@@ -427,51 +427,33 @@ def in_hform(hform, v):
         all(vec_dot(f, v) >= 0 for f in ineqs)
 
 
-def cone_is_pointed(gens, hform):
-    """Is cone(gens) pointed?  hform is its H-form (see cone_hform).
+def extremal_rays(gens, hform):
+    """The sorted primitive extremal rays of cone(gens), or None when the
+    cone is not pointed; hform is its H-form (see cone_hform).
 
-    The lineality space is where every equality and inequality vanishes,
-    so the cone is pointed exactly when they have rank dim.  A zero
-    generator makes 0 a non-trivial positive combination: not pointed.
+    A zero generator makes 0 a non-trivial positive combination: not
+    pointed.  Otherwise the lineality space is where every equality and
+    inequality vanishes, so the cone is pointed exactly when they have
+    rank dim, and then g spans an extremal ray exactly when the
+    equalities and the facet normals vanishing on g have rank dim - 1.
     Without equalities the cone is full-dimensional, so dim distinct
     primitive generators are independent: the cone is simplicial, hence
-    pointed, and every generator is extremal; no rank is needed.
+    pointed, and each generator spans an extremal ray; no rank is needed.
     """
-    gens = list(gens)
     if not gens:
-        return True
-    if not all(any(g) for g in gens):
-        return False
-    eqs, ineqs = hform
-    dim = len(gens[0])
-    if not eqs and len({primitive_vector(g) for g in gens}) == dim:
-        return True
-    return rank_q(list(eqs) + list(ineqs)) == dim
-
-
-def extremal_rays(gens, hform):
-    """The primitive generators outside the cone of the others, sorted;
-    hform is the H-form of cone(gens) (see cone_hform).
-
-    On a simplicial cone (see cone_is_pointed) these are all of them.  On
-    a pointed cone they are its extremal rays: g spans one exactly when
-    the equalities and the facet normals vanishing on g have rank
-    dim - 1.  On a non-pointed cone each g is tested against the H-form
-    of the others.
-    """
-    prims = sorted({primitive_vector(g) for g in gens if any(g)})
-    if not prims:
         return []
+    if not all(any(g) for g in gens):
+        return None
+    prims = sorted({primitive_vector(g) for g in gens})
     dim = len(prims[0])
-    if not hform[0] and len(prims) == dim:
-        return prims
     eqs, ineqs = list(hform[0]), hform[1]
-    if rank_q(eqs + list(ineqs)) == dim:
-        return [g for g in prims
-                if rank_q(eqs + [phi for phi in ineqs
-                                 if vec_dot(phi, g) == 0]) == dim - 1]
-    return [g for i, g in enumerate(prims)
-            if not in_hform(cone_hform(prims[:i] + prims[i + 1:], dim), g)]
+    if not eqs and len(prims) == dim:
+        return prims
+    if rank_q(eqs + list(ineqs)) < dim:
+        return None
+    return [g for g in prims
+            if rank_q(eqs + [phi for phi in ineqs
+                             if vec_dot(phi, g) == 0]) == dim - 1]
 
 
 def _det(m):
@@ -568,21 +550,19 @@ def cone_hform(gens, dim):
 
 
 def cone_vform(equalities, inequalities, dim):
-    """Extremal rays of {x : eq.x == 0, ineq.x >= 0}.
-
-    Returns (rays, lineality_basis).  rays is sorted; if lineality_basis is
-    non-empty the region is not pointed and rays only describes it modulo
-    the lineality space.
+    """The sorted primitive extremal rays of {x : eq.x == 0, ineq.x >= 0},
+    or None when that region is not pointed.
 
     Let A be the normals: the inequalities and each equality with both
     signs, so the region is R = {x : a.x >= 0 for a in A}, the dual of
-    C = cone(A).  When A has rank dim, C is full-dimensional and R is
-    pointed; x != 0 in R spans an extremal ray of R exactly when the
-    normals vanishing on x have rank dim - 1.  A primitive u is a facet
-    normal of C exactly when u >= 0 on C, i.e. u is in R, and the
-    generators of C on u's hyperplane span it, i.e. have rank dim - 1.
-    The two conditions agree, so the extremal rays of R, primitive and
-    sorted, are the facet normals of C.
+    C = cone(A).  When A has rank below dim, R contains the non-zero
+    kernel of A and is not pointed.  When A has rank dim, C is
+    full-dimensional and R is pointed; x != 0 in R spans an extremal ray
+    of R exactly when the normals vanishing on x have rank dim - 1.  A
+    primitive u is a facet normal of C exactly when u >= 0 on C, i.e. u
+    is in R, and the generators of C on u's hyperplane span it, i.e.
+    have rank dim - 1.  The two conditions agree, so the extremal rays of
+    R, primitive and sorted, are the facet normals of C.
     """
     normals = []
     seen = set()
@@ -597,18 +577,16 @@ def cone_vform(equalities, inequalities, dim):
             seen.add(t)
             normals.append(t)
     if rank_q(normals) < dim:
-        lin = kernel_basis([list(nrm) for nrm in normals]) if normals else \
-            [tuple(row) for row in identity_matrix(dim)]
-        return [], lin
-    return _fulldim_facet_normals(normals, dim), []
+        return None
+    return _fulldim_facet_normals(normals, dim)
 
 
 def cone_intersection(hform1, hform2, dim):
     """Extremal rays of the intersection of two cones given by their
     H-forms (see cone_hform)."""
     (e1, f1), (e2, f2) = hform1, hform2
-    rays, lin = cone_vform(list(e1) + list(e2), list(f1) + list(f2), dim)
-    if lin:
+    rays = cone_vform(list(e1) + list(e2), list(f1) + list(f2), dim)
+    if rays is None:
         raise NotPointedError("intersection has a lineality space")
     return rays
 
@@ -628,11 +606,16 @@ def smallest_face_containing(gens, hform, sub):
 # Hilbert bases
 # ---------------------------------------------------------------------------
 
-def _pulling_triangulation(rays, dim):
+def _pulling_triangulation(rays, normals, dim):
     """Triangulate a full-dimensional pointed cone into simplicial subcones.
 
-    Recursive pulling triangulation from the lexicographically smallest
-    extremal ray; introduces no new rays.  Returns lists of rays.
+    rays are its extremal rays and normals its facet normals.  Recursive
+    pulling triangulation from the lexicographically smallest ray; it
+    introduces no new rays.  Each facet missing the apex is triangulated
+    and coned from the apex.  A facet spans a hyperplane, so a facet with
+    dim - 1 rays has independent rays: it is a simplex, and so is its
+    cone from the apex, which lies off the hyperplane.  Returns lists of
+    rays.
     """
     rays = sorted(rays)
     if len(rays) == dim:
@@ -640,32 +623,43 @@ def _pulling_triangulation(rays, dim):
     apex = rays[0]
     pieces = []
     # each facet normal cuts out one facet: the rays on its hyperplane
-    for phi in cone_hform(rays, dim)[1]:
+    for phi in normals:
         if vec_dot(phi, apex) == 0:
             continue
         sub = [r for r in rays if vec_dot(phi, r) == 0]
+        if len(sub) == dim - 1:
+            pieces.append([apex] + sub)
+            continue
         basis, proj = span_saturation(sub)
         small = [tuple(mat_vec(proj, list(g))) for g in sub]
-        for tri in _pulling_triangulation(small, dim - 1):
+        for tri in _pulling_triangulation(
+                small, _fulldim_facet_normals(small, dim - 1), dim - 1):
             pieces.append([apex] + [lift_through_basis(basis, t) for t in tri])
     return pieces
 
 
 def _simplicial_box_points(rays):
     """Non-zero lattice points of the half-open parallelepiped of a
-    full-rank simplicial cone, via the quotient group Z^n / V Z^n."""
+    full-rank simplicial cone, via the quotient group Z^n / V Z^n.
+
+    With left * V * right = D, the point y = left^-1 * acc of the
+    quotient has V^-1 y = right * D^-1 * acc, whose integer parts
+    move y into the box.
+    """
     n = len(rays)
     vmat = transpose([list(r) for r in rays])  # columns are the rays
     s = snf(vmat)
     ds = [s.diag[i][i] for i in range(n)]
+    den = lcm(*ds)
+    scale = [den // d for d in ds]
     pts = set()
 
     def rec(i, acc):
         if i == n:
             y = mat_vec(s.left_inv, acc)
-            # reduce into the box: subtract the integer parts of V^-1 y
-            t = solve_rational(vmat, y)
-            floors = [x.numerator // x.denominator for x in t]
+            # den * D^-1 * acc, then the floors of V^-1 y
+            scaled = [a * c for a, c in zip(acc, scale)]
+            floors = [vec_dot(row, scaled) // den for row in s.right]
             p = tuple(y[j] - sum(vmat[j][k] * floors[k] for k in range(n))
                       for j in range(n))
             if any(p):
@@ -709,15 +703,15 @@ def hilbert_basis(gens, dim=None):
         small = [tuple(mat_vec(proj, list(g))) for g in gens]
         hb = hilbert_basis(small, len(basis))
         return sorted(lift_through_basis(basis, h) for h in hb)
-    hform = cone_hform(gens, dim)
-    if not cone_is_pointed(gens, hform):
-        raise NotPointedError("Hilbert basis requires a pointed cone")
+    ineqs = _fulldim_facet_normals(gens, dim)
+    hform = [], ineqs
     rays = extremal_rays(gens, hform)
+    if rays is None:
+        raise NotPointedError("Hilbert basis requires a pointed cone")
     candidates = set(rays)
-    for piece in _pulling_triangulation(rays, dim):
-        candidates.update(_simplicial_box_points(piece))
     # a full-dimensional cone has one H-form: that of its extremal rays
-    _, ineqs = hform
+    for piece in _pulling_triangulation(rays, ineqs, dim):
+        candidates.update(_simplicial_box_points(piece))
     grading = [sum(phi[j] for phi in ineqs) for j in range(dim)]
     ordered = sorted(candidates, key=lambda v: (vec_dot(grading, v), v))
     kept = []

@@ -21,16 +21,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
-
-from .fan import Fan, as_int, make_fan, require_valid
+from .fan import Fan, as_int, is_complete, make_fan, require_valid
 from .divisor import (
+    NotQCartierError,
     as_coeffs,
     canonical_coeffs,
     class_group,
+    is_nef,
     local_class_group,
 )
 from .lattice import AbelianGroupPresentation, ToricomplexError, solve_rational
+
+_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
 
 
 class InvalidPairError(ToricomplexError):
@@ -133,7 +135,6 @@ def build_pair(fan: Fan, boundary, mode: str = "projective", cone=None,
         elif any(x < 0 for x in m):
             raise InvalidPairError("nef part has a negative coefficient")
         else:
-            from .divisor import NotQCartierError, is_nef
             try:
                 if not is_nef(fan, m):
                     raise InvalidPairError("nef part is not nef on this fan")
@@ -143,7 +144,6 @@ def build_pair(fan: Fan, boundary, mode: str = "projective", cone=None,
     if mode not in MODES:
         raise InvalidPairError(f"unknown mode {mode!r}")
     if mode == "projective":
-        from .fan import is_complete
         if not is_complete(fan):
             raise InvalidPairError("projective mode needs a complete fan")
         if cone is not None:
@@ -155,7 +155,6 @@ def build_pair(fan: Fan, boundary, mode: str = "projective", cone=None,
         if cone not in fan.max_cones:
             raise InvalidPairError(f"{cone} is not a maximal cone of the fan")
     else:  # birational
-        from .fan import is_complete
         if is_complete(fan):
             raise InvalidPairError("birational mode expects a non-complete fan")
         if cone is not None:

@@ -14,7 +14,9 @@ Fraction Gauss elimination, and a Fraction Gauss-Jordan solver is the
 referee of the library's fraction-free ``solve_rational``.
 Completeness is decided by facet counting plus a fixed dense grid of
 rational sample points, with facet normals found by sympy; cone maps
-are solved by sympy over bijections of extremal rays.
+are solved by sympy over bijections of extremal rays.  Hilbert bases
+are enumerated in a box that holds every irreducible lattice point of
+the cone, with membership read off the same sympy facet normals.
 
 The LP oracles pose cone membership, pointedness, extremality, local
 complexity and crepancy as linear programs for an exact two-phase
@@ -475,6 +477,39 @@ def facet_normals(gens, dim):
         if any(vals):
             normals.add(phi)
     return normals
+
+
+def brute_hilbert_basis(gens):
+    """Sorted Hilbert basis of cone(gens) & Z^d, for a full-dimensional
+    pointed cone, as the non-zero lattice points of the cone that are
+    not a sum of two non-zero lattice points of the cone.
+
+    An irreducible point lies in the zonotope of the generators: in a
+    simplicial cone of d of them, a coefficient >= 1 would split off
+    that generator.  So its coordinate j is at most the sum of the
+    |g_j| in absolute value, and that box is enumerated.  A reducible
+    point p is a sum of irreducible ones, so p - h is a non-zero cone
+    point for an irreducible h of smaller degree, the degree being the
+    sum of the facet normals, positive off the origin.  Points are
+    therefore taken by increasing degree and tested against the
+    irreducible ones kept so far.
+    """
+    d = len(gens[0])
+    normals = facet_normals(gens, d)
+
+    def member(x):
+        return all(sum(a * b for a, b in zip(phi, x)) >= 0 for phi in normals)
+
+    bound = [sum(abs(g[j]) for g in gens) for j in range(d)]
+    grading = [sum(phi[j] for phi in normals) for j in range(d)]
+    points = [p for p in product(*(range(-b, b + 1) for b in bound))
+              if any(p) and member(p)]
+    points.sort(key=lambda p: sum(a * b for a, b in zip(grading, p)))
+    kept = []
+    for p in points:
+        if not any(member(tuple(x - y for x, y in zip(p, h))) for h in kept):
+            kept.append(p)
+    return sorted(kept)
 
 
 def sampled_is_complete(rank, rays, max_cones):

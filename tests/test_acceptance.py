@@ -36,10 +36,10 @@ from toricomplex.complexity import (
 )
 from toricomplex.conecox import NotInteriorError, cox_degrees, verify_cone_iso
 from toricomplex.fan import InvalidFanError, make_fan, star_subdivision
-from toricomplex.lattice import cone_hform, extremal_rays, primitive_vector
+from toricomplex.lattice import primitive_vector
 from toricomplex.pairmodel import build_pair
 
-from bruteforce import oracle_minimize
+from bruteforce import lp_extremal_rays, oracle_minimize
 from fans import A1_SING, A2, BLP2, CONIFOLD, P2, SUITE
 
 
@@ -113,7 +113,7 @@ def cone_suite():
         raw = {tuple(rng.randint(-4, 4) for _ in range(rank))
                for _ in range(rng.randint(rank, rank + 2))}
         prims = sorted({primitive_vector(u) for u in raw if any(u)})
-        rays = extremal_rays(prims, cone_hform(prims, rank))
+        rays = lp_extremal_rays(prims)
         try:
             fan = make_fan(rank, rays, [tuple(range(len(rays)))])
         except (InvalidFanError, ValueError):

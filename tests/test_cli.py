@@ -514,6 +514,54 @@ def test_bad_decomposition_documents(capsys, monkeypatch, breakage, message):
     assert message in err
 
 
+@pytest.mark.parametrize("fan", [
+    {"rank": 2, "rays": [[1, 0, 4], [0, 1]], "max_cones": [[0, 1]]},
+    {"rank": 2, "rays": [[1, 0], [0, 0]], "max_cones": [[0, 1]]},
+    {"rank": 2, "rays": [[2, 0], [0, 1]], "max_cones": [[0, 1]]},
+    {"rank": 2, "rays": [[1, 0], [1, 0]], "max_cones": [[0], [1]]},
+    {"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 2]]},
+    {"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[-1, 0]]},
+    {"rank": 2, "rays": [[1, 0], [-1, 0], [0, 1]],
+     "max_cones": [[0, 1, 2]]},
+])
+def test_classgroup_rejects_invalid_fans(capsys, monkeypatch, fan):
+    """A class group is read off a valid fan only: ragged, zero,
+    non-primitive and duplicate rays, missing ray indices and a
+    non-pointed cone are invalid input, never a traceback."""
+    code, out, err = invoke(capsys, ["classgroup"], fan, monkeypatch)
+    assert code == EXIT_INVALID, err
+    assert out == ""
+    assert err.startswith("toricomplex: invalid input")
+    assert "Traceback" not in err
+
+
+def _cube_fan_doc():
+    """The complete fan over the 3-cube: one cone per square face."""
+    rays = [[a, b, c] for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)]
+    cones = [[i for i, r in enumerate(rays) if r[axis] == sign]
+             for axis in range(3) for sign in (-1, 1)]
+    return {"rank": 3, "rays": rays, "max_cones": cones,
+            "boundary": ["1"] * 8}
+
+
+def test_extract_checks_the_decomposition_before_the_surgery(
+        capsys, monkeypatch):
+    """The document's decomposition is validated before the extraction
+    is built, so a bad decomposition is invalid input (exit 1) even
+    where the extraction itself fails its claim (exit 2).  Dropping
+    that first validation would turn the second exit into a 2."""
+    pair = _cube_fan_doc()
+    doc = {"pair": pair, "vectors": [[1, 0, 0]]}
+    code, out, err = invoke(capsys, ["check", "extract"], doc, monkeypatch)
+    assert code == EXIT_CLAIM and out == ""
+    assert "not simplicial" in err
+    bad = dict(pair, decomposition=[{"b": "2", "support": {"0": "1"}}])
+    code, out, err = invoke(capsys, ["check", "extract"],
+                            dict(doc, pair=bad), monkeypatch)
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith("toricomplex: invalid input")
+
+
 # ---------------------------------------------------------------------------
 # malformed pair documents
 

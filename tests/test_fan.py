@@ -20,7 +20,6 @@ from toricomplex.fan import (
 )
 from toricomplex.lattice import (
     cone_hform,
-    cone_is_pointed,
     extremal_rays,
     is_primitive,
     primitive_vector,
@@ -258,7 +257,7 @@ def test_is_complete_matches_sampling_oracle():
 
 
 def test_fan_and_pair_geometry_is_derived_once(monkeypatch):
-    calls = {"cone_is_pointed": 0, "cone_hform": 0}
+    calls = {"extremal_rays": 0, "cone_hform": 0}
 
     def counting(name):
         real = getattr(toricomplex.fan, name)
@@ -273,12 +272,12 @@ def test_fan_and_pair_geometry_is_derived_once(monkeypatch):
     fan = make_fan(P3.rank, P3.rays, P3.max_cones)
     pair = build_pair(fan, [1] * len(fan.rays))
     assert calls["cone_hform"] == len(fan.max_cones)
-    assert calls["cone_is_pointed"] == len(fan.max_cones)
+    assert calls["extremal_rays"] == len(fan.max_cones)
     calls.update(dict.fromkeys(calls, 0))
     build_pair(fan, [1] * len(fan.rays))
     require_valid(fan)
     assert is_complete(fan)
-    assert calls == {"cone_is_pointed": 0, "cone_hform": 0}
+    assert calls == {"extremal_rays": 0, "cone_hform": 0}
 
     verdict = validate_fan(CYCLE)
     validate_fan(CYCLE).clear()
@@ -390,8 +389,7 @@ def _swap_cone(fan, k, rng):
     for new in trades:
         gens = fan.cone_rays(new)
         hform = cone_hform(gens, fan.rank)
-        if not hform[0] and cone_is_pointed(gens, hform) and \
-                extremal_rays(gens, hform) == sorted(gens):
+        if not hform[0] and extremal_rays(gens, hform) == sorted(gens):
             return make_fan(fan.rank, fan.rays, fan.max_cones[:k] + (new,)
                             + fan.max_cones[k + 1:])
     return None

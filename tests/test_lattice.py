@@ -1,9 +1,10 @@
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import toricomplex.lattice
 from toricomplex.lattice import (
@@ -15,7 +16,6 @@ from toricomplex.lattice import (
     cokernel,
     cone_hform,
     cone_intersection,
-    cone_is_pointed,
     cone_vform,
     extremal_rays,
     hilbert_basis,
@@ -33,6 +33,7 @@ from toricomplex.lattice import (
 )
 
 from bruteforce import (
+    brute_hilbert_basis,
     facet_normals,
     gauss_jordan_solve,
     lp_cone_is_pointed,
@@ -256,9 +257,9 @@ def test_cone_member():
 
 def test_pointedness():
     quadrant = [(1, 0), (0, 1)]
-    assert cone_is_pointed(quadrant, cone_hform(quadrant, 2))
+    assert extremal_rays(quadrant, cone_hform(quadrant, 2)) is not None
     halfplane = [(1, 0), (-1, 0), (0, 1)]
-    assert not cone_is_pointed(halfplane, cone_hform(halfplane, 2))
+    assert extremal_rays(halfplane, cone_hform(halfplane, 2)) is None
 
 
 def test_extremal_rays():
@@ -280,16 +281,14 @@ def test_faces_of_square_cone():
 def test_hform_vform_roundtrip():
     eqs, ineqs = cone_hform(SQUARE_CONE, 3)
     assert eqs == []
-    rays, lin = cone_vform(eqs, ineqs, 3)
-    assert lin == []
+    rays = cone_vform(eqs, ineqs, 3)
     assert rays == sorted(primitive_vector(g) for g in SQUARE_CONE)
 
 
 def test_lower_dim_cone_hform():
     eqs, ineqs = cone_hform([(1, 1)], 2)
     assert len(eqs) == 1
-    rays, lin = cone_vform(eqs, ineqs, 2)
-    assert rays == [(1, 1)] and lin == []
+    assert cone_vform(eqs, ineqs, 2) == [(1, 1)]
 
 
 def test_lower_dim_cone_hform_takes_one_smith_form(monkeypatch):
@@ -307,7 +306,7 @@ def test_lower_dim_cone_hform_takes_one_smith_form(monkeypatch):
     eqs, ineqs = cone_hform(gens, 3)
     assert len(calls) == 1
     assert eqs in ([(1, -1, 1)], [(-1, 1, -1)])
-    assert cone_vform(eqs, ineqs, 3) == (sorted(gens), [])
+    assert cone_vform(eqs, ineqs, 3) == sorted(gens)
 
 
 def test_cone_intersection():
@@ -374,11 +373,14 @@ def full_rank_generators(draw):
 @example([(1, 0), (-1, 0)])
 def test_pointedness_and_extremality_match_lp(gens):
     hform = cone_hform(gens, len(gens[0]))
-    assert cone_is_pointed(gens, hform) == lp_cone_is_pointed(gens)
-    assert extremal_rays(gens, hform) == lp_extremal_rays(gens)
-    rays, lineality = cone_vform(*hform, len(gens[0]))
-    if lineality:
-        assert not lp_cone_is_pointed(gens)
+    pointed = lp_cone_is_pointed(gens)
+    rays = extremal_rays(gens, hform)
+    assert (rays is not None) == pointed
+    if pointed:
+        assert rays == lp_extremal_rays(gens)
+    rays = cone_vform(*hform, len(gens[0]))
+    if rays is None:
+        assert not pointed
     else:
         assert rays == lp_extremal_rays(gens)
 
@@ -423,7 +425,8 @@ def stacked_hforms(draw):
 @example(([(0, 0, 1)], [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (1, 0, 0)], 3))
 def test_vform_matches_vertex_subsets(hform):
     eqs, ineqs, d = hform
-    assert cone_vform(eqs, ineqs, d) == vform_by_vertex_subsets(eqs, ineqs, d)
+    rays, lineality = vform_by_vertex_subsets(eqs, ineqs, d)
+    assert cone_vform(eqs, ineqs, d) == (None if lineality else rays)
 
 
 @st.composite
@@ -513,7 +516,7 @@ def test_hilbert_not_pointed():
 @given(st.lists(st.tuples(small_int, small_int), min_size=1, max_size=4))
 def test_hilbert_generates_and_minimal_2d(gens):
     gens = [g for g in gens if any(g)]
-    if not gens or not cone_is_pointed(gens, cone_hform(gens, 2)):
+    if not gens or extremal_rays(gens, cone_hform(gens, 2)) is None:
         return
     hb = hilbert_basis(gens, 2)
     hform = cone_hform(gens, 2)
@@ -527,6 +530,44 @@ def test_hilbert_generates_and_minimal_2d(gens):
     for i, h in enumerate(hb):
         rest = hb[:i] + hb[i + 1:]
         assert not _generates(rest, h, hform)
+
+
+def _cube_cone(d):
+    """The cone over the (d - 1)-cube: 2^(d-1) rays (+-1, ..., +-1, 1)."""
+    return [s + (1,) for s in product((-1, 1), repeat=d - 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+                          st.integers(1, 2)), min_size=4, max_size=6))
+def test_hilbert_matches_enumeration_3d(gens):
+    """Pointed rank-3 cones (every generator has last coordinate > 0)
+    with at least four extremal rays, so the pulling triangulation
+    splits them."""
+    assume(len(lp_extremal_rays(gens)) >= 4)
+    assert hilbert_basis(gens) == brute_hilbert_basis(gens)
+
+
+def test_hilbert_matches_enumeration_on_the_cube_cone():
+    """The facets of the cone over the 3-cube are squares, so the
+    triangulation projects each facet missing its apex and recurses."""
+    cube = _cube_cone(4)
+    assert hilbert_basis(cube) == brute_hilbert_basis(cube)
+
+
+def test_hilbert_box_points_take_no_linear_solve(monkeypatch):
+    """Box points are reduced through the Smith form of their simplex,
+    not by one rational solve each."""
+    calls = []
+    real = toricomplex.lattice.solve_rational
+
+    def counting(a, b):
+        calls.append(a)
+        return real(a, b)
+
+    monkeypatch.setattr(toricomplex.lattice, "solve_rational", counting)
+    assert len(hilbert_basis(_cube_cone(4))) == 27
+    assert calls == []
 
 
 def test_hilbert_simplicial_3d_singular():
