@@ -27,6 +27,7 @@ from math import gcd, inf, lcm
 from .divisor import as_coeffs, local_class_group, q_span_dim
 from .fan import as_int, cone_dim
 from .lattice import (
+    InternalInvariantError,
     ToricomplexError,
     _check,
     cokernel,
@@ -520,6 +521,15 @@ def _realizing_decomposition(pair, ones, elems, groups):
     return Decomposition(parts=tuple(p for _, p in parts), orbifold=tuple(orb))
 
 
+def _self_validate(pair: ToricPair, dec: Decomposition, name: str) -> None:
+    """Validate a decomposition minimize built: a failure is a bug here."""
+    try:
+        validate_decomposition(pair, dec)
+    except (InvalidDecompositionError, IncompatibleOrbifoldError) as exc:
+        raise InternalInvariantError(
+            f"the {name} decomposition is invalid: {exc}") from exc
+
+
 def minimize(pair: ToricPair, orbifold_cap: int = 12,
              partition_limit: int = 12) -> MinimizeReport:
     """Minimize the three complexities over invariant decompositions.
@@ -561,7 +571,7 @@ def minimize(pair: ToricPair, orbifold_cap: int = 12,
         coeffs[i] = Fraction(1)
         prime_parts.append((pair.boundary[i], coeffs))
     dec_c = make_decomposition(nrays, prime_parts)
-    validate_decomposition(pair, dec_c)
+    _self_validate(pair, dec_c, "plain")
     c = pair.dim + pres.free_rank - dec_c.norm
 
     def ray_class(i):
@@ -593,8 +603,8 @@ def minimize(pair: ToricPair, orbifold_cap: int = 12,
     # self-check: re-derive both values from the decompositions, as
     # fine_complexity and orbifold_complexity would, validating and
     # spanning each decomposition once
-    validate_decomposition(pair, dec_fine)
-    validate_decomposition(pair, dec_orb)
+    _self_validate(pair, dec_fine, "fine")
+    _self_validate(pair, dec_orb, "orbifold")
     span_fine = span_dimension(pair, dec_fine)
     span_orb = span_dimension(pair, dec_orb)
     _check(dec_fine.orbifold == trivial_orbifold(nrays),

@@ -222,19 +222,18 @@ def _zero_class_lattice(pres, n):
 def _torsion_witness(y_fan, pres):
     """A divisor whose class is the canonical generator of the largest
     invariant factor, with the order and the character trivializing its
-    multiple."""
-    n = len(y_fan.rays)
+    multiple.  The generator is the matching column of left^-1 for the
+    ray matrix M, that is M * m / order with m the matching column of
+    right (see SmithForm), so m trivializes order times it."""
     j = len(pres.torsion) - 1
-    order = pres.torsion[j]
     s = snf([list(u) for u in y_fan.rays])
-    # Coordinates of a class are rows of s.left applied to the divisor;
-    # the canonical generator is hit by the matching column of s.left_inv.
     row = [i for i in range(s.rank) if s.diag[i][i] >= 2][j]
-    divisor = tuple(s.left_inv[i][row] for i in range(n))
-    target = [order * c for c in divisor]
-    m = solve_integral([list(u) for u in y_fan.rays], target)
-    _check(m is not None, "a torsion multiple must be principal")
-    return divisor, order, tuple(m)
+    order = s.diag[row][row]
+    m = tuple(r[row] for r in s.right)
+    values = [vec_dot(u, m) for u in y_fan.rays]
+    _check(all(x % order == 0 for x in values),
+           "a torsion multiple must be principal")
+    return tuple(x // order for x in values), order, m
 
 
 def _refine_by_character(x_fan, v_e, m, order):
@@ -317,10 +316,12 @@ def _star_polarization(x_fan, v_e):
     """
     _single_cone(x_fan)
     v_e = _require_interior(x_fan, v_e)
-    q_rows = kernel_basis([list(v_e)])
-    m = solve_integral([list(v_e)], [-1])
-    _check(m is not None, "a primitive vector admits a dual form")
-    m = tuple(m)
+    # v_e * right = left^-1 * (1, 0, ..., 0) = (left[0][0], 0, ..., 0),
+    # and left[0][0] = +-1: columns 1.. of right span the kernel of v_e
+    s = snf([list(v_e)])
+    q_rows = [tuple(r[i] for r in s.right) for i in range(1, x_fan.rank)]
+    m = tuple(-s.left[0][0] * r[0] for r in s.right)
+    _check(vec_dot(v_e, m) == -1, "a primitive vector admits a dual form")
     e_rays = []
     coeffs = []
     for u in x_fan.rays:

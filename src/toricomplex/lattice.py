@@ -82,14 +82,15 @@ class SmithForm:
     """Result of a Smith normal form computation.
 
     left * original * right == diag, where left and right are unimodular and
-    diag has a non-negative diagonal d_1 | d_2 | ... .  left_inv is the
-    exact integer inverse of left.
+    diag has a non-negative diagonal d_1 | d_2 | ... .  No inverse is
+    carried: original * right == left^-1 * diag, so for i below the rank,
+    column i of left^-1 is column i of original * right divided by d_i,
+    and that division is exact.
     """
 
     diag: list
     left: list
     right: list
-    left_inv: list
 
     @property
     def invariants(self):
@@ -117,14 +118,11 @@ def snf(m):
     nr = len(a)
     nc = len(a[0]) if nr else 0
     left = identity_matrix(nr)
-    left_inv = identity_matrix(nr)
     right = identity_matrix(nc)
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
         left[i], left[j] = left[j], left[i]
-        for r in left_inv:
-            r[i], r[j] = r[j], r[i]
 
     def col_swap(i, j):
         for r in a:
@@ -136,8 +134,6 @@ def snf(m):
         # row_i += c * row_j
         a[i] = [x + c * y for x, y in zip(a[i], a[j])]
         left[i] = [x + c * y for x, y in zip(left[i], left[j])]
-        for r in left_inv:
-            r[j] -= c * r[i]
 
     def col_add(j, i, c):
         # col_j += c * col_i
@@ -149,8 +145,6 @@ def snf(m):
     def row_neg(i):
         a[i] = [-x for x in a[i]]
         left[i] = [-x for x in left[i]]
-        for r in left_inv:
-            r[i] = -r[i]
 
     def find_pivot(k):
         best = None
@@ -206,7 +200,7 @@ def snf(m):
     for i in range(min(nr, nc)):
         if a[i][i] < 0:
             row_neg(i)
-    return SmithForm(diag=a, left=left, right=right, left_inv=left_inv)
+    return SmithForm(diag=a, left=left, right=right)
 
 
 def kernel_basis(m):
@@ -366,13 +360,6 @@ class AbelianGroupPresentation:
                      for row, d in zip(self.torsion_map, self.torsion))
         return free, tors
 
-    def q_class_of(self, v):
-        """Free coordinates of a rational vector (torsion dies over Q)."""
-        v = [Fraction(x) for x in v]
-        den = lcm(*(x.denominator for x in v))
-        w = [(x * den).numerator for x in v]
-        return tuple(Fraction(vec_dot(row, w), den) for row in self.free_map)
-
     def is_zero_class(self, v):
         free, tors = self.class_of(v)
         return not any(free) and not any(tors)
@@ -398,14 +385,16 @@ def span_saturation(vectors):
     Returns (basis, proj) where basis is a list of integer vectors spanning
     the saturation of the span, and proj is a matrix with proj * basis^T = I,
     so proj maps any lattice vector of the span to its basis coordinates.
+    For the Smith form of the vectors as columns, proj is the first rank
+    rows of left and basis the first rank columns of left^-1 (see SmithForm).
     """
     if not vectors:
         return [], []
-    cols = transpose(list(map(list, vectors)))
-    s = snf(cols)
-    r = s.rank
-    basis = [tuple(row[i] for row in s.left_inv) for i in range(r)]
-    proj = [list(s.left[i]) for i in range(r)]
+    s = snf(transpose(list(map(list, vectors))))
+    basis = [tuple(sum(v[k] * row[i] for v, row in zip(vectors, s.right))
+                   // s.diag[i][i] for k in range(len(vectors[0])))
+             for i in range(s.rank)]
+    proj = [list(s.left[i]) for i in range(s.rank)]
     return basis, proj
 
 
@@ -643,8 +632,8 @@ def _simplicial_box_points(rays):
     full-rank simplicial cone, via the quotient group Z^n / V Z^n.
 
     With left * V * right = D, the point y = left^-1 * acc of the
-    quotient has V^-1 y = right * D^-1 * acc, whose integer parts
-    move y into the box.
+    quotient has V^-1 y = right * D^-1 * acc, so the box point is
+    V * frac(right * D^-1 * acc), computed in integers over lcm(D).
     """
     n = len(rays)
     vmat = transpose([list(r) for r in rays])  # columns are the rays
@@ -656,12 +645,9 @@ def _simplicial_box_points(rays):
 
     def rec(i, acc):
         if i == n:
-            y = mat_vec(s.left_inv, acc)
-            # den * D^-1 * acc, then the floors of V^-1 y
             scaled = [a * c for a, c in zip(acc, scale)]
-            floors = [vec_dot(row, scaled) // den for row in s.right]
-            p = tuple(y[j] - sum(vmat[j][k] * floors[k] for k in range(n))
-                      for j in range(n))
+            num = [vec_dot(row, scaled) % den for row in s.right]
+            p = tuple(vec_dot(row, num) // den for row in vmat)
             if any(p):
                 pts.add(p)
             return
@@ -697,12 +683,13 @@ def hilbert_basis(gens, dim=None):
         dim = len(gens[0])
     if not gens:
         return []
+    basis = None
     if rank_q(gens) < dim:
-        # pointed exactly when its image in the saturated span is
+        # pointed exactly when its image in the saturated span is, and
+        # that image is full-dimensional there by construction
         basis, proj = span_saturation(gens)
-        small = [tuple(mat_vec(proj, list(g))) for g in gens]
-        hb = hilbert_basis(small, len(basis))
-        return sorted(lift_through_basis(basis, h) for h in hb)
+        gens = [tuple(mat_vec(proj, list(g))) for g in gens]
+        dim = len(basis)
     ineqs = _fulldim_facet_normals(gens, dim)
     hform = [], ineqs
     rays = extremal_rays(gens, hform)
@@ -715,16 +702,11 @@ def hilbert_basis(gens, dim=None):
     grading = [sum(phi[j] for phi in ineqs) for j in range(dim)]
     ordered = sorted(candidates, key=lambda v: (vec_dot(grading, v), v))
     kept = []
+    # candidates are distinct, so c - h is never zero
     for c in ordered:
-        reducible = False
-        for h in kept:
-            d = tuple(x - y for x, y in zip(c, h))
-            if any(d) and in_hform(hform, d):
-                reducible = True
-                break
-            if not any(d):
-                reducible = True
-                break
-        if not reducible:
+        if not any(in_hform(hform, tuple(x - y for x, y in zip(c, h)))
+                   for h in kept):
             kept.append(c)
+    if basis is not None:
+        kept = [lift_through_basis(basis, h) for h in kept]
     return sorted(kept)

@@ -8,7 +8,7 @@ multiplier) and are built from its public pieces.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from toricomplex.adjunction import (NotDivisorialCenterError,
                                     _different_coeffs, wall_ledger)
@@ -51,8 +51,11 @@ def divisor_class(pres, coeffs):
 
 
 def q_class(pres, coeffs):
-    """Class in Cl tensor Q (free coordinates only)."""
-    return pres.q_class_of(list(coeffs))
+    """Class in Cl tensor Q (free coordinates only; torsion dies over Q)."""
+    v = [Fraction(x) for x in coeffs]
+    den = lcm(*(x.denominator for x in v))
+    w = [(x * den).numerator for x in v]
+    return tuple(Fraction(vec_dot(row, w), den) for row in pres.free_map)
 
 
 def cartier_index(fan, coeffs):

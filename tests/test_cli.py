@@ -226,29 +226,45 @@ sys.exit(run(sys.argv[2:]))
 """
 
 
+# The same, but makes minimize realize its groups with every part's
+# weight doubled, so its own decompositions overrun the boundary.
+DOUBLED_WEIGHTS = """
+import dataclasses, importlib, sys
+if sys.flags.optimize != int(sys.argv[1]):
+    sys.exit(99)
+C = importlib.import_module("toricomplex.complexity")
+realize = C._realizing_decomposition
+def doubled(*args):
+    dec = realize(*args)
+    return dataclasses.replace(dec, parts=tuple(
+        dataclasses.replace(p, weight=2 * p.weight) for p in dec.parts))
+C._realizing_decomposition = doubled
+from toricomplex.cli import run
+sys.exit(run(sys.argv[2:]))
+"""
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_failed_self_check_exits_internal(tmp_path, flags):
     src = str(Path(toricomplex.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    path = write_doc(tmp_path, P2_DOC)
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", WRONG_C_ORB, str(len(flags)),
-         "minimize", "--input", path],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == EXIT_INTERNAL, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("toricomplex: internal error: ")
-    assert "c_orb" in proc.stderr
-    path = write_doc(tmp_path, CONTRACT_DOC)
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", WRONG_TARGET_VALUE, str(len(flags)),
-         "check", "contract", "--input", path],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == EXIT_INTERNAL, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("toricomplex: internal error: ")
-    assert "contraction" in proc.stderr
+    half = dict(P2_DOC, boundary=["1/2", "1/2", "1"])
+    for script, doc, args, needle in [
+            (WRONG_C_ORB, P2_DOC, ["minimize"], "c_orb"),
+            (WRONG_TARGET_VALUE, CONTRACT_DOC, ["check", "contract"],
+             "contraction"),
+            (DOUBLED_WEIGHTS, half, ["minimize"],
+             "total coefficient 1 at ray 0 exceeds boundary 1/2")]:
+        path = write_doc(tmp_path, doc)
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", script, str(len(flags)),
+             *args, "--input", path],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == EXIT_INTERNAL, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("toricomplex: internal error: ")
+        assert needle in proc.stderr
 
 
 def _raises_assertion_error(node):
@@ -281,17 +297,32 @@ def _exported_strings(node):
             if isinstance(n, ast.Constant) and isinstance(n.value, str)}
 
 
+def _public_definitions(tree):
+    """Public top-level functions and classes, and the public methods
+    of the public classes, as dotted names."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or \
+                node.name.startswith("_"):
+            continue
+        yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and \
+                        not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
 def test_every_public_library_name_has_a_library_caller():
     """No helper without a caller: each public top-level function or
-    class of the package is named somewhere in the package, by a call,
-    an attribute, an import, ``__all__`` or ``__init__``'s lazy table."""
+    class of the package, and each public method of a public class, is
+    named somewhere in the package, by a call, an attribute, an import,
+    ``__all__`` or ``__init__``'s lazy table."""
     package = Path(toricomplex.__file__).resolve().parent
     defined, referenced = [], set()
     for path in sorted(package.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        defined += [(path.stem, node.name) for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")]
+        defined += [(path.stem, dotted, name)
+                    for dotted, name in _public_definitions(tree)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
@@ -300,7 +331,7 @@ def test_every_public_library_name_has_a_library_caller():
             elif isinstance(node, ast.alias):
                 referenced.add(node.asname or node.name)
             referenced |= _exported_strings(node)
-    assert [f"{mod}.{name}" for mod, name in defined
+    assert [f"{mod}.{dotted}" for mod, dotted, name in defined
             if name not in referenced] == []
 
 
@@ -348,6 +379,31 @@ def test_cone_identifies_the_quadric_germ(capsys, monkeypatch):
     assert payload["e_fan"]["rank"] == 1
     assert sorted(payload["polarization"]) == ["0", "2"]
     assert sorted(payload["ray_map"]) == [0, 1]
+
+
+def test_cone_takes_one_smith_form(capsys, monkeypatch):
+    """The kernel of the center and its dual form come from one Smith
+    form, with no integral solve."""
+    modules = [importlib.import_module(f"toricomplex.{name}")
+               for name in ("lattice", "conecox", "fan", "divisor")]
+    calls = {"snf": 0, "solve_integral": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        wrapped = counting(name, getattr(modules[0], name))
+        for module in modules:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    for doc in (A1_GERM_DOC, TORSION_GERM_DOC):
+        calls.update(dict.fromkeys(calls, 0))
+        code, payload, _ = invoke_json(capsys, ["cone"], doc, monkeypatch)
+        assert code == EXIT_OK and payload["ok"] is True
+        assert calls == {"snf": 1, "solve_integral": 0}
 
 
 def test_cone_rejects_boundary_vectors(capsys, monkeypatch):

@@ -50,6 +50,7 @@ from bruteforce import (
     reference_search_fine,
 )
 from fans import A1_SING, BLP2, CONIFOLD, P1, P1XP1, P2, P3, SUITE
+from helpers import q_class as divisor_q_class
 
 CUBE = make_fan(
     3,
@@ -507,7 +508,7 @@ def assert_search_matches_reference(pair):
     def q_class(i):
         unit = [0] * len(rays)
         unit[rays.index(i)] = 1
-        return pres.q_class_of(unit)
+        return divisor_q_class(pres, unit)
 
     ones = [i for i in rays if pair.boundary[i] == 1]
     fracs = [i for i in rays if 0 < pair.boundary[i] < 1]

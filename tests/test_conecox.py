@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,6 +9,7 @@ from toricomplex.conecox import (
     NotAmpleError,
     NotInteriorError,
     TorsionObstructionError,
+    _torsion_witness,
     cone_over,
     cox_degrees,
     degree_zero_monoid,
@@ -15,7 +17,8 @@ from toricomplex.conecox import (
     verify_cone_iso,
 )
 from toricomplex.fan import make_fan
-from toricomplex.lattice import cone_hform, extremal_rays, primitive_vector
+from toricomplex.lattice import (cokernel, cone_hform, extremal_rays,
+                                 primitive_vector, vec_dot)
 
 from bruteforce import unimodular_cone_map
 from fans import A1_SING, A2, CONIFOLD, P1, P1XP1
@@ -215,6 +218,30 @@ def test_monoid_torsion_obstruction_and_cover():
     for u, c in zip(old.rays, step.divisor):
         lhs = sum(mi * ui for mi, ui in zip(step.character, u))
         assert lhs == step.order * c
+
+
+def test_torsion_witness_on_random_ray_matrices():
+    """The witness divisor has class (0, e_j), the generator of the
+    largest invariant factor; its order is that factor; and the
+    character pairs with every ray to order times its coefficient."""
+    rng = random.Random(18)
+    checked = 0
+    while checked < 150:
+        n = rng.randint(1, 5)
+        rank = rng.randint(1, n)
+        rays = [tuple(rng.randint(-4, 4) for _ in range(rank))
+                for _ in range(n)]
+        pres = cokernel([list(u) for u in rays])
+        if not pres.torsion:
+            continue
+        # the witness reads only the rays of the fan it is given
+        divisor, order, m = _torsion_witness(SimpleNamespace(rays=rays), pres)
+        j = len(pres.torsion) - 1
+        assert order == pres.torsion[j]
+        assert pres.class_of(list(divisor)) == (
+            (0,) * pres.free_rank, tuple(int(k == j) for k in range(j + 1)))
+        assert [vec_dot(m, u) for u in rays] == [order * c for c in divisor]
+        checked += 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd, lcm
 
 import pytest
@@ -82,7 +82,7 @@ def test_snf_properties(m):
     s = snf(m)
     nr, nc = len(m), len(m[0])
     assert mat_mul(mat_mul(s.left, m), s.right) == s.diag
-    assert mat_mul(s.left, s.left_inv) == identity_matrix(nr)
+    assert abs(_det(s.left)) == 1
     assert abs(_det(s.right)) == 1
     inv = s.invariants
     assert all(d > 0 for d in inv)
@@ -570,6 +570,22 @@ def test_hilbert_box_points_take_no_linear_solve(monkeypatch):
     assert calls == []
 
 
+def test_hilbert_basis_ranks_a_lower_dimensional_cone_once(monkeypatch):
+    """The projection to the saturated span is full-dimensional by
+    construction, so it is not ranked again."""
+    calls = []
+    real = toricomplex.lattice.rank_q
+
+    def counting(vectors):
+        calls.append(vectors)
+        return real(vectors)
+
+    monkeypatch.setattr(toricomplex.lattice, "rank_q", counting)
+    gens = [(1, 1, 0), (0, 1, 1), (1, 2, 1)]
+    assert hilbert_basis(gens) == [(0, 1, 1), (1, 1, 0)]
+    assert len(calls) == 5
+
+
 def test_hilbert_simplicial_3d_singular():
     hb = hilbert_basis([(1, 0, 0), (0, 1, 0), (1, 1, 2)])
     assert (1, 1, 1) in hb
@@ -653,3 +669,19 @@ def test_span_saturation_roundtrip(vs):
         back = tuple(sum(b[j] * c for b, c in zip(basis, coords))
                      for j in range(3))
         assert back == v
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(small_int, small_int, small_int, small_int),
+                min_size=1, max_size=4))
+def test_span_saturation_basis_is_saturated(vs):
+    """The basis spans a saturated lattice: the gcd of its maximal
+    minors is 1."""
+    vs = [v for v in vs if any(v)]
+    if not vs:
+        return
+    basis, _ = span_saturation(vs)
+    assert len(basis) == rank_q(vs)
+    minors = [_det([[b[k] for k in cols] for b in basis])
+              for cols in combinations(range(4), len(basis))]
+    assert gcd(*minors) == 1
