@@ -7,11 +7,12 @@ and — when a decomposition of ``B`` singles out ``E`` as a weight-one
 part — an induced decomposition on ``E`` whose orbifold complexity
 never exceeds the one upstairs.
 
-Everything is computed from two-dimensional cones ("walls") containing
-the ray of ``E``: each wall carries the codimension-one point ``Q`` of
-``E`` it determines and the Cartier index ``i_Q`` of ``E`` there; the
-partner prime restricts to ``E`` with multiplier ``1 / i_Q`` (proved in
-:func:`wall_ledger`).
+Everything is read off the star fan of ``E``.  Each of its rays is the
+image of a two-dimensional cone ("wall") containing the ray of ``E``.
+The wall determines a codimension-one point ``Q`` of ``E``, its lattice
+index is the Cartier index ``i_Q`` of ``E`` there, and the partner prime
+restricts to ``E`` with multiplier ``1 / i_Q`` (proved in
+:func:`_checked_star`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .complexity import (
     decomposition_total,
     validate_decomposition,
 )
-from .fan import StarFan, is_complete, star_fan, wall_partners
+from .fan import StarFan, is_complete, star_fan
 from .lattice import ToricomplexError, _check, cartier_scale
 from .pairmodel import ToricPair, build_pair, pair_class_group
 
@@ -36,55 +37,27 @@ class NotDivisorialCenterError(ToricomplexError):
 
 
 class LcViolationError(ToricomplexError):
-    """Wall data inconsistent with a log canonical source pair."""
+    """Wall data inconsistent with a log canonical source pair.
+
+    No invariant input raises it: each codimension-one point of E lies
+    on one invariant prime besides E (see :func:`induced_decomposition`),
+    so the configurations it would report cannot occur.  It stays
+    exported for callers that catch it with the other adjunction errors.
+    """
 
 
 class HypothesisViolationError(ToricomplexError):
     """The decomposition does not single out the center as required."""
 
 
-@dataclass(frozen=True)
-class WallData:
-    """Exact restriction data of one wall through the center ray."""
+def _checked_star(fan, ray_e: int) -> StarFan:
+    """The star fan of the center, after checking wall by wall that the
+    Cartier index i_Q of E along the wall is the wall's lattice index.
 
-    partner: int  # source-fan ray index
-    star_ray: int  # ray index on the star fan
-    index: int  # i_Q: Cartier index of E along the wall
-    orb_index: int  # m(Q): induced orbifold index
-    case: str  # "plain" | "a" | "b"
-
-
-def classify_wall(i_q: int, partner_indices) -> tuple:
-    """Induced orbifold index at a wall point from the upstream indices.
-
-    partner_indices lists the orbifold indices (> 1) of the marked
-    primes cutting the point.  Returns (m, in_s, case): no marked prime
-    gives m = i_Q, one gives m = n * i_Q, and the separate two-prime
-    configuration forces indices (2, 2) with m = 1.  Anything else is
-    impossible over a log canonical pair and raises LcViolationError.
-    """
-    marked = sorted(n for n in partner_indices if n > 1)
-    if not marked:
-        return i_q, False, "plain"
-    if len(marked) == 1:
-        return marked[0] * i_q, False, "a"
-    if marked == [2, 2]:
-        return 1, True, "b"
-    raise LcViolationError(
-        f"{len(marked)} marked primes with indices {marked} meet one "
-        "codimension-one point; a log canonical pair allows at most "
-        "one, or exactly two with index (2, 2)")
-
-
-def wall_ledger(pair: ToricPair, ray_e: int, orbifold=None):
-    """The star fan of the center with per-wall restriction data.
-
-    orbifold: per-ray indices of the source (defaults to all 1).  The
-    center itself must be unmarked; normalize first if it is not.
-
-    Let P = star.proj and P(u_p) = l * w, with w the primitive star ray
-    and l the wall's lattice index.  A partner prime D_p restricts to E
-    as (gamma / i_Q) Q, where gamma = <mu, lift> for an integral mu with
+    Let P be the projection N -> N / Z u_E = Z^(n-1) of the star fan and
+    P(u_p) = l * w, with w the primitive star ray and l the wall's
+    lattice index.  A partner prime D_p restricts to E as
+    (gamma / i_Q) Q, where gamma = <mu, lift> for an integral mu with
     mu(u_E) = 0 and mu(u_p) = l, and a lattice point lift with
     P(lift) = w.  gamma is always 1: P maps N onto Z^(n-1) with kernel
     Z u_E, u_E being primitive, and mu vanishes on u_E, so mu = mu' o P
@@ -92,51 +65,33 @@ def wall_ledger(pair: ToricPair, ray_e: int, orbifold=None):
     mu'(w) = 1, and gamma = mu'(P(lift)) = mu'(w) = 1.  So the
     restriction is (1 / i_Q) Q and no wall solves for gamma.
     """
-    fan = pair.fan
-    if orbifold is None:
-        orbifold = (1,) * len(fan.rays)
-    if orbifold[ray_e] != 1:
-        raise HypothesisViolationError(
-            "the center ray carries an orbifold index > 1; rewrite the "
-            "decomposition with normalize_center first")
     star = star_fan(fan, ray_e)
     u_e = list(fan.rays[ray_e])
-    walls = []
     for partner in star.partners:
-        u_p = list(fan.rays[partner])
-        ell = star.multiplicity[partner]
         # Cartier index of E along the wall: smallest k with a monomial
         # witness for k*E on the two-dimensional cone
-        scaled = cartier_scale([u_e, u_p], [-1, 0])
+        scaled = cartier_scale([u_e, list(fan.rays[partner])], [-1, 0])
         _check(scaled is not None, "wall rays are linearly independent")
-        i_q, _ = scaled
-        _check(i_q == ell, "the Cartier index is the wall's lattice index")
-        m_q, in_s, case = classify_wall(i_q, [orbifold[partner]])
-        walls.append(WallData(partner=partner,
-                              star_ray=star.partner_star[partner],
-                              index=i_q, orb_index=m_q, case=case))
-    return star, walls
+        _check(scaled[0] == star.multiplicity[partner],
+               "the Cartier index is the wall's lattice index")
+    return star
 
 
-def _restrict_coeffs(star: StarFan, walls, coeffs) -> tuple:
-    """Restrict an invariant divisor without center component to E."""
+def _restrict_coeffs(star: StarFan, coeffs) -> tuple:
+    """Restrict an invariant divisor to E: partner p contributes
+    coeffs[p] / i_Q at its star ray.  The center's own coefficient is
+    not read."""
     out = [Fraction(0)] * len(star.fan.rays)
-    for w in walls:
-        out[w.star_ray] += Fraction(coeffs[w.partner], w.index)
+    for p in star.partners:
+        out[star.partner_star[p]] += Fraction(coeffs[p], star.multiplicity[p])
     return tuple(out)
 
 
-def _different_coeffs(pair: ToricPair, ray_e: int, star: StarFan, walls):
-    """The different's coefficients from a wall ledger of the center.
-
-    Reads only each wall's partner, star ray and index, which do not
-    depend on the orbifold the ledger was built with.
-    """
-    rest = list(pair.boundary)
-    rest[ray_e] = Fraction(0)
-    coeffs = list(_restrict_coeffs(star, walls, rest))
-    for w in walls:
-        coeffs[w.star_ray] += 1 - Fraction(1, w.index)
+def _different_coeffs(pair: ToricPair, star: StarFan):
+    """The different's coefficients on the star fan of the center."""
+    coeffs = list(_restrict_coeffs(star, pair.boundary))
+    for p in star.partners:
+        coeffs[star.partner_star[p]] += 1 - Fraction(1, star.multiplicity[p])
     return tuple(coeffs)
 
 
@@ -145,15 +100,21 @@ class AdjunctionResult:
     """Everything adjunction along the center produces."""
 
     star: StarFan
-    walls: tuple
     e_pair: ToricPair  # (E, B_E + M_E) in the induced mode
-    boundary: tuple  # B_E on the star fan
-    orbifold: tuple  # m(Q) per star ray
     sigma: Decomposition  # induced decomposition on E
-    s_rays: tuple  # star rays in the exceptional two-prime set
     # With a nonzero nef trace the computed boundary is only a lower
     # bound for the one general adjunction would induce.
     boundary_is_lower_bound: bool = False
+
+    @property
+    def boundary(self) -> tuple:
+        """B_E on the star fan."""
+        return self.e_pair.boundary
+
+    @property
+    def orbifold(self) -> tuple:
+        """m(Q) per star ray."""
+        return self.sigma.orbifold
 
 
 def normalize_center(dec: Decomposition, ray_e: int) -> Decomposition:
@@ -178,13 +139,16 @@ def normalize_center(dec: Decomposition, ray_e: int) -> Decomposition:
 def _induced_mode(pair: ToricPair, star: StarFan):
     """Mode and cone of the pair E inherits from X.
 
-    In local mode the germ's cone maps to the star cone spanned by the
-    partners sharing a two-dimensional face with the center inside it.
+    In local mode the germ's cone sigma maps to the star cone spanned by
+    the star rays of the partners in sigma.  Each of them spans a wall
+    with the center inside sigma: let j be in sigma and the wall
+    cone(u_E, u_j) a face of some maximal cone tau.  The fan is valid,
+    so sigma & tau is a face of tau; it contains the wall, so the wall
+    is a face of sigma & tau, hence of sigma.
     """
     if pair.mode == "local":
-        ci = pair.fan.max_cones.index(pair.cone)
-        members = wall_partners(pair.fan, ci, star.center)
-        image = tuple(sorted(star.partner_star[j] for j in members))
+        image = tuple(sorted(star.partner_star[j] for j in pair.cone
+                             if j in star.partner_star))
         return "local", image
     if pair.mode == "projective" or is_complete(star.fan):
         return "projective", None
@@ -200,8 +164,15 @@ def induced_decomposition(pair: ToricPair, dec: Decomposition,
     prime alone with weight one (after :func:`normalize_center`), and
     every other part meets E along some wall.  Produces the induced
     decomposition ``Sigma_E = sum (1 - 1/m_Q) Q + sum b_j B_j|_E`` on
-    the pair ``(E, B_E)``.  A center that is not an int indexing a ray
-    (a bool is not) raises ValueError.
+    the pair ``(E, B_E)``.
+
+    Each codimension-one point Q of E is the orbit of one wall
+    cone(u_E, u_p), and D_p is the only invariant prime through Q
+    besides E (orbit-cone correspondence; Cox-Little-Schenck, Toric
+    Varieties, 3.2).  So one marked prime at most meets Q, and
+    m(Q) = n_p * i_Q, with n_p the orbifold index of D_p and i_Q the
+    Cartier index of E along the wall.  A center that is not an int
+    indexing a ray (a bool is not) raises ValueError.
     """
     validate_decomposition(pair, dec)
     if not isinstance(ray_e, int) or isinstance(ray_e, bool) \
@@ -226,12 +197,11 @@ def induced_decomposition(pair: ToricPair, dec: Decomposition,
     if pair.mode == "local" and ray_e not in pair.cone:
         raise HypothesisViolationError(
             "the center prime does not pass through the germ's point")
-    star, walls = wall_ledger(pair, ray_e, dec.orbifold)
+    star = _checked_star(pair.fan, ray_e)
     mode, cone = _induced_mode(pair, star)
+    visible = set(star.partners)
     if mode == "local":
-        visible = {w.partner for w in walls if w.star_ray in cone}
-    else:
-        visible = {w.partner for w in walls}
+        visible &= set(pair.cone)
     for j, p in enumerate(dec.parts):
         if j == carriers[0]:
             continue
@@ -241,32 +211,27 @@ def induced_decomposition(pair: ToricPair, dec: Decomposition,
                 "through the working locus")
 
     # boundary and nef trace on E
-    b_e = _different_coeffs(pair, ray_e, star, walls)
+    b_e = _different_coeffs(pair, star)
     m_e = None
     if pair.nef_part is not None:
-        m_e = _restrict_coeffs(star, walls, pair.nef_part)
+        m_e = _restrict_coeffs(star, pair.nef_part)
         if all(x == 0 for x in m_e):
             m_e = None
     e_pair = build_pair(star.fan, b_e, mode=mode, cone=cone, nef_part=m_e)
 
     # induced orbifold structure and decomposition
     orb = [1] * len(star.fan.rays)
-    s_rays = []
-    for w in walls:
-        orb[w.star_ray] = w.orb_index
-        if w.case == "b":
-            s_rays.append(w.star_ray)
+    for p in star.partners:
+        orb[star.partner_star[p]] = dec.orbifold[p] * star.multiplicity[p]
     parts = []
     for j, p in enumerate(dec.parts):
         if j == carriers[0]:
             continue
-        coeffs = _restrict_coeffs(star, walls, p.coeffs)
+        coeffs = _restrict_coeffs(star, p.coeffs)
         parts.append(Part(p.weight, coeffs))
     sigma = Decomposition(parts=tuple(parts), orbifold=tuple(orb))
     validate_decomposition(e_pair, sigma)
-    return AdjunctionResult(star=star, walls=tuple(walls), e_pair=e_pair,
-                            boundary=b_e, orbifold=tuple(orb), sigma=sigma,
-                            s_rays=tuple(s_rays),
+    return AdjunctionResult(star=star, e_pair=e_pair, sigma=sigma,
                             boundary_is_lower_bound=pair.nef_part is not None)
 
 
@@ -280,7 +245,6 @@ class AdjunctionCheck:
     monotone: bool  # value_e <= value_x (the claimed inequality)
     equality: bool
     span_full: bool  # span of Sigma_E fills Cl_Q(E)
-    s_empty: bool
     sigma_is_boundary: bool  # Sigma_E = B_E as divisors
 
 
@@ -305,6 +269,5 @@ def check_adjunction(pair: ToricPair, dec: Decomposition,
         monotone=value_e <= value_x,
         equality=value_e == value_x,
         span_full=value_e == full - res.sigma.norm,
-        s_empty=not res.s_rays,
         sigma_is_boundary=total == res.e_pair.boundary,
     )

@@ -213,19 +213,19 @@ def log_discrepancy(pair: ToricPair, v) -> Fraction:
 def pushforward(surgery: FanSurgery, dec: Decomposition):
     """Transport a decomposition along the surgery's ray correspondence.
 
-    Returns ``(pushed, dropped_norm, dropped_parts)`` where the dropped
-    parts are those whose support consists of contracted rays only.
+    Returns ``(pushed, dropped_norm)``, where dropped_norm is the total
+    weight of the parts whose support consists of contracted rays only.
     """
-    parts, dropped = [], []
+    parts, dropped = [], Fraction(0)
     for part in dec.parts:
         coeffs = _transport_coeffs(surgery, part.coeffs)
         if any(coeffs):
             parts.append((part.weight, coeffs))
         else:
-            dropped.append(part)
+            dropped += part.weight
     orbifold = _transport_coeffs(surgery, dec.orbifold, fill=1)
     pushed = make_decomposition(len(surgery.target.rays), parts, orbifold)
-    return pushed, sum((p.weight for p in dropped), Fraction(0)), tuple(dropped)
+    return pushed, dropped
 
 
 def _transport_coeffs(surgery, coeffs, fill=Fraction(0)):
@@ -335,7 +335,7 @@ def check_contraction(pair: ToricPair, surgery: FanSurgery,
             f"the contraction is not crepant at ray {e}: "
             f"discrepancy {a_e} downstairs, {expected} upstairs")
 
-    pushed, dropped, _ = pushforward(surgery, dec)
+    pushed, dropped = pushforward(surgery, dec)
     vy = complexity_values(target_pair, pushed)
     for x, y in zip(vx, vy):
         if x is not None:
@@ -414,7 +414,7 @@ def check_small(pair: ToricPair, surgery: FanSurgery,
             "the log divisor's support functions disagree between source "
             f"cone {witness[0]} and target cone {witness[1]}")
 
-    pushed, dropped, _ = pushforward(surgery, dec)
+    pushed, dropped = pushforward(surgery, dec)
     _check(dropped == 0, "a small modification dropped a part")
     vy = complexity_values(target_pair, pushed)
     for x, y in zip(vx, vy):

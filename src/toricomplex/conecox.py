@@ -32,9 +32,9 @@ from .lattice import (
     hilbert_basis,
     is_primitive,
     kernel_basis,
+    mat_vec,
     primitive_vector,
     snf,
-    solve_integral,
     vec_dot,
 )
 from .fan import (Fan, as_int, is_complete, make_fan, require_valid,
@@ -237,15 +237,25 @@ def _torsion_witness(y_fan, pres):
 
 
 def _refine_by_character(x_fan, v_e, m, order):
-    """Rewrite the cone and center in the sublattice <m, x> = 0 mod order."""
+    """Rewrite the cone and center in the sublattice <m, x> = 0 mod order.
+
+    One Smith form left * mat * right = D of the basis matrix answers
+    every vector: mat z = u is solved by z = right * D^-1 * left * u,
+    integral exactly when each d_i divides (left * u)_i.
+    """
     aug = kernel_basis([list(m) + [order]])
     basis = [v[:-1] for v in aug]
     mat = [[basis[j][i] for j in range(len(basis))] for i in range(x_fan.rank)]
+    s = snf(mat)
+    diag = [s.diag[i][i] for i in range(s.rank)]
 
     def coords(u):
-        z = solve_integral(mat, list(u))
-        _check(z is not None, "cone rays must lie in the refined lattice")
-        return tuple(z)
+        c = mat_vec(s.left, list(u))
+        _check(not any(c[len(diag):])
+               and all(x % d == 0 for x, d in zip(c, diag)),
+               "cone rays must lie in the refined lattice")
+        y = [x // d for x, d in zip(c, diag)]
+        return tuple(mat_vec(s.right, y + [0] * (len(basis) - len(y))))
 
     rays = [primitive_vector(coords(u)) for u in x_fan.rays]
     fan = make_fan(x_fan.rank, rays, list(x_fan.max_cones))

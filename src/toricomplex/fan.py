@@ -369,7 +369,6 @@ class StarFan:
     multiplicity: for each partner, the lattice index of the wall
       cone(center, partner) — the Cartier index of the divisor along that
       codimension-one orbit.
-    proj: (rank-1) x rank integer matrix realizing N -> N / Z u_center.
     """
 
     fan: Fan
@@ -377,7 +376,6 @@ class StarFan:
     partners: tuple
     partner_star: dict
     multiplicity: dict
-    proj: tuple
 
 
 def star_fan(fan, ray_idx):
@@ -407,5 +405,4 @@ def star_fan(fan, ray_idx):
     star_cones = {tuple(sorted(partner_star[j] for j in m)) for m in members}
     sf = make_fan(n - 1, star_rays, sorted(star_cones))
     return StarFan(fan=sf, center=ray_idx, partners=tuple(partners),
-                   partner_star=partner_star, multiplicity=multiplicity,
-                   proj=tuple(tuple(r) for r in proj))
+                   partner_star=partner_star, multiplicity=multiplicity)

@@ -299,15 +299,6 @@ def rank_q(vectors):
     return len(_bareiss(rows)[0])
 
 
-def solve_integral(a, b):
-    """One integer solution x of a x = b, or None."""
-    res = cartier_scale(a, b)
-    if res is None:
-        return None
-    k, x = res
-    return x if k == 1 else None
-
-
 def cartier_scale(a, b):
     """Smallest k >= 1 such that a x = k b has an integer solution.
 

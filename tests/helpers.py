@@ -4,18 +4,27 @@ They check results of the library (a matrix product, the order of a
 class, a Cartier index, Q-Cartier and principal divisors, the face
 lattice of a cone and of a fan, the cones of one dimension, cone
 multiplicities, smoothness, the different, a wall's restriction
-multiplier) and are built from its public pieces.
+multiplier, an integral solve) and are built from its public pieces.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 from toricomplex.adjunction import (NotDivisorialCenterError,
-                                    _different_coeffs, wall_ledger)
+                                    _checked_star, _different_coeffs)
 from toricomplex.divisor import NotQCartierError, cartier_data, ray_matrix
 from toricomplex.fan import cone_dim, is_simplicial_cone
-from toricomplex.lattice import (cartier_scale, snf, solve_integral,
-                                 solve_rational, vec_dot)
+from toricomplex.lattice import (cartier_scale, snf, solve_rational,
+                                 vec_dot)
+
+
+def solve_integral(a, b):
+    """One integer solution x of a x = b, or None."""
+    res = cartier_scale(a, b)
+    if res is None:
+        return None
+    k, x = res
+    return x if k == 1 else None
 
 
 def mat_mul(a, b):
@@ -170,25 +179,30 @@ def different(pair, ray_e):
     """The boundary induced on E by (X, B): per-wall coefficients
     ``1 - 1/i_Q + coeff_partner(B - E) / i_Q``.
 
-    Returns (coefficients on the star fan, star, walls).
+    Returns (coefficients on the star fan, star).
     """
     if pair.boundary[ray_e] != 1:
         raise NotDivisorialCenterError(
             f"ray {ray_e} has boundary coefficient {pair.boundary[ray_e]}, "
             "adjunction needs coefficient one")
-    star, walls = wall_ledger(pair, ray_e)
-    return _different_coeffs(pair, ray_e, star, walls), star, walls
+    star = _checked_star(pair.fan, ray_e)
+    return _different_coeffs(pair, star), star
 
 
-def wall_gamma(fan, star, wall):
-    """Restriction numerator gamma of a wall by two integral solves: the
-    functional mu vanishing on the center ray with mu(u_p) = l, the
-    wall's lattice index, evaluated on a lattice lift of the partner's
-    primitive star ray.  adjunction.wall_ledger proves it is always 1.
+def wall_gamma(fan, star, partner):
+    """Restriction numerator gamma of the wall of a partner by two
+    integral solves: the functional mu vanishing on the center ray with
+    mu(u_p) = l, the wall's lattice index, evaluated on a lattice lift
+    of the partner's primitive star ray through the projection
+    N -> N / Z u_center that star_fan takes, recomputed from the same
+    Smith form.  adjunction._checked_star proves it is always 1.
     """
     u_e = list(fan.rays[star.center])
-    u_p = list(fan.rays[wall.partner])
-    mu = solve_integral([u_e, u_p], [0, star.multiplicity[wall.partner]])
-    lift = solve_integral(list(star.proj),
-                          list(star.fan.rays[wall.star_ray]))
+    u_p = list(fan.rays[partner])
+    mu = solve_integral([u_e, u_p], [0, star.multiplicity[partner]])
+    # left * u_e = e_1 for this Smith form, so rows 1.. of left realize
+    # N -> N / Z u_e
+    proj = snf([[x] for x in u_e]).left[1:]
+    w = star.fan.rays[star.partner_star[partner]]
+    lift = solve_integral(proj, list(w))
     return vec_dot(mu, lift)

@@ -195,7 +195,7 @@ def test_criterion_4_adjunction_monotonicity():
         if chk.equality:
             equalities += 1
             if chk.span_full:
-                ok &= chk.s_empty and chk.sigma_is_boundary
+                ok &= chk.sigma_is_boundary
         checked += 1
     elapsed = time.perf_counter() - start
     verdict(4, ok and elapsed < 60.0,

@@ -7,24 +7,24 @@ from hypothesis import given, settings, strategies as st
 
 from toricomplex.adjunction import (
     HypothesisViolationError,
-    LcViolationError,
     NotDivisorialCenterError,
+    _checked_star,
+    _induced_mode,
     check_adjunction,
-    classify_wall,
     induced_decomposition,
     normalize_center,
-    wall_ledger,
 )
 from toricomplex.complexity import (
     decomposition_total,
     make_decomposition,
     orbifold_complexity,
 )
-from toricomplex.fan import make_fan, star_subdivision
-from toricomplex.lattice import primitive_vector, rank_q, vec_gcd
+from toricomplex.fan import make_fan, star_fan, star_subdivision, wall_partners
+from toricomplex.lattice import (cartier_scale, primitive_vector, rank_q,
+                                 vec_gcd)
 from toricomplex.pairmodel import build_pair
 
-from fans import A1_SING, BLP2, P1XP1, P2, SUITE
+from fans import A1_SING, A2, A3, BLP2, CONIFOLD, P1XP1, P2, SUITE
 from helpers import different, wall_gamma
 
 BL_A2 = make_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 2), (1, 2)])
@@ -45,24 +45,24 @@ def prime_dec(nrays, support):
 
 def test_different_on_plane():
     pair = build_pair(P2, [F(1)] * 3)
-    coeffs, star, walls = different(pair, 0)
+    coeffs, star = different(pair, 0)
     assert coeffs == (F(1), F(1))
-    assert [w.index for w in walls] == [1, 1]
-    assert [wall_gamma(P2, star, w) for w in walls] == [1, 1]
+    assert [star.multiplicity[p] for p in star.partners] == [1, 1]
+    assert [wall_gamma(P2, star, p) for p in star.partners] == [1, 1]
 
 
 def test_different_quadric_cone_point():
     pair = build_pair(A1_SING, [F(1), F(0)], mode="local", cone=(0, 1))
-    coeffs, star, walls = different(pair, 0)
+    coeffs, star = different(pair, 0)
     assert coeffs == (F(1, 2),)
-    assert walls[0].index == 2
+    assert star.multiplicity[star.partners[0]] == 2
 
 
 def test_different_exceptional_curve():
     pair = build_pair(BL_A2, [F(1)] * 3, mode="birational")
-    coeffs, star, walls = different(pair, 2)
+    coeffs, star = different(pair, 2)
     assert coeffs == (F(1), F(1))
-    assert sorted(w.partner for w in walls) == [0, 1]
+    assert sorted(star.partners) == [0, 1]
 
 
 def test_different_needs_coefficient_one():
@@ -75,8 +75,8 @@ def test_wall_index_matches_star_multiplicity():
     # on the blown-up plane every wall of every ray is smooth
     pair = build_pair(BLP2, [F(1)] * 4)
     for e in range(4):
-        _, walls = wall_ledger(pair, e)
-        assert all(w.index == 1 for w in walls)
+        star = _checked_star(pair.fan, e)
+        assert all(star.multiplicity[p] == 1 for p in star.partners)
 
 
 def _gamma_cases():
@@ -102,41 +102,34 @@ def _gamma_cases():
 
 
 def test_restriction_multiplier_is_one():
-    # the two-solve gamma that wall_ledger proves to be 1
+    # the two-solve gamma that _checked_star proves to be 1
     indices = []
     for pair in _gamma_cases():
         for e in range(len(pair.fan.rays)):
-            star, walls = wall_ledger(pair, e)
-            assert all(wall_gamma(pair.fan, star, w) == 1 for w in walls)
-            indices += [w.index for w in walls]
+            star = _checked_star(pair.fan, e)
+            assert all(wall_gamma(pair.fan, star, p) == 1
+                       for p in star.partners)
+            indices += [star.multiplicity[p] for p in star.partners]
     assert max(indices) > 2
 
 
 def test_wall_ledger_solves_once_per_wall(monkeypatch):
-    """One cartier_scale per wall and no integral solve."""
+    """The star fan's self-check takes one cartier_scale per wall."""
     adjunction = importlib.import_module("toricomplex.adjunction")
     lattice = importlib.import_module("toricomplex.lattice")
-    calls = {"cartier_scale": 0, "solve_integral": 0}
+    calls = []
 
-    def counting(name, real):
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-        return wrapper
+    def counting(*args):
+        calls.append(args)
+        return lattice.cartier_scale(*args)
 
-    monkeypatch.setattr(adjunction, "cartier_scale",
-                        counting("cartier_scale", lattice.cartier_scale))
-    solve = counting("solve_integral", lattice.solve_integral)
-    for module in (lattice, adjunction):
-        monkeypatch.setattr(module, "solve_integral", solve, raising=False)
+    monkeypatch.setattr(adjunction, "cartier_scale", counting)
     nwalls = 0
-    for pair in (build_pair(P2, [F(1)] * 3),
-                 build_pair(A1_SING, [F(1), F(0)], mode="local",
-                            cone=(0, 1))):
-        for e in range(len(pair.fan.rays)):
-            nwalls += len(wall_ledger(pair, e)[1])
+    for fan in (P2, A1_SING):
+        for e in range(len(fan.rays)):
+            nwalls += len(_checked_star(fan, e).partners)
     assert nwalls == 8
-    assert calls == {"cartier_scale": nwalls, "solve_integral": 0}
+    assert len(calls) == nwalls
 
 
 @pytest.mark.parametrize("center", [-1, 3, True, 1.0])
@@ -150,21 +143,7 @@ def test_center_must_be_a_ray_index(center):
 
 
 # ---------------------------------------------------------------------------
-# wall classification
-
-
-def test_classify_wall_cases():
-    assert classify_wall(2, [1]) == (2, False, "plain")
-    assert classify_wall(1, [2]) == (2, False, "a")
-    assert classify_wall(3, [5]) == (15, False, "a")
-    assert classify_wall(1, [2, 2]) == (1, True, "b")
-
-
-def test_classify_wall_violations():
-    with pytest.raises(LcViolationError):
-        classify_wall(1, [2, 3])
-    with pytest.raises(LcViolationError):
-        classify_wall(1, [2, 2, 2])
+# induced orbifold indices and the local image cone
 
 
 def test_induced_index_case_a():
@@ -173,7 +152,73 @@ def test_induced_index_case_a():
     dec = make_decomposition(2, [(1, [1, 0])], orbifold=[1, 2])
     res = induced_decomposition(pair, dec, 0)
     assert res.orbifold == (4,)
-    assert res.s_rays == ()
+
+
+def test_induced_orbifold_is_partner_index_times_wall_index():
+    """m(Q) = n_p * i_Q at the star ray of every partner p, with i_Q the
+    Cartier index of E along the wall, on random orbifold structures."""
+    rng = random.Random(19)
+    seen = 0
+    for case in _gamma_cases():
+        fan = case.fan
+        n = len(fan.rays)
+        pair = build_pair(fan, [F(1)] * n, mode=case.mode, cone=case.cone)
+        for e in (case.cone if case.mode == "local" else range(n)):
+            orb = [rng.choice((1, 1, 2, 3)) for _ in range(n)]
+            center = [F(1, orb[e]) if k == e else 0 for k in range(n)]
+            dec = make_decomposition(n, [(1, center)], orbifold=orb)
+            res = induced_decomposition(pair, dec, e)
+            u_e = list(fan.rays[e])
+            for p in res.star.partners:
+                i_q, _ = cartier_scale([u_e, list(fan.rays[p])], [-1, 0])
+                assert res.sigma.orbifold[res.star.partner_star[p]] == \
+                    orb[p] * i_q
+                seen += orb[p] > 1 and i_q > 1
+    assert seen >= 10
+
+
+def _local_cases():
+    """Valid fans with simplicial and non-simplicial maximal cones: the
+    bundled fans, germs, the conifold, the complete fan over the faces
+    of the cube, and star subdivisions of each."""
+    rng = random.Random(7)
+    fans = [f for f in SUITE.values() if f.rank >= 2]
+    fans += [A1_SING, A2, A3, CONIFOLD]
+    while len(fans) < 20:
+        rays = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3)]
+        if all(any(r) and vec_gcd(r) == 1 for r in rays) and \
+                rank_q(rays) == 3:
+            fans.append(make_fan(3, rays, [(0, 1, 2)]))
+    cube = [(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    fans.append(make_fan(3, cube, [
+        tuple(i for i, r in enumerate(cube) if r[k] == s)
+        for k in range(3) for s in (1, -1)]))
+    for fan in list(fans):
+        for _ in range(2):
+            cone = fan.max_cones[rng.randrange(len(fan.max_cones))]
+            face = rng.sample(cone, rng.randint(2, len(cone)))
+            fan = star_subdivision(fan, primitive_vector(
+                [sum(xs) for xs in zip(*fan.cone_rays(face))]))
+            fans.append(fan)
+    return fans
+
+
+def test_local_image_cone_matches_wall_partners():
+    """The local image cone is the star rays of the partners in the
+    germ's cone; the oracle is the walls of that cone, by wall_partners."""
+    cases = kinds = 0
+    for fan in _local_cases():
+        for ci, cone in enumerate(fan.max_cones):
+            pair = build_pair(fan, [0] * len(fan.rays), mode="local",
+                              cone=cone)
+            kinds |= 1 << (len(cone) > fan.rank)
+            for e in cone:
+                star = star_fan(fan, e)
+                expected = tuple(sorted(star.partner_star[j]
+                                        for j in wall_partners(fan, ci, e)))
+                assert _induced_mode(pair, star) == ("local", expected)
+                cases += 1
+    assert kinds == 3 and cases >= 500
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +230,7 @@ def test_adjunction_on_toric_boundary_of_plane():
     chk = check_adjunction(pair, prime_dec(3, [0, 1, 2]), 0)
     assert (chk.value_e, chk.value_x) == (0, 0)
     assert chk.monotone and chk.equality
-    assert chk.span_full and chk.s_empty and chk.sigma_is_boundary
+    assert chk.span_full and chk.sigma_is_boundary
     total = decomposition_total(chk.result.sigma)
     assert total == chk.result.e_pair.boundary == (F(1), F(1))
 
@@ -250,7 +295,7 @@ def test_normalize_center_keeps_value():
 def test_nef_trace_restricts_and_flags():
     m = (F(0), F(1), F(0), F(0))
     pair = build_pair(P1XP1, [F(1)] * 4, nef_part=m)
-    partners = [w.partner for w in wall_ledger(pair, 2)[1]]
+    partners = list(star_fan(pair.fan, 2).partners)
     res = induced_decomposition(pair, prime_dec(4, [2] + partners), 2)
     assert res.boundary_is_lower_bound
     assert res.e_pair.nef_part is not None
@@ -265,11 +310,11 @@ for fan, nrays in ((P2, 3), (P1XP1, 4), (BLP2, 4)):
 @pytest.mark.parametrize("fan,nrays,e", MONOTONE_CASES)
 def test_monotonicity_full_boundary(fan, nrays, e):
     pair = build_pair(fan, [F(1)] * nrays)
-    partners = [w.partner for w in wall_ledger(pair, e)[1]]
+    partners = list(star_fan(pair.fan, e).partners)
     chk = check_adjunction(pair, prime_dec(nrays, [e] + partners), e)
     assert chk.monotone
     if chk.equality and chk.span_full:
-        assert chk.s_empty and chk.sigma_is_boundary
+        assert chk.sigma_is_boundary
 
 
 @settings(max_examples=60, deadline=None)
@@ -282,7 +327,7 @@ def test_monotonicity_random_quadric(b1, b2, e, group):
     boundary[others[0]], boundary[others[1]] = b1, b2
     pair = build_pair(P1XP1, boundary)
     support = [j for j in range(4) if boundary[j] > 0]
-    partners = [w.partner for w in wall_ledger(pair, e)[1]]
+    partners = list(star_fan(pair.fan, e).partners)
     rest = [j for j in support if j != e]
     parts = [(1, [1 if k == e else 0 for k in range(4)])]
     if group and len(rest) >= 2 and all(j in partners for j in rest[:2]):

@@ -180,8 +180,8 @@ def test_contraction_preconditions():
 def test_identity_surgery_keeps_decomposition():
     s = small_modification(FLOP_A, FLOP_A)
     dec = primes([0, 1, 2], 4, weights=[1, F(1, 2), F(2, 3)])
-    pushed, dropped, lost = pushforward(s, dec)
-    assert pushed == dec and dropped == 0 and lost == ()
+    pushed, dropped = pushforward(s, dec)
+    assert pushed == dec and dropped == 0
 
 
 def test_atiyah_flop_preserves_all_three():

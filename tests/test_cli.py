@@ -381,29 +381,45 @@ def test_cone_identifies_the_quadric_germ(capsys, monkeypatch):
     assert sorted(payload["ray_map"]) == [0, 1]
 
 
-def test_cone_takes_one_smith_form(capsys, monkeypatch):
-    """The kernel of the center and its dual form come from one Smith
-    form, with no integral solve."""
+def _count_smith_forms(monkeypatch):
+    """A list that grows by one entry per snf call in the library."""
     modules = [importlib.import_module(f"toricomplex.{name}")
                for name in ("lattice", "conecox", "fan", "divisor")]
-    calls = {"snf": 0, "solve_integral": 0}
+    calls = []
+    real = modules[0].snf
 
-    def counting(name, real):
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-        return wrapper
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    for name in calls:
-        wrapped = counting(name, getattr(modules[0], name))
-        for module in modules:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, wrapped)
+    for module in modules:
+        if hasattr(module, "snf"):
+            monkeypatch.setattr(module, "snf", counting)
+    return calls
+
+
+def test_cone_takes_one_smith_form(capsys, monkeypatch):
+    """The kernel of the center and its dual form come from one Smith
+    form; the library has no integral solve."""
+    calls = _count_smith_forms(monkeypatch)
     for doc in (A1_GERM_DOC, TORSION_GERM_DOC):
-        calls.update(dict.fromkeys(calls, 0))
+        calls.clear()
         code, payload, _ = invoke_json(capsys, ["cone"], doc, monkeypatch)
         assert code == EXIT_OK and payload["ok"] is True
-        assert calls == {"snf": 1, "solve_integral": 0}
+        assert len(calls) == 1
+    assert not hasattr(importlib.import_module("toricomplex.lattice"),
+                       "solve_integral")
+
+
+def test_torsion_cover_step_takes_one_smith_form(capsys, monkeypatch):
+    """Refining the lattice by a torsion character solves every ray and
+    the center from one Smith form of the refined basis: 9 snf calls on
+    the index-4 germ."""
+    calls = _count_smith_forms(monkeypatch)
+    code, payload, _ = invoke_json(capsys, ["hilbert", "--torsion-cover"],
+                                   TORSION_GERM_DOC, monkeypatch)
+    assert code == EXIT_OK and len(payload["cover_steps"]) == 1
+    assert len(calls) == 9
 
 
 def test_cone_rejects_boundary_vectors(capsys, monkeypatch):

@@ -14,11 +14,12 @@ from toricomplex.divisor import (
     q_span_dim,
     support_value,
 )
-from toricomplex.lattice import mat_vec, solve_integral, vec_dot
+from toricomplex.lattice import vec_dot
 
 from fans import A1_SING, A2, BLP2, CONIFOLD, P1, P1XP1, P2, P3, SUITE
 from helpers import (cartier_index, divisor_class, is_q_cartier,
-                     is_q_principal, principal_witness, q_class)
+                     is_q_principal, principal_witness, q_class,
+                     solve_integral)
 
 
 def test_class_group_ranks():

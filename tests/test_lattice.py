@@ -26,7 +26,6 @@ from toricomplex.lattice import (
     primitive_vector,
     rank_q,
     snf,
-    solve_integral,
     solve_rational,
     span_saturation,
     vec_dot,
@@ -41,7 +40,7 @@ from bruteforce import (
     simplex_solve,
     vform_by_vertex_subsets,
 )
-from helpers import faces_of_cone, mat_mul, order_of_class
+from helpers import faces_of_cone, mat_mul, order_of_class, solve_integral
 
 small_int = st.integers(min_value=-6, max_value=6)
 
