@@ -8,7 +8,6 @@ rational data uses fractions.Fraction.  No floats anywhere.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
@@ -445,61 +444,83 @@ def _det(m):
     return sign * a[-1][-1]
 
 
-def _hyperplane_normal(rows):
-    """Primitive generator, up to sign, of the kernel of d - 1 integer
-    rows of length d >= 1, or None when that kernel is not a line.
+def _double_description(vectors, dim):
+    """(lineality basis, sorted primitive extreme rays) of the cone
+    D = {phi : phi.v >= 0 for v in vectors} in R^dim.
 
-    The kernel is spanned by the signed maximal minors (the generalized
-    cross product); they all vanish exactly when the rows are dependent.
+    The double description method (Motzkin, Raiffa, Thompson and Thrall
+    1953, "The double description method"; Fukuda and Prodon 1996,
+    "Double description method revisited").  D starts as R^dim, with the
+    unit vectors as lineality basis L and no rays, and is cut by one
+    half-space {a >= 0} at a time.  Throughout, L spans the lineality
+    space of D, the primitive rays R span the extreme rays of D / span(L)
+    (pointed, as the vectors so far vanish together only on span(L)),
+    D = span(L) + cone(R), and each ray is tagged with the indices of the
+    vectors it vanishes on.  A zero vector cuts nothing.
+
+    Lineality step, when a.l != 0 for some l in L (negated so a.l > 0).
+    Every other x in L and every ray x is cleared to (a.l)x - (a.x)l,
+    made primitive: it vanishes on a, and as l vanishes on every earlier
+    vector it is a positive multiple of x there, so tags only gain a.
+    The cleared L is a basis of span(L) & {a = 0}, and
+    x -> (x mod span(L), a.x) is an isomorphism from R^dim modulo that
+    span onto R^dim / span(L) x R.  It carries D & {a >= 0} onto
+    (D / span(L)) x R_>=0, the cleared rays onto the rays of the first
+    factor and l onto (0, 1): the new rays are the cleared ones and l,
+    whose tag is every earlier index.
+
+    Ray step, when a vanishes on L.  A face of D' = D & {a >= 0} is
+    G & {a >= 0} or G & {a = 0} for the smallest face G of D containing
+    it.  So an extreme ray of D' is an extreme ray r of D with a.r >= 0,
+    or is G & {a = 0} for a two-dimensional face G of D, modulo span(L),
+    whose two rays r, s have a.r > 0 > a.s; that ray is (a.r)s - (a.s)r,
+    a positive combination, tagged (Z(r) & Z(s)) + {a}.  Conversely each
+    such G & {a = 0} is a face of D'.  Adjacency test: the smallest face
+    of D containing r and s is cut out by the vectors in Z = Z(r) & Z(s)
+    and spanned by the rays whose tag contains Z, so it is
+    two-dimensional exactly when no third ray's tag contains Z, as a
+    pointed cone of dimension >= 3 has >= 3 extreme rays (Fukuda and
+    Prodon, Proposition 7).  That face's span is the kernel of the
+    vectors in Z, so they number at least dim - len(L) - 2: a cheaper
+    necessary test, tried first.
     """
-    d = len(rows) + 1
-    if d == 1:
-        return (1,)
-    if d == 2:
-        (a0, a1), = rows
-        phi = (a1, -a0)
-    elif d == 3:
-        (a0, a1, a2), (b0, b1, b2) = rows
-        phi = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-    else:
-        phi = tuple((-1) ** j * _det([r[:j] + r[j + 1:] for r in rows])
-                    for j in range(d))
-    g = gcd(*phi)
-    if not g:
-        return None
-    return tuple(x // g for x in phi)
+    lin = [tuple(row) for row in identity_matrix(dim)]
+    rays = []  # (primitive ray, frozenset of indices it vanishes on)
+    for k, a in enumerate(vectors):
+        vals = [vec_dot(a, x) for x in lin]
+        p = next((i for i, v in enumerate(vals) if v), None)
+        if p is not None:
+            l, al = lin.pop(p), vals.pop(p)
+            if al < 0:
+                l, al = tuple(-x for x in l), -al
 
-
-def _fulldim_facet_normals(gens, dim):
-    """Facet normals of a full-dimensional cone (each normal >= 0 on gens).
-
-    gens are non-zero.  A facet hyperplane is the span of dim - 1 of
-    them, and dim - 1 generators span it exactly when their lines do:
-    two generators on one line are dependent.  So each distinct line
-    enters the subsets once, and the hyperplanes tried, hence the sorted
-    output, are those of the subsets of generators.
-    """
-    if dim == 0:
-        return []
-    lines = set()
-    for g in gens:
-        p = primitive_vector(g)
-        lines.add(max(p, tuple(-x for x in p)))
-    tried = set()
-    out = []
-    for subset in combinations(sorted(lines), dim - 1):
-        phi = _hyperplane_normal(subset)
-        if phi is None or phi in tried:
+            def clear(x, ax):
+                return primitive_vector([al * y - ax * z
+                                         for y, z in zip(x, l)])
+            lin = [clear(x, ax) for x, ax in zip(lin, vals)]
+            rays = [(clear(r, vec_dot(a, r)), z | {k}) for r, z in rays]
+            rays.append((l, frozenset(range(k))))
             continue
-        neg = tuple(-x for x in phi)
-        tried.add(phi)
-        tried.add(neg)
-        vals = [vec_dot(phi, g) for g in gens]
-        if all(v >= 0 for v in vals):
-            out.append(phi)
-        elif all(v <= 0 for v in vals):
-            out.append(neg)
-    return sorted(out)
+        vals = [vec_dot(a, r) for r, _ in rays]
+        kept = [(r, z | {k} if v == 0 else z)
+                for (r, z), v in zip(rays, vals) if v >= 0]
+        least = dim - len(lin) - 2
+        for i, vr in enumerate(vals):
+            if vr <= 0:
+                continue
+            for j, vs in enumerate(vals):
+                if vs >= 0:
+                    continue
+                meet = rays[i][1] & rays[j][1]
+                if len(meet) < least or any(
+                        meet <= z for m, (_, z) in enumerate(rays)
+                        if m != i and m != j):
+                    continue
+                r, s = rays[i][0], rays[j][0]
+                kept.append((primitive_vector(
+                    [vr * y - vs * x for x, y in zip(r, s)]), meet | {k}))
+        rays = kept
+    return lin, sorted(r for r, _ in rays)
 
 
 def cone_hform(gens, dim):
@@ -507,58 +528,33 @@ def cone_hform(gens, dim):
 
     Returns (equalities, inequalities): integer functionals with
     cone = {x : e.x == 0 for e in equalities, f.x >= 0 for f in inequalities}.
-    The equalities are empty exactly when the cone is full-dimensional.
-    Otherwise one Smith form left * G * right = D of the generator
-    columns G serves: rows :r of left, r the rank, project the span onto
-    Z^r, and rows r: kill G, as rows r: of D * right^-1 = left * G are
-    zero while rows :r are independent; left being unimodular, they are
-    a basis of the integer functionals vanishing on gens.
+    By duality the cone is {x : phi.x >= 0 for phi in D}, where
+    D = {phi : phi.g >= 0 on gens} is the span of its lineality basis
+    plus the cone of its extreme rays (see _double_description): those
+    are the equalities and the facet normals, sorted.  The equalities
+    are empty exactly when the cone is full-dimensional.  They are a
+    Q-basis of the functionals vanishing on gens, not necessarily a
+    Z-basis, and that suffices: every reader (in_hform, the ranks of
+    extremal_rays and fan.wall_partners, the emptiness tests of
+    fan._covers_once, cone_vform) sees only their common zero set, their
+    rank or whether there are any, and those are fixed by the Q-span.
     """
-    gens = [g for g in gens if any(g)]
-    if not gens:
-        return [tuple(row) for row in identity_matrix(dim)], []
-    if rank_q(gens) == dim:
-        return [], _fulldim_facet_normals(gens, dim)
-    s = snf(transpose([list(g) for g in gens]))
-    r = s.rank
-    proj, eqs = s.left[:r], [tuple(row) for row in s.left[r:]]
-    small = [tuple(mat_vec(proj, list(g))) for g in gens]
-    lifted = [tuple(sum(phi[i] * proj[i][j] for i in range(r))
-                    for j in range(dim))
-              for phi in _fulldim_facet_normals(small, r)]
-    return eqs, lifted
+    return _double_description(gens, dim)
 
 
 def cone_vform(equalities, inequalities, dim):
     """The sorted primitive extremal rays of {x : eq.x == 0, ineq.x >= 0},
     or None when that region is not pointed.
 
-    Let A be the normals: the inequalities and each equality with both
-    signs, so the region is R = {x : a.x >= 0 for a in A}, the dual of
-    C = cone(A).  When A has rank below dim, R contains the non-zero
-    kernel of A and is not pointed.  When A has rank dim, C is
-    full-dimensional and R is pointed; x != 0 in R spans an extremal ray
-    of R exactly when the normals vanishing on x have rank dim - 1.  A
-    primitive u is a facet normal of C exactly when u >= 0 on C, i.e. u
-    is in R, and the generators of C on u's hyperplane span it, i.e.
-    have rank dim - 1.  The two conditions agree, so the extremal rays of
-    R, primitive and sorted, are the facet normals of C.
+    The region is {x : a.x >= 0} over the inequalities and each equality
+    with both signs, so _double_description gives its lineality basis
+    and extreme rays directly; it is pointed exactly when the basis is
+    empty.  The equalities go first: each cuts the lineality space, then
+    removes the one ray its first sign made.
     """
-    normals = []
-    seen = set()
-    for e in equalities:
-        for v in (tuple(e), tuple(-x for x in e)):
-            if any(v) and v not in seen:
-                seen.add(v)
-                normals.append(v)
-    for f in inequalities:
-        t = tuple(f)
-        if any(t) and t not in seen:
-            seen.add(t)
-            normals.append(t)
-    if rank_q(normals) < dim:
-        return None
-    return _fulldim_facet_normals(normals, dim)
+    normals = [v for e in equalities for v in (e, tuple(-x for x in e))]
+    lin, rays = _double_description(normals + list(inequalities), dim)
+    return None if lin else rays
 
 
 def cone_intersection(hform1, hform2, dim):
@@ -613,7 +609,7 @@ def _pulling_triangulation(rays, normals, dim):
         basis, proj = span_saturation(sub)
         small = [tuple(mat_vec(proj, list(g))) for g in sub]
         for tri in _pulling_triangulation(
-                small, _fulldim_facet_normals(small, dim - 1), dim - 1):
+                small, _double_description(small, dim - 1)[1], dim - 1):
             pieces.append([apex] + [lift_through_basis(basis, t) for t in tri])
     return pieces
 
@@ -681,7 +677,7 @@ def hilbert_basis(gens, dim=None):
         basis, proj = span_saturation(gens)
         gens = [tuple(mat_vec(proj, list(g))) for g in gens]
         dim = len(basis)
-    ineqs = _fulldim_facet_normals(gens, dim)
+    ineqs = _double_description(gens, dim)[1]
     hform = [], ineqs
     rays = extremal_rays(gens, hform)
     if rays is None:

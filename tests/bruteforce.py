@@ -38,8 +38,10 @@ and fast enough for seven primes.  And ``vform_by_vertex_subsets`` is
 the package's ``cone_vform`` as it stood before it read extremal rays
 as the facet normals of the dual cone: it solves each (dim - 1)-subset
 of the normals' lines for a ray and tests it on every normal, with the
-package's ``_hyperplane_normal`` (refereed by sympy in its own test),
-``rank_q`` and ``kernel_basis``.
+package's ``rank_q`` and ``kernel_basis``, and with ``_hyperplane_normal``,
+kept here on the package's ``_det``: the signed-minor kernel of d - 1
+rows that the library used before its double description (refereed by
+sympy in its own test).
 """
 
 from fractions import Fraction
@@ -51,9 +53,8 @@ import sympy
 
 from toricomplex.complexity import (IncompatibleOrbifoldError,
                                    InvalidDecompositionError)
-from toricomplex.lattice import (_hyperplane_normal, identity_matrix,
-                                 kernel_basis, primitive_vector, rank_q,
-                                 vec_dot)
+from toricomplex.lattice import (_det, identity_matrix, kernel_basis,
+                                 primitive_vector, rank_q, vec_dot)
 
 
 def set_partitions(items):
@@ -397,6 +398,31 @@ def leaf_bound_search_fine(fixed_rank, fixed_norm, elems, options):
 
     rec(0)
     return Fraction(best["F"], den), best["groups"]
+
+
+def _hyperplane_normal(rows):
+    """Primitive generator, up to sign, of the kernel of d - 1 integer
+    rows of length d >= 1, or None when that kernel is not a line.
+
+    The kernel is spanned by the signed maximal minors (the generalized
+    cross product); they all vanish exactly when the rows are dependent.
+    """
+    d = len(rows) + 1
+    if d == 1:
+        return (1,)
+    if d == 2:
+        (a0, a1), = rows
+        phi = (a1, -a0)
+    elif d == 3:
+        (a0, a1, a2), (b0, b1, b2) = rows
+        phi = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    else:
+        phi = tuple((-1) ** j * _det([r[:j] + r[j + 1:] for r in rows])
+                    for j in range(d))
+    g = gcd(*phi)
+    if not g:
+        return None
+    return tuple(x // g for x in phi)
 
 
 def vform_by_vertex_subsets(equalities, inequalities, dim):

@@ -24,7 +24,8 @@ from toricomplex.lattice import (cartier_scale, primitive_vector, rank_q,
                                  vec_gcd)
 from toricomplex.pairmodel import build_pair
 
-from fans import A1_SING, A2, A3, BLP2, CONIFOLD, P1XP1, P2, SUITE
+from fans import (A1_SING, A2, A3, BLP2, CONIFOLD, P1XP1, P2, SUITE,
+                  projective_space)
 from helpers import different, wall_gamma
 
 BL_A2 = make_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 2), (1, 2)])
@@ -315,6 +316,17 @@ def test_monotonicity_full_boundary(fan, nrays, e):
     assert chk.monotone
     if chk.equality and chk.span_full:
         assert chk.sigma_is_boundary
+
+
+def test_monotone_with_equality_on_p20():
+    """The full boundary of P^20 at ray 0.  The induced pair lives on
+    the star fan, P^19, and validating it forms all facet normals of
+    twenty simplicial cones of rank 19."""
+    fan = projective_space(20)
+    pair = build_pair(fan, [F(1)] * 21)
+    partners = list(star_fan(pair.fan, 0).partners)
+    chk = check_adjunction(pair, prime_dec(21, [0] + partners), 0)
+    assert chk.monotone and chk.equality
 
 
 @settings(max_examples=60, deadline=None)

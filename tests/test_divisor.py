@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from toricomplex.divisor import (
     NotQCartierError,
     canonical_coeffs,
-    cartier_data,
     class_group,
     is_ample,
     is_nef,

@@ -568,8 +568,9 @@ def test_wall_partners_match_face_lattice():
 
 
 def test_simplicial_validation_takes_one_rank_per_cone(monkeypatch):
-    """Pointedness and extremality of a simplicial cone need no rank:
-    validating a simplicial fan ranks each cone once, in cone_hform."""
+    """Pointedness and extremality of a simplicial cone need no rank,
+    and cone_hform ranks nothing: validating a simplicial fan takes no
+    rank at all."""
     calls = []
     real = toricomplex.lattice.rank_q
 
@@ -583,4 +584,13 @@ def test_simplicial_validation_takes_one_rank_per_cone(monkeypatch):
         fan = make_fan(fan.rank, fan.rays, fan.max_cones)
         calls.clear()
         assert validate_fan(fan) == [] and is_complete(fan)
-        assert len(calls) == len(fan.max_cones)
+        assert len(calls) == 0
+
+
+def test_projective_space_minus_one_cone_at_rank_seven():
+    """P^7 with one maximal cone dropped is a valid fan that is not
+    complete; its pairwise check meets 21 cone pairs in rank 7."""
+    p7 = projective_space(7)
+    fan = make_fan(7, p7.rays, p7.max_cones[1:])
+    assert validate_fan(fan) == []
+    assert not is_complete(fan)

@@ -8,10 +8,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import toricomplex.lattice
 from toricomplex.lattice import (
-    AbelianGroupPresentation,
     NotPointedError,
     _det,
-    _hyperplane_normal,
     cartier_scale,
     cokernel,
     cone_hform,
@@ -32,6 +30,7 @@ from toricomplex.lattice import (
 )
 
 from bruteforce import (
+    _hyperplane_normal,
     brute_hilbert_basis,
     facet_normals,
     gauss_jordan_solve,
@@ -291,8 +290,9 @@ def test_lower_dim_cone_hform():
 
 
 def test_lower_dim_cone_hform_takes_one_smith_form(monkeypatch):
-    """Projection and equalities come from one Smith form; the
-    equality is the primitive functional vanishing on the cone."""
+    """Equalities and facet normals come from one double-description
+    pass, with no Smith form; the equality is the primitive functional
+    vanishing on the cone."""
     calls = []
     real = toricomplex.lattice.snf
 
@@ -303,7 +303,7 @@ def test_lower_dim_cone_hform_takes_one_smith_form(monkeypatch):
     monkeypatch.setattr(toricomplex.lattice, "snf", counting)
     gens = [(1, 1, 0), (0, 1, 1)]
     eqs, ineqs = cone_hform(gens, 3)
-    assert len(calls) == 1
+    assert len(calls) == 0
     assert eqs in ([(1, -1, 1)], [(-1, 1, -1)])
     assert cone_vform(eqs, ineqs, 3) == sorted(gens)
 
@@ -382,6 +382,75 @@ def test_pointedness_and_extremality_match_lp(gens):
         assert not pointed
     else:
         assert rays == lp_extremal_rays(gens)
+
+
+def _sympy_rank(vectors):
+    return sympy.Matrix([list(v) for v in vectors]).rank() if vectors else 0
+
+
+@st.composite
+def lower_dim_generators(draw):
+    """Generators of a cone of rank 1 to d - 1 in dimension 2 <= d <= 5:
+    1-5 integer combinations, coefficients in [-2, 2], of d - 1 or fewer
+    drawn vectors with entries in [-3, 3], plus up to three duplicate,
+    antiparallel or scaled generators, in a drawn order."""
+    d = draw(st.integers(2, 5))
+    basis = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d),
+                          min_size=1, max_size=d - 1))
+    gens = []
+    for _ in range(draw(st.integers(1, 5))):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(basis),
+                               max_size=len(basis)))
+        gens.append(tuple(sum(c * b[j] for c, b in zip(coeffs, basis))
+                          for j in range(d)))
+    gens = [g for g in gens if any(g)]
+    assume(gens)
+    for kind in draw(st.lists(st.sampled_from(
+            ("duplicate", "antiparallel", "scaled")), max_size=3)):
+        a = gens[draw(st.integers(0, len(gens) - 1))]
+        gens.append({"duplicate": a,
+                     "antiparallel": tuple(-x for x in a),
+                     "scaled": tuple(3 * x for x in a)}[kind])
+    return draw(st.permutations(gens))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lower_dim_generators())
+@example([(1, 1, 0), (0, 1, 1)])
+@example([(1, 0), (-1, 0)])
+@example([(1, 0, 0, 0, 0), (2, 0, 0, 0, 0), (0, 1, 1, 0, 0),
+          (0, -1, -1, 0, 0), (1, 1, 1, 0, 0)])
+def test_lower_dim_hform_matches_lp(gens):
+    """The equalities of a lower-dimensional cone are some basis of the
+    functionals vanishing on it, and each inequality is a facet normal:
+    whatever basis is chosen, the V-form and pointedness match the LP."""
+    d = len(gens[0])
+    rank = _sympy_rank(gens)
+    eqs, ineqs = cone_hform(gens, d)
+    assert len(eqs) == _sympy_rank(eqs) == d - rank
+    assert all(vec_dot(e, g) == 0 for e in eqs for g in gens)
+    for phi in ineqs:
+        assert all(vec_dot(phi, g) >= 0 for g in gens)
+        assert _sympy_rank([g for g in gens if vec_dot(phi, g) == 0]) \
+            == rank - 1
+    rays = cone_vform(eqs, ineqs, d)
+    assert (rays is None) == (not lp_cone_is_pointed(gens))
+    if rays is not None:
+        assert rays == lp_extremal_rays(gens)
+
+
+@pytest.mark.parametrize("d", [6, 7, 8])
+def test_cube_cone_hform_at_larger_ranks(d):
+    """The cone over the (d - 1)-cube has 2^(d-1) rays and 2(d - 1)
+    facets; enumerating the (d - 1)-subsets of its rays would take hours
+    at d = 7 and 8."""
+    cube = _cube_cone(d)
+    eqs, ineqs = cone_hform(cube, d)
+    assert eqs == [] and len(ineqs) == 2 * (d - 1)
+    for phi in ineqs:
+        assert all(vec_dot(phi, r) >= 0 for r in cube)
+        assert _sympy_rank([r for r in cube if vec_dot(phi, r) == 0]) \
+            == d - 1
 
 
 @settings(max_examples=200, deadline=None)
