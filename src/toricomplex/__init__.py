@@ -9,6 +9,8 @@ __version__ = "0.1.0"
 
 from .lattice import (  # noqa: F401
     ToricomplexError,
+    ClaimFailedError,
+    InvalidInputError,
     InternalInvariantError,
     NotPointedError,
     snf,
@@ -52,17 +54,13 @@ from .complexity import (  # noqa: F401
     minimize,
     local_complexity_cloc,
 )
-from .adjunction import (  # noqa: F401
-    HypothesisViolationError,
-    LcViolationError,
-    check_adjunction,
-    induced_decomposition,
-)
 
-# The surgery and cone modules load on first use of one of their names,
-# so a process that only builds pairs, minimizes and adjoins never loads
-# them.
+# The adjunction, surgery and cone modules load on first use of one of
+# their names, so a process that only builds pairs and minimizes never
+# loads them.
 _LAZY = {
+    "adjunction": ("HypothesisViolationError", "LcViolationError",
+                   "check_adjunction", "induced_decomposition"),
     "birational": ("NotLcPlaceError", "CrepancyError", "contraction",
                    "small_modification", "extraction", "check_contraction",
                    "check_small", "check_extraction", "log_discrepancy"),

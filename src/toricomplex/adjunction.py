@@ -17,8 +17,8 @@ restricts to ``E`` with multiplier ``1 / i_Q`` (proved in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .complexity import (
     Decomposition,
@@ -28,15 +28,16 @@ from .complexity import (
     validate_decomposition,
 )
 from .fan import StarFan, is_complete, star_fan
-from .lattice import ToricomplexError, _check, cartier_scale
+from .lattice import (ClaimFailedError, InvalidInputError, _check,
+                      cartier_scale)
 from .pairmodel import ToricPair, build_pair, pair_class_group
 
 
-class NotDivisorialCenterError(ToricomplexError):
+class NotDivisorialCenterError(InvalidInputError):
     """The chosen ray does not carry boundary coefficient one."""
 
 
-class LcViolationError(ToricomplexError):
+class LcViolationError(ClaimFailedError):
     """Wall data inconsistent with a log canonical source pair.
 
     No invariant input raises it: each codimension-one point of E lies
@@ -46,7 +47,7 @@ class LcViolationError(ToricomplexError):
     """
 
 
-class HypothesisViolationError(ToricomplexError):
+class HypothesisViolationError(ClaimFailedError):
     """The decomposition does not single out the center as required."""
 
 
@@ -95,8 +96,7 @@ def _different_coeffs(pair: ToricPair, star: StarFan):
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class AdjunctionResult:
+class AdjunctionResult(NamedTuple):
     """Everything adjunction along the center produces."""
 
     star: StarFan
@@ -235,8 +235,7 @@ def induced_decomposition(pair: ToricPair, dec: Decomposition,
                             boundary_is_lower_bound=pair.nef_part is not None)
 
 
-@dataclass(frozen=True)
-class AdjunctionCheck:
+class AdjunctionCheck(NamedTuple):
     """Monotonicity verdict for one adjunction instance."""
 
     result: AdjunctionResult

@@ -19,11 +19,12 @@ the plain and fine measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .lattice import (
-    ToricomplexError,
+    ClaimFailedError,
+    InvalidInputError,
     _check,
     cone_intersection,
     in_hform,
@@ -69,15 +70,15 @@ __all__ = [
 ]
 
 
-class SurgeryMismatchError(ToricomplexError):
+class SurgeryMismatchError(InvalidInputError):
     """Source and target fans do not fit the claimed surgery."""
 
 
-class SurgeryPreconditionError(ToricomplexError):
+class SurgeryPreconditionError(ClaimFailedError):
     """The pair fails a hypothesis of the statement being checked."""
 
 
-class NotLcPlaceError(ToricomplexError):
+class NotLcPlaceError(ClaimFailedError):
     """A subdivision vector whose log discrepancy is not zero."""
 
     def __init__(self, vector, discrepancy):
@@ -87,12 +88,11 @@ class NotLcPlaceError(ToricomplexError):
             f"valuation at {self.vector} has log discrepancy {discrepancy}")
 
 
-class CrepancyError(ToricomplexError):
+class CrepancyError(ClaimFailedError):
     """The surgery is not trivial for the log divisor."""
 
 
-@dataclass(frozen=True)
-class FanSurgery:
+class FanSurgery(NamedTuple):
     """A fan-level birational surgery with its ray correspondence.
 
     ray_map[i] is the target index of source ray i, or None when the
@@ -277,8 +277,7 @@ def _crepancy_witness(source, target, data_s, data_t):
     return None
 
 
-@dataclass(frozen=True)
-class ContractionReport:
+class ContractionReport(NamedTuple):
     surgery: FanSurgery
     target_pair: ToricPair
     pushed: Decomposition
@@ -367,8 +366,7 @@ def check_contraction(pair: ToricPair, surgery: FanSurgery,
     )
 
 
-@dataclass(frozen=True)
-class SmallModificationReport:
+class SmallModificationReport(NamedTuple):
     surgery: FanSurgery
     target_pair: ToricPair
     pushed: Decomposition
@@ -429,8 +427,7 @@ def check_small(pair: ToricPair, surgery: FanSurgery,
     )
 
 
-@dataclass(frozen=True)
-class ExtractionReport:
+class ExtractionReport(NamedTuple):
     surgery: FanSurgery
     source_pair: ToricPair  # the extracted model
     lifted: Decomposition

@@ -31,36 +31,32 @@ Exit codes
 2   a checked claim failed or a theorem hypothesis was violated;
 3   I/O or JSON parse failure;
 4   internal error: a self-check of the library failed.
+
+A package error's base class sets its exit code: InvalidInputError 1,
+ClaimFailedError 2 and InternalInvariantError 4 (all in lattice.py).
+ValueError, TypeError and KeyError also exit 1.  So :func:`run` names
+no module's error classes, and the adjunction, surgery and cone modules
+are imported only inside the commands that use them: a process running
+one command loads only what that command needs.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .adjunction import (HypothesisViolationError, LcViolationError,
-                         NotDivisorialCenterError, check_adjunction)
-from .birational import (CrepancyError, NotLcPlaceError, SurgeryMismatchError,
-                         SurgeryPreconditionError, check_contraction,
-                         check_extraction, check_small, contraction,
-                         extraction, small_modification)
-from .complexity import (IncompatibleOrbifoldError, InputTooLargeError,
-                         InvalidDecompositionError, NotFullDimensionalError,
-                         NotLogCanonicalError, complexity_values,
-                         local_complexity_cloc, make_decomposition, minimize,
-                         validate_decomposition)
-from .conecox import (NotAmpleError, NotInteriorError,
-                      TorsionObstructionError, cox_degrees,
-                      degree_zero_monoid, verify_cone_iso)
-from .divisor import NotQCartierError, class_group
-from .fan import InvalidFanError, make_fan, require_valid
-from .lattice import InternalInvariantError, ToricomplexError
-from .pairmodel import (InvalidPairError, build_pair, format_rational,
-                        is_log_canonical, is_log_cy, pair_from_dict,
-                        parse_rational)
+from .complexity import (IncompatibleOrbifoldError, InvalidDecompositionError,
+                         complexity_values, local_complexity_cloc,
+                         make_decomposition, minimize, validate_decomposition)
+from .divisor import class_group
+from .fan import make_fan, require_valid
+from .lattice import ClaimFailedError, InternalInvariantError, InvalidInputError
+from .pairmodel import (build_pair, format_rational, is_log_canonical,
+                        is_log_cy, pair_from_dict, parse_rational)
 
-class InvalidDocumentError(ToricomplexError):
+
+class InvalidDocumentError(InvalidInputError):
     """The JSON document does not have the shape the command expects."""
 
 
@@ -69,20 +65,6 @@ EXIT_INVALID = 1
 EXIT_CLAIM = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
-
-# Malformed or inconsistent input: the job never got off the ground.
-_VALIDATION_ERRORS = (InvalidFanError, InvalidPairError,
-                      InvalidDocumentError,
-                      InvalidDecompositionError, IncompatibleOrbifoldError,
-                      NotFullDimensionalError, InputTooLargeError,
-                      NotQCartierError, NotInteriorError,
-                      NotDivisorialCenterError, SurgeryMismatchError,
-                      ValueError, TypeError, KeyError)
-# Well-formed input on which the checked statement (or one of its
-# hypotheses) fails.
-_CLAIM_ERRORS = (NotLcPlaceError, CrepancyError, SurgeryPreconditionError,
-                 HypothesisViolationError, LcViolationError,
-                 NotLogCanonicalError, TorsionObstructionError, NotAmpleError)
 
 # Complete fans bundled for `check suite` (mirrors the test fixtures).
 _SUITE_DATA = (
@@ -116,8 +98,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class JobSpec:
+class JobSpec(NamedTuple):
     """One resolved invocation: what to run, on what, reported how."""
 
     command: str
@@ -352,6 +333,7 @@ def _cmd_minimize(job):
 
 
 def _cmd_adjoin(job):
+    from .adjunction import check_adjunction
     doc = _load_doc(job.input_path)
     pair = pair_from_dict(doc)
     dec = _decomposition_from_doc(doc, pair)
@@ -382,6 +364,7 @@ def _cmd_adjoin(job):
 
 
 def _cmd_cone(job):
+    from .conecox import verify_cone_iso
     doc = _load_doc(job.input_path)
     fan = _load_fan(doc)
     v = _interior_vector(doc, fan)
@@ -398,6 +381,8 @@ def _cmd_cone(job):
 
 
 def _cmd_hilbert(job):
+    from .conecox import (TorsionObstructionError, cox_degrees,
+                          degree_zero_monoid)
     doc = _load_doc(job.input_path)
     fan = _load_fan(doc)
     v = _interior_vector(doc, fan)
@@ -440,6 +425,7 @@ def _target_fan(doc, rank):
 
 
 def _cmd_check_contract(job):
+    from .birational import check_contraction, contraction
     doc, pair, dec = _surgery_doc(job)
     target = _target_fan(doc, pair.fan.rank)
     ray = doc.get("ray")
@@ -462,6 +448,7 @@ def _cmd_check_contract(job):
 
 
 def _cmd_check_small(job):
+    from .birational import check_small, small_modification
     doc, pair, dec = _surgery_doc(job)
     target = _target_fan(doc, pair.fan.rank)
     surgery = small_modification(pair.fan, target)
@@ -476,6 +463,7 @@ def _cmd_check_small(job):
 
 
 def _cmd_check_extract(job):
+    from .birational import check_extraction, extraction
     doc, pair, dec = _surgery_doc(job)
     vectors = doc.get("vectors")
     if not isinstance(vectors, list) or not vectors:
@@ -683,14 +671,14 @@ def run(argv):
     except InternalInvariantError as exc:
         print(f"toricomplex: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except _CLAIM_ERRORS as exc:
+    except ClaimFailedError as exc:
         print(f"toricomplex: claim failed: {exc}", file=sys.stderr)
         return EXIT_CLAIM
     # JSONDecodeError subclasses ValueError: classify I/O first.
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"toricomplex: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except _VALIDATION_ERRORS as exc:
+    except (InvalidInputError, ValueError, TypeError, KeyError) as exc:
         print(f"toricomplex: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     _emit(job, payload)

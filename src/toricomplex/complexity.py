@@ -20,15 +20,16 @@ decompositions whose parts are scaled sums of distinct prime divisors
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, lcm
+from typing import NamedTuple
 
 from .divisor import as_coeffs, local_class_group, q_span_dim
 from .fan import as_int, cone_dim
 from .lattice import (
+    ClaimFailedError,
     InternalInvariantError,
-    ToricomplexError,
+    InvalidInputError,
     _check,
     cokernel,
     transpose,
@@ -37,36 +38,34 @@ from .lattice import (
 from .pairmodel import ToricPair, is_log_canonical, pair_class_group
 
 
-class InvalidDecompositionError(ToricomplexError):
+class InvalidDecompositionError(InvalidInputError):
     """The proposed decomposition is not a decomposition of the boundary."""
 
 
-class IncompatibleOrbifoldError(ToricomplexError):
+class IncompatibleOrbifoldError(InvalidInputError):
     """The orbifold structure does not fit the pair's boundary."""
 
 
-class NotLogCanonicalError(ToricomplexError):
+class NotLogCanonicalError(ClaimFailedError):
     """Raised by entry points that require a log canonical pair."""
 
 
-class NotFullDimensionalError(ToricomplexError):
+class NotFullDimensionalError(InvalidInputError):
     """Raised when a fixed-point computation is asked at a small cone."""
 
 
-class InputTooLargeError(ToricomplexError):
+class InputTooLargeError(InvalidInputError):
     """The exhaustive search exceeds the partition limit or its work budget."""
 
 
-@dataclass(frozen=True)
-class Part:
+class Part(NamedTuple):
     """One summand ``weight * divisor`` of a decomposition."""
 
     weight: Fraction
     coeffs: tuple  # Fraction per ray
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Weighted parts plus one orbifold index per ray (1 = untwisted)."""
 
     parts: tuple
@@ -231,8 +230,7 @@ def complexity_values(pair: ToricPair, dec: Decomposition) -> tuple:
 # Minimization
 
 
-@dataclass(frozen=True)
-class MinimizeReport:
+class MinimizeReport(NamedTuple):
     """The three minimized values with their realizing decompositions."""
 
     c: Fraction
@@ -625,8 +623,7 @@ def minimize(pair: ToricPair, orbifold_cap: int = 12,
 # Local complexity of a fixed point
 
 
-@dataclass(frozen=True)
-class LocalComplexityReport:
+class LocalComplexityReport(NamedTuple):
     value: Fraction
     boundary: tuple  # Fraction per cone ray, in cone order
     witness: tuple  # the linear functional certifying K + B linearly trivial

@@ -18,12 +18,13 @@ E polarized by -E restricted to E -- divisor by divisor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .lattice import (
     AbelianGroupPresentation,
-    ToricomplexError,
+    ClaimFailedError,
+    InvalidInputError,
     _check,
     _det,
     cone_hform,
@@ -42,15 +43,15 @@ from .fan import (Fan, as_int, is_complete, make_fan, require_valid,
 from .divisor import as_coeffs, class_group, is_ample, local_class_group
 
 
-class NotAmpleError(ToricomplexError):
+class NotAmpleError(ClaimFailedError):
     """The divisor is not ample on the given complete fan."""
 
 
-class NotInteriorError(ToricomplexError):
+class NotInteriorError(InvalidInputError):
     """The chosen vector does not lie in the interior of the cone."""
 
 
-class TorsionObstructionError(ToricomplexError):
+class TorsionObstructionError(ClaimFailedError):
     """Cl(Y_x) has torsion, so the degree-zero monoid is not taken as is."""
 
 
@@ -58,8 +59,7 @@ class TorsionObstructionError(ToricomplexError):
 # cones over polarized varieties
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolarizedToric:
+class PolarizedToric(NamedTuple):
     """A complete fan with an ample invariant Q-divisor on it."""
 
     fan: Fan
@@ -128,8 +128,7 @@ def _require_interior(fan, v):
     return v
 
 
-@dataclass(frozen=True)
-class CoxDegrees:
+class CoxDegrees(NamedTuple):
     """Class-group data of the star subdivision Y -> X at an interior ray.
 
     ray_classes[i] is the integral class of the i-th invariant divisor of
@@ -174,8 +173,7 @@ def cox_degrees(x_fan, v_e):
 # the degree-zero monoid
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoverStep:
+class CoverStep(NamedTuple):
     """One index-one-cover descent killing a torsion class.
 
     divisor: coefficient vector of the torsion divisor W on the rays of Y;
@@ -188,8 +186,7 @@ class CoverStep:
     character: tuple
 
 
-@dataclass(frozen=True)
-class GradedMonoid:
+class GradedMonoid(NamedTuple):
     """Minimal generators of the degree-zero monoid, with the E-grading.
 
     generators[j] lives in N^(r+1): exponents of x_1, ..., x_r, e.  tau[j]
@@ -357,8 +354,7 @@ def _star_polarization(x_fan, v_e):
     return e_fan, tuple(coeffs), q_rows, m, v_e
 
 
-@dataclass(frozen=True)
-class ConeIsoReport:
+class ConeIsoReport(NamedTuple):
     """Outcome of the cone-over-the-exceptional-divisor comparison.
 
     witness is the unimodular matrix x |-> (x mod v_e, -<m, x>) carrying

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import lcm
 
 from .lattice import (
-    ToricomplexError,
+    InvalidInputError,
     cokernel,
     rank_q,
     solve_rational,
@@ -20,7 +20,7 @@ from .lattice import (
 from .fan import locate_max_cone
 
 
-class NotQCartierError(ToricomplexError):
+class NotQCartierError(InvalidInputError):
     def __init__(self, cone_idx):
         self.cone_idx = cone_idx
         super().__init__(f"divisor is not Q-Cartier on maximal cone {cone_idx}")

@@ -5,11 +5,11 @@ completeness, smoothness, subdivision) are answered exactly through the
 cone machinery in lattice.py.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .lattice import (
-    ToricomplexError,
+    InvalidInputError,
     cone_hform,
     cone_intersection,
     extremal_rays,
@@ -25,26 +25,28 @@ from .lattice import (
 )
 
 
-class InvalidFanError(ToricomplexError):
+class InvalidFanError(InvalidInputError):
     def __init__(self, diagnostics):
         self.diagnostics = diagnostics
         super().__init__("; ".join(f"{c}: {d}" for c, d in diagnostics))
 
 
-@dataclass(frozen=True)
-class Fan:
+class _FanFields(NamedTuple):
+    rank: int
+    rays: tuple
+    max_cones: tuple
+
+
+class Fan(_FanFields):
     """rank: ambient lattice rank; rays: tuple of primitive integer tuples;
     max_cones: tuple of sorted ray-index tuples.
 
     Derived geometry (the validation verdict and the H-form of each
-    maximal cone) is computed on first use and kept on the object.  The
-    H-form is the one per-cone structure: pointedness, extremal rays,
-    facets, walls and containment are all read from it.
+    maximal cone) is computed on first use and kept on the object, in
+    the instance dict that this subclass of the fields' NamedTuple has.
+    The H-form is the one per-cone structure: pointedness, extremal
+    rays, facets, walls and containment are all read from it.
     """
-
-    rank: int
-    rays: tuple
-    max_cones: tuple
 
     def cone_rays(self, cone):
         return [self.rays[i] for i in cone]
@@ -358,8 +360,7 @@ def star_subdivision(fan, v):
     return make_fan(fan.rank, fan.rays + (v,), sorted(set(new_cones)))
 
 
-@dataclass(frozen=True)
-class StarFan:
+class StarFan(NamedTuple):
     """Fan of the orbit closure of a ray (an invariant prime divisor).
 
     fan: the quotient fan in N / Z u_center (rank drops by one).

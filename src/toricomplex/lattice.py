@@ -6,14 +6,24 @@ Everything here is exact: matrices are lists of lists of Python ints,
 rational data uses fractions.Fraction.  No floats anywhere.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 
 class ToricomplexError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class InvalidInputError(ToricomplexError):
+    """Malformed or inconsistent input: the job never got off the ground.
+    The command line exits 1 on it."""
+
+
+class ClaimFailedError(ToricomplexError):
+    """Well-formed input on which the checked statement, or one of its
+    hypotheses, fails.  The command line exits 2 on it."""
 
 
 class InternalInvariantError(ToricomplexError):
@@ -76,8 +86,7 @@ def is_primitive(v):
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SmithForm:
+class SmithForm(NamedTuple):
     """Result of a Smith normal form computation.
 
     left * original * right == diag, where left and right are unimodular and
@@ -329,8 +338,7 @@ def cartier_scale(a, b):
 # finitely generated abelian groups (cokernels)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AbelianGroupPresentation:
+class AbelianGroupPresentation(NamedTuple):
     """Cokernel Z^n / im(m) in Smith-normal coordinates.
 
     free_rank: number of Z summands.
@@ -670,14 +678,17 @@ def hilbert_basis(gens, dim=None):
         dim = len(gens[0])
     if not gens:
         return []
+    # the lineality basis of the dual cone spans the annihilator of the
+    # gens, of dimension dim - rank
+    lineality, ineqs = _double_description(gens, dim)
     basis = None
-    if rank_q(gens) < dim:
+    if lineality:
         # pointed exactly when its image in the saturated span is, and
         # that image is full-dimensional there by construction
         basis, proj = span_saturation(gens)
         gens = [tuple(mat_vec(proj, list(g))) for g in gens]
         dim = len(basis)
-    ineqs = _double_description(gens, dim)[1]
+        ineqs = _double_description(gens, dim)[1]
     hform = [], ineqs
     rays = extremal_rays(gens, hform)
     if rays is None:

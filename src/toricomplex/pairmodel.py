@@ -17,9 +17,9 @@ Pairs serialize to a small JSON document (schema 1) with rationals as
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .fan import Fan, as_int, is_complete, make_fan, require_valid
 from .divisor import (
@@ -30,12 +30,12 @@ from .divisor import (
     is_nef,
     local_class_group,
 )
-from .lattice import AbelianGroupPresentation, ToricomplexError, solve_rational
+from .lattice import AbelianGroupPresentation, InvalidInputError, solve_rational
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
 
 
-class InvalidPairError(ToricomplexError):
+class InvalidPairError(InvalidInputError):
     """Raised when pair data is malformed or inconsistent with its mode."""
 
 
@@ -64,15 +64,19 @@ def format_rational(x: Fraction) -> str:
 MODES = ("projective", "local", "birational")
 
 
-@dataclass(frozen=True)
-class ToricPair:
-    """A validated toric pair ``(X, B + M)`` with a working mode."""
-
+class _PairFields(NamedTuple):
     fan: Fan
     boundary: tuple  # Fraction per ray
     mode: str = "projective"
     cone: tuple | None = None  # ray indices, local mode only
     nef_part: tuple | None = None  # Fraction per ray, optional
+
+
+class ToricPair(_PairFields):
+    """A validated toric pair ``(X, B + M)`` with a working mode.
+
+    The cached class group and linear data live in the instance dict
+    that this subclass of the fields' NamedTuple has."""
 
     @property
     def dim(self) -> int:

@@ -16,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 import toricomplex
 from toricomplex.cli import (EXIT_CLAIM, EXIT_INTERNAL, EXIT_INVALID, EXIT_IO,
                              EXIT_OK, run)
+from toricomplex.lattice import (ClaimFailedError, InternalInvariantError,
+                                 InvalidInputError, ToricomplexError)
 
 P2_DOC = {
     "rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
@@ -229,26 +231,31 @@ sys.exit(run(sys.argv[2:]))
 # The same, but makes minimize realize its groups with every part's
 # weight doubled, so its own decompositions overrun the boundary.
 DOUBLED_WEIGHTS = """
-import dataclasses, importlib, sys
+import importlib, sys
 if sys.flags.optimize != int(sys.argv[1]):
     sys.exit(99)
 C = importlib.import_module("toricomplex.complexity")
 realize = C._realizing_decomposition
 def doubled(*args):
     dec = realize(*args)
-    return dataclasses.replace(dec, parts=tuple(
-        dataclasses.replace(p, weight=2 * p.weight) for p in dec.parts))
+    return dec._replace(parts=tuple(
+        p._replace(weight=2 * p.weight) for p in dec.parts))
 C._realizing_decomposition = doubled
 from toricomplex.cli import run
 sys.exit(run(sys.argv[2:]))
 """
 
 
+def _child_env():
+    """The environment with this checkout's package first on the path."""
+    src = str(Path(toricomplex.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_failed_self_check_exits_internal(tmp_path, flags):
-    src = str(Path(toricomplex.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = _child_env()
     half = dict(P2_DOC, boundary=["1/2", "1/2", "1"])
     for script, doc, args, needle in [
             (WRONG_C_ORB, P2_DOC, ["minimize"], "c_orb"),
@@ -285,6 +292,30 @@ def test_library_self_checks_survive_optimize():
                     and _raises_assertion_error(node)):
                 sites.append(f"{path.name}:{node.lineno}")
     assert sites == []
+
+
+def _unused_imports(path):
+    """Names a module imports and never names again, with their lines."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = \
+                    node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items()
+            if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every imported name of the package and the tests is used; the
+    package's re-exports in ``__init__`` are exempt."""
+    package = Path(toricomplex.__file__).resolve().parent
+    paths = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(Path(__file__).resolve().parent.glob("*.py"))
+    assert [hit for path in paths for hit in _unused_imports(path)] == []
 
 
 def _exported_strings(node):
@@ -817,3 +848,129 @@ def test_each_decomposition_is_evaluated_once(capsys, monkeypatch):
         code, _, err = invoke(capsys, args, doc, monkeypatch)
         assert code == EXIT_OK, err
         assert (calls["validations"], calls["spans"]) == expected, args
+
+
+# ---------------------------------------------------------------------------
+# what a command loads, and how its errors exit
+
+
+# Runs cli.run in a fresh interpreter, then names on standard error the
+# package modules it loaded, and dataclasses if anything loaded it.
+MODULES_AFTER_RUN = """
+import sys
+from toricomplex.cli import run
+code = run(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m == "dataclasses"
+                    or m.startswith("toricomplex.")), file=sys.stderr)
+"""
+
+# The modules every command loads with cli itself.
+CORE_MODULES = {"toricomplex.cli", "toricomplex.lattice", "toricomplex.fan",
+                "toricomplex.divisor", "toricomplex.pairmodel",
+                "toricomplex.complexity"}
+
+
+# Each command on a valid document, with the modules it loads beyond
+# CORE_MODULES.
+COMMAND_MODULES = [
+    (["validate"], P2_DOC, set()),
+    (["classgroup"], P2_DOC, set()),
+    (["complexity"], P2_DOC, set()),
+    (["minimize"], P2_DOC, set()),
+    (["adjoin", "--ray", "3"], ADJOIN_DOC, {"adjunction"}),
+    (["cone"], A1_GERM_DOC, {"conecox"}),
+    (["hilbert"], A1_GERM_DOC, {"conecox"}),
+    (["check", "contract"], CONTRACT_DOC, {"birational"}),
+    (["check", "small"], FLOP_DOC, {"birational"}),
+    (["check", "extract"], {"pair": P2_DOC, "vectors": [[1, 1]]},
+     {"birational"}),
+    (["check", "suite"], None, set()),
+]
+
+
+@pytest.mark.parametrize("args, doc, extra", COMMAND_MODULES,
+                         ids=[" ".join(args) for args, _, _ in COMMAND_MODULES])
+def test_each_command_loads_only_the_modules_it_uses(tmp_path, args, doc,
+                                                     extra):
+    """A child process pays for each module it loads, so a command
+    loads the adjunction, surgery or cone module only when it uses it,
+    and no record of the package loads dataclasses."""
+    if doc is not None:
+        args = args + ["--input", write_doc(tmp_path, doc)]
+    proc = subprocess.run([sys.executable, "-c", MODULES_AFTER_RUN, *args],
+                          capture_output=True, text=True, env=_child_env())
+    code, *modules = proc.stderr.split()
+    assert code == str(EXIT_OK), proc.stderr
+    assert set(modules) == CORE_MODULES | {f"toricomplex.{m}" for m in extra}
+
+
+# Every error class of the package, with the exit code the command line
+# gives it; None: no verdict, the error escapes run.
+EXIT_VERDICTS = {
+    "InvalidInputError": EXIT_INVALID,
+    "ClaimFailedError": EXIT_CLAIM,
+    "InternalInvariantError": EXIT_INTERNAL,
+    "NotPointedError": None,
+    "InvalidFanError": EXIT_INVALID,
+    "NotQCartierError": EXIT_INVALID,
+    "InvalidPairError": EXIT_INVALID,
+    "InvalidDecompositionError": EXIT_INVALID,
+    "IncompatibleOrbifoldError": EXIT_INVALID,
+    "NotLogCanonicalError": EXIT_CLAIM,
+    "NotFullDimensionalError": EXIT_INVALID,
+    "InputTooLargeError": EXIT_INVALID,
+    "NotDivisorialCenterError": EXIT_INVALID,
+    "LcViolationError": EXIT_CLAIM,
+    "HypothesisViolationError": EXIT_CLAIM,
+    "SurgeryMismatchError": EXIT_INVALID,
+    "SurgeryPreconditionError": EXIT_CLAIM,
+    "NotLcPlaceError": EXIT_CLAIM,
+    "CrepancyError": EXIT_CLAIM,
+    "NotAmpleError": EXIT_CLAIM,
+    "NotInteriorError": EXIT_INVALID,
+    "TorsionObstructionError": EXIT_CLAIM,
+    "InvalidDocumentError": EXIT_INVALID,
+}
+
+
+def _package_errors():
+    for name in ("adjunction", "birational", "conecox"):
+        importlib.import_module(f"toricomplex.{name}")
+    found, todo = [], [ToricomplexError]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("toricomplex."):
+                found.append(cls)
+                todo.append(cls)
+    return found
+
+
+def test_each_error_class_has_one_exit_verdict(capsys, monkeypatch):
+    """An error's base class sets its exit code.  The table names every
+    error class of the package, so a new one must be placed in it."""
+    errors = _package_errors()
+    verdicts = {}
+    for cls in errors:
+        bases = [code for base, code in (
+            (InvalidInputError, EXIT_INVALID), (ClaimFailedError, EXIT_CLAIM),
+            (InternalInvariantError, EXIT_INTERNAL)) if issubclass(cls, base)]
+        assert len(bases) <= 1, cls
+        verdicts[cls.__name__] = bases[0] if bases else None
+    assert verdicts == EXIT_VERDICTS
+    injected = [(cls.__new__(cls), verdicts[cls.__name__]) for cls in errors]
+    injected += [(ValueError("x"), EXIT_INVALID),
+                 (TypeError("x"), EXIT_INVALID), (KeyError("x"), EXIT_INVALID),
+                 (OSError("x"), EXIT_IO),
+                 (json.JSONDecodeError("x", "", 0), EXIT_IO),
+                 (UnicodeDecodeError("utf-8", b"", 0, 1, "x"), EXIT_IO)]
+    handlers = importlib.import_module("toricomplex.cli")._HANDLERS
+    for exc, expected in injected:
+        def fail(job, exc=exc):
+            raise exc
+        monkeypatch.setitem(handlers, "validate", fail)
+        if expected is None:
+            with pytest.raises(type(exc)):
+                run(["validate"])
+        else:
+            assert run(["validate"]) == expected, type(exc).__name__
+        assert capsys.readouterr().out == ""

@@ -29,10 +29,8 @@ from toricomplex.lattice import (
 from toricomplex.pairmodel import build_pair, pair_class_group
 
 from bruteforce import sampled_is_complete
-from fans import (
-    A1_SING, A2, A3, BLP2, CONIFOLD, P1, P1XP1, P2, P3, SUITE, fan_product,
-    projective_space,
-)
+from fans import (A1_SING, A2, A3, CONIFOLD, P1, P2, P3, SUITE, fan_product,
+                  projective_space)
 from helpers import (cone_multiplicity, cones_of_dim, face_lattice_partners,
                      is_smooth)
 
