@@ -31,6 +31,7 @@ from .lattice import (
     cone_vform,
     extremal_rays,
     hilbert_basis,
+    identity_matrix,
     is_primitive,
     kernel_basis,
     mat_vec,
@@ -200,22 +201,6 @@ class GradedMonoid(NamedTuple):
     cover_steps: tuple
 
 
-def _zero_class_lattice(pres, n):
-    """Basis of {x in Z^n : the class of x vanishes, torsion included}."""
-    t = len(pres.torsion)
-    rows = [list(row) + [0] * t for row in pres.free_map]
-    for j, (row, d) in enumerate(zip(pres.torsion_map, pres.torsion)):
-        aug = [0] * t
-        aug[j] = d
-        rows.append(list(row) + aug)
-    if not rows:
-        return [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    # Auxiliary unknowns absorb the torsion congruences; projecting the
-    # kernel back to the first n coordinates is injective since the
-    # moduli are non-zero.
-    return [v[:n] for v in kernel_basis(rows)]
-
-
 def _torsion_witness(y_fan, pres):
     """A divisor whose class is the canonical generator of the largest
     invariant factor, with the order and the character trivializing its
@@ -265,7 +250,11 @@ def degree_zero_monoid(g, torsion_cover=False):
     A monomial has degree zero when its exponent vector pairs to zero with
     (ray_classes, e_class) in Cl(Y_x), torsion included.  With a free
     class group the e-exponent is determined by the x-exponents, which
-    makes the last coordinate a well-defined N-grading (tau).
+    makes the last coordinate a well-defined N-grading (tau), and the
+    degree-zero exponents are the points of Z^n in the cone
+    {x >= 0 : free_map * x = 0}, whose Hilbert basis is taken in Z^n
+    itself: the kernel of free_map is saturated, so no lattice basis of
+    it is needed.
 
     Torsion in Cl(Y_x) obstructs that reading; by default it raises
     TorsionObstructionError.  With torsion_cover=True the computation
@@ -288,19 +277,9 @@ def degree_zero_monoid(g, torsion_cover=False):
     else:
         raise TorsionObstructionError("torsion persists after descent")
     n = len(g.y_fan.rays)
-    basis = _zero_class_lattice(g.cl_y, n)
-    if not basis:
-        return GradedMonoid((), (), g, tuple(steps))
-    # Hilbert basis of the lattice points of {x >= 0} inside the kernel
-    # lattice, computed in kernel coordinates where the lattice is Z^k.
-    ineqs = [tuple(b[i] for b in basis) for i in range(n)]
-    rays = cone_vform([], ineqs, len(basis))
-    _check(rays is not None, "the non-negative slice of the kernel is pointed")
-    gens = []
-    for z in hilbert_basis(rays, len(basis)) if rays else []:
-        x = tuple(sum(b[i] * zi for b, zi in zip(basis, z)) for i in range(n))
-        gens.append(x)
-    gens.sort()
+    rays = cone_vform(g.cl_y.free_map, identity_matrix(n), n)
+    _check(rays is not None, "the non-negative orthant is pointed")
+    gens = hilbert_basis(rays, n)
     for x in gens:
         _check(g.cl_y.is_zero_class(list(x)),
                "every generator must have degree zero")

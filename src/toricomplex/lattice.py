@@ -377,32 +377,6 @@ def cokernel(m):
     )
 
 
-def span_saturation(vectors):
-    """Saturated lattice basis of span(vectors) and a left inverse.
-
-    Returns (basis, proj) where basis is a list of integer vectors spanning
-    the saturation of the span, and proj is a matrix with proj * basis^T = I,
-    so proj maps any lattice vector of the span to its basis coordinates.
-    For the Smith form of the vectors as columns, proj is the first rank
-    rows of left and basis the first rank columns of left^-1 (see SmithForm).
-    """
-    if not vectors:
-        return [], []
-    s = snf(transpose(list(map(list, vectors))))
-    basis = [tuple(sum(v[k] * row[i] for v, row in zip(vectors, s.right))
-                   // s.diag[i][i] for k in range(len(vectors[0])))
-             for i in range(s.rank)]
-    proj = [list(s.left[i]) for i in range(s.rank)]
-    return basis, proj
-
-
-def lift_through_basis(basis, coords):
-    """Map small-space coordinates back through a span_saturation basis."""
-    dim = len(basis[0]) if basis else 0
-    return tuple(sum(b[j] * c for b, c in zip(basis, coords))
-                 for j in range(dim))
-
-
 # ---------------------------------------------------------------------------
 # rational cones
 # ---------------------------------------------------------------------------
@@ -423,9 +397,10 @@ def extremal_rays(gens, hform):
     inequality vanishes, so the cone is pointed exactly when they have
     rank dim, and then g spans an extremal ray exactly when the
     equalities and the facet normals vanishing on g have rank dim - 1.
-    Without equalities the cone is full-dimensional, so dim distinct
-    primitive generators are independent: the cone is simplicial, hence
-    pointed, and each generator spans an extremal ray; no rank is needed.
+    The equalities are independent (see cone_hform), so the cone has
+    dimension dim - len(equalities), and that many distinct primitive
+    generators are independent: the cone is simplicial, hence pointed,
+    and each generator spans an extremal ray; no rank is needed.
     """
     if not gens:
         return []
@@ -434,7 +409,7 @@ def extremal_rays(gens, hform):
     prims = sorted({primitive_vector(g) for g in gens})
     dim = len(prims[0])
     eqs, ineqs = list(hform[0]), hform[1]
-    if not eqs and len(prims) == dim:
+    if len(prims) == dim - len(eqs):
         return prims
     if rank_q(eqs + list(ineqs)) < dim:
         return None
@@ -590,19 +565,22 @@ def smallest_face_containing(gens, hform, sub):
 # Hilbert bases
 # ---------------------------------------------------------------------------
 
-def _pulling_triangulation(rays, normals, dim):
-    """Triangulate a full-dimensional pointed cone into simplicial subcones.
+def _pulling_triangulation(rays, normals, cdim):
+    """Triangulate a pointed cone of dimension cdim into simplicial subcones.
 
-    rays are its extremal rays and normals its facet normals.  Recursive
-    pulling triangulation from the lexicographically smallest ray; it
-    introduces no new rays.  Each facet missing the apex is triangulated
-    and coned from the apex.  A facet spans a hyperplane, so a facet with
-    dim - 1 rays has independent rays: it is a simplex, and so is its
-    cone from the apex, which lies off the hyperplane.  Returns lists of
-    rays.
+    rays are its extremal rays and normals its facet normals, both in the
+    ambient coordinates: the cone need not be full-dimensional.
+    Recursive pulling triangulation from the lexicographically smallest
+    ray; it introduces no new rays.  Each facet missing the apex is
+    triangulated and coned from the apex.  A facet spans a subspace of
+    dimension cdim - 1, so a facet with cdim - 1 rays has independent
+    rays: it is a simplex, and so is its cone from the apex, which lies
+    off that subspace.  Any other facet recurses on the facet normals of
+    its own double description, in the same coordinates.  Returns lists
+    of rays.
     """
     rays = sorted(rays)
-    if len(rays) == dim:
+    if len(rays) == cdim:
         return [rays]
     apex = rays[0]
     pieces = []
@@ -611,35 +589,37 @@ def _pulling_triangulation(rays, normals, dim):
         if vec_dot(phi, apex) == 0:
             continue
         sub = [r for r in rays if vec_dot(phi, r) == 0]
-        if len(sub) == dim - 1:
+        if len(sub) == cdim - 1:
             pieces.append([apex] + sub)
             continue
-        basis, proj = span_saturation(sub)
-        small = [tuple(mat_vec(proj, list(g))) for g in sub]
         for tri in _pulling_triangulation(
-                small, _double_description(small, dim - 1)[1], dim - 1):
-            pieces.append([apex] + [lift_through_basis(basis, t) for t in tri])
+                sub, _double_description(sub, len(apex))[1], cdim - 1):
+            pieces.append([apex] + tri)
     return pieces
 
 
 def _simplicial_box_points(rays):
     """Non-zero lattice points of the half-open parallelepiped of a
-    full-rank simplicial cone, via the quotient group Z^n / V Z^n.
+    simplicial cone, via the quotient group (Z^n & span V) / V Z^k.
 
-    With left * V * right = D, the point y = left^-1 * acc of the
-    quotient has V^-1 y = right * D^-1 * acc, so the box point is
+    V is the n x k matrix whose columns are the k independent rays, and
+    k < n is allowed.  With left * V * right = D, left * V = D * right^-1
+    vanishes below row k, so a lattice point y of the span has
+    (left * y)_i = 0 for i >= k: the quotient is the Z^k / D Z^k of the
+    first k rows, and its class acc is y = left^-1 * (acc, 0).  Then
+    V^-1 y = right * D^-1 * acc, so the box point is
     V * frac(right * D^-1 * acc), computed in integers over lcm(D).
     """
-    n = len(rays)
+    k = len(rays)
     vmat = transpose([list(r) for r in rays])  # columns are the rays
     s = snf(vmat)
-    ds = [s.diag[i][i] for i in range(n)]
+    ds = [s.diag[i][i] for i in range(k)]
     den = lcm(*ds)
     scale = [den // d for d in ds]
     pts = set()
 
     def rec(i, acc):
-        if i == n:
+        if i == k:
             scaled = [a * c for a, c in zip(acc, scale)]
             num = [vec_dot(row, scaled) % den for row in s.right]
             p = tuple(vec_dot(row, num) // den for row in vmat)
@@ -656,9 +636,13 @@ def _simplicial_box_points(rays):
 def hilbert_basis(gens, dim=None):
     """Minimal generating set of cone(gens) & Z^dim (the Hilbert basis).
 
-    Simplicial cones are handled by direct parallelepiped enumeration; a
-    non-simplicial cone is first pulled apart into simplicial pieces and the
-    union of the piece bases is then reduced to the unique minimal set.
+    The cone may have any dimension, and it is read in the ambient
+    coordinates throughout: one double description gives its H-form,
+    and the triangulation takes one more per non-simplicial face it
+    visits.  Simplicial cones are handled by direct parallelepiped
+    enumeration; a non-simplicial cone is first pulled apart into
+    simplicial pieces and the union of the piece bases is then reduced
+    to the unique minimal set.
 
     Args:
         gens: integer generators of a pointed rational cone.
@@ -678,33 +662,26 @@ def hilbert_basis(gens, dim=None):
         dim = len(gens[0])
     if not gens:
         return []
-    # the lineality basis of the dual cone spans the annihilator of the
-    # gens, of dimension dim - rank
-    lineality, ineqs = _double_description(gens, dim)
-    basis = None
-    if lineality:
-        # pointed exactly when its image in the saturated span is, and
-        # that image is full-dimensional there by construction
-        basis, proj = span_saturation(gens)
-        gens = [tuple(mat_vec(proj, list(g))) for g in gens]
-        dim = len(basis)
-        ineqs = _double_description(gens, dim)[1]
-    hform = [], ineqs
+    hform = _double_description(gens, dim)
     rays = extremal_rays(gens, hform)
     if rays is None:
         raise NotPointedError("Hilbert basis requires a pointed cone")
+    # the equalities are a basis of the functionals vanishing on the cone
+    eqs, ineqs = hform
     candidates = set(rays)
-    # a full-dimensional cone has one H-form: that of its extremal rays
-    for piece in _pulling_triangulation(rays, ineqs, dim):
+    for piece in _pulling_triangulation(rays, ineqs, dim - len(eqs)):
         candidates.update(_simplicial_box_points(piece))
-    grading = [sum(phi[j] for phi in ineqs) for j in range(dim)]
-    ordered = sorted(candidates, key=lambda v: (vec_dot(grading, v), v))
+    # Candidates lie in the cone's span, where the equalities hold, so
+    # c - h lies in the cone exactly when it is >= 0 on every facet
+    # normal.  The sum of those values grades the cone, positive off the
+    # origin as the cone is pointed, so a reducible candidate is reduced
+    # by a kept one of smaller degree.  Candidates are distinct, so
+    # c - h is never zero.
+    values = {c: [vec_dot(phi, c) for phi in ineqs] for c in candidates}
+    ordered = sorted(candidates, key=lambda c: (sum(values[c]), c))
     kept = []
-    # candidates are distinct, so c - h is never zero
     for c in ordered:
-        if not any(in_hform(hform, tuple(x - y for x, y in zip(c, h)))
-                   for h in kept):
+        vc = values[c]
+        if not any(all(x >= y for x, y in zip(vc, values[h])) for h in kept):
             kept.append(c)
-    if basis is not None:
-        kept = [lift_through_basis(basis, h) for h in kept]
     return sorted(kept)

@@ -444,13 +444,15 @@ def test_cone_takes_one_smith_form(capsys, monkeypatch):
 
 def test_torsion_cover_step_takes_one_smith_form(capsys, monkeypatch):
     """Refining the lattice by a torsion character solves every ray and
-    the center from one Smith form of the refined basis: 9 snf calls on
-    the index-4 germ."""
+    the center from one Smith form of the refined basis, and the monoid
+    is read in Z^n with no kernel basis: 8 snf calls on the index-4
+    germ, two class groups per Cox-degree reading, the witness, the
+    refinement's kernel and basis, and one simplex of the monoid."""
     calls = _count_smith_forms(monkeypatch)
     code, payload, _ = invoke_json(capsys, ["hilbert", "--torsion-cover"],
                                    TORSION_GERM_DOC, monkeypatch)
     assert code == EXIT_OK and len(payload["cover_steps"]) == 1
-    assert len(calls) == 9
+    assert len(calls) == 8
 
 
 def test_cone_rejects_boundary_vectors(capsys, monkeypatch):

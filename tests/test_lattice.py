@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import gcd, lcm
 
 import pytest
@@ -25,7 +25,6 @@ from toricomplex.lattice import (
     rank_q,
     snf,
     solve_rational,
-    span_saturation,
     vec_dot,
 )
 
@@ -618,9 +617,54 @@ def test_hilbert_matches_enumeration_3d(gens):
 
 def test_hilbert_matches_enumeration_on_the_cube_cone():
     """The facets of the cone over the 3-cube are squares, so the
-    triangulation projects each facet missing its apex and recurses."""
+    triangulation recurses on each facet missing its apex, in the
+    ambient coordinates."""
     cube = _cube_cone(4)
     assert hilbert_basis(cube) == brute_hilbert_basis(cube)
+
+
+def _unimodular(entries, n):
+    """L * U for the unit lower- and upper-triangular matrices whose
+    off-diagonal entries are taken, in order, from entries."""
+    it = iter(entries)
+    low = [[1 if i == j else next(it) if j < i else 0 for j in range(n)]
+           for i in range(n)]
+    up = [[1 if i == j else next(it) if j > i else 0 for j in range(n)]
+          for i in range(n)]
+    return mat_mul(low, up)
+
+
+@st.composite
+def embedded_cones(draw):
+    """A pointed full-dimensional cone of rank d = 2 or 3 (every
+    generator has last coordinate > 0, as in
+    test_hilbert_matches_enumeration_3d), padded with zeros to rank
+    d + 1 or d + 2, and a unimodular matrix of that rank."""
+    d = draw(st.sampled_from((2, 3)))
+    entry = st.integers(-2, 2)
+    gens = draw(st.lists(st.tuples(*[entry] * (d - 1), st.integers(1, 2)),
+                         min_size=d, max_size=6))
+    n = d + draw(st.integers(1, 2))
+    u = _unimodular(draw(st.lists(st.integers(-1, 1), min_size=n * (n - 1),
+                                  max_size=n * (n - 1))), n)
+    return gens, n, u
+
+
+@settings(max_examples=30, deadline=None)
+@given(embedded_cones())
+def test_hilbert_matches_enumeration_on_embedded_cones(cone):
+    """A lower-dimensional cone has the Hilbert basis of its preimage
+    under a unimodular embedding: its span meets Z^n in the image of
+    the smaller lattice."""
+    gens, n, u = cone
+    d = len(gens[0])
+    assume(sympy.Matrix([list(g) for g in gens]).rank() == d)
+
+    def embed(v):
+        return tuple(mat_vec(u, list(v) + [0] * (n - d)))
+
+    expected = sorted(embed(h) for h in brute_hilbert_basis(gens))
+    assert hilbert_basis([embed(g) for g in gens]) == expected
 
 
 def test_hilbert_box_points_take_no_linear_solve(monkeypatch):
@@ -639,11 +683,10 @@ def test_hilbert_box_points_take_no_linear_solve(monkeypatch):
 
 
 def test_hilbert_basis_ranks_a_lower_dimensional_cone_once(monkeypatch):
-    """The double description of the dual cone tells the rank (its
-    lineality basis has length dim - rank), and the projection to the
-    saturated span is full-dimensional by construction, so neither is
-    ranked.  The 4 calls are extremal_rays' on the projection: one for
-    pointedness, one per generator."""
+    """The double description of the dual cone tells the dimension (its
+    lineality basis has length dim - rank), so the generators are not
+    ranked.  The 4 calls are extremal_rays' in the ambient coordinates:
+    one for pointedness, one per generator."""
     calls = []
     real = toricomplex.lattice.rank_q
 
@@ -655,6 +698,39 @@ def test_hilbert_basis_ranks_a_lower_dimensional_cone_once(monkeypatch):
     gens = [(1, 1, 0), (0, 1, 1), (1, 2, 1)]
     assert hilbert_basis(gens) == [(0, 1, 1), (1, 1, 0)]
     assert len(calls) == 4
+
+
+def test_hilbert_basis_describes_a_lower_dimensional_cone_once(monkeypatch):
+    """A lower-dimensional cone is not projected to its span: the one
+    double description of its generators gives its equalities and its
+    facet normals, and a simplicial cone needs no other."""
+    calls = []
+    real = toricomplex.lattice._double_description
+
+    def counting(vectors, dim):
+        calls.append((len(vectors), dim))
+        return real(vectors, dim)
+
+    monkeypatch.setattr(toricomplex.lattice, "_double_description", counting)
+    gens = [(1, 1, 0), (0, 1, 1), (1, 2, 1)]
+    assert hilbert_basis(gens) == [(0, 1, 1), (1, 1, 0)]
+    assert calls == [(3, 3)]
+
+
+def test_hilbert_basis_takes_one_smith_form_per_simplex(monkeypatch):
+    """The pulling triangulation of the cone over the 3-cube has six
+    simplices, one per half of each of the three square facets missing
+    the apex; the triangulation itself takes no Smith form."""
+    calls = []
+    real = toricomplex.lattice.snf
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(toricomplex.lattice, "snf", counting)
+    assert len(hilbert_basis(_cube_cone(4))) == 27
+    assert len(calls) == 6
 
 
 def test_hilbert_simplicial_3d_singular():
@@ -715,44 +791,3 @@ def test_simplex_duality(rows, c):
         assert vp == -vd
     if st_p == "unbounded":
         assert st_d == "infeasible"
-
-
-# ---------------------------------------------------------------------------
-# span saturation
-# ---------------------------------------------------------------------------
-
-def test_span_saturation():
-    basis, proj = span_saturation([(2, 4)])
-    assert basis == [(1, 2)]
-    assert mat_vec(proj, [2, 4]) == [2]
-
-
-@settings(max_examples=60)
-@given(st.lists(st.tuples(small_int, small_int, small_int),
-                min_size=1, max_size=3))
-def test_span_saturation_roundtrip(vs):
-    vs = [v for v in vs if any(v)]
-    if not vs:
-        return
-    basis, proj = span_saturation(vs)
-    for v in vs:
-        coords = mat_vec(proj, list(v))
-        back = tuple(sum(b[j] * c for b, c in zip(basis, coords))
-                     for j in range(3))
-        assert back == v
-
-
-@settings(max_examples=60)
-@given(st.lists(st.tuples(small_int, small_int, small_int, small_int),
-                min_size=1, max_size=4))
-def test_span_saturation_basis_is_saturated(vs):
-    """The basis spans a saturated lattice: the gcd of its maximal
-    minors is 1."""
-    vs = [v for v in vs if any(v)]
-    if not vs:
-        return
-    basis, _ = span_saturation(vs)
-    assert len(basis) == rank_q(vs)
-    minors = [_det([[b[k] for k in cols] for b in basis])
-              for cols in combinations(range(4), len(basis))]
-    assert gcd(*minors) == 1
