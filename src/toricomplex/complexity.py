@@ -77,6 +77,7 @@ class Decomposition(NamedTuple):
 
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def trivial_orbifold(nrays: int) -> tuple:
@@ -248,16 +249,14 @@ def _orbifold_options(a: Fraction, cap: int):
     """Orbifold indices worth trying for a prime with boundary coefficient a.
 
     Divisors of the denominator only, capped, and only those leaving a
-    positive weight budget ``n(a - 1) + 1`` once the tax is paid.
+    positive weight budget ``n(a - 1) + 1`` once the tax is paid.  With
+    a = p/q that budget is (q - n(q - p))/q, so an index n qualifies when
+    it divides q and n(q - p) < q.
     """
-    den = a.denominator
-    out = []
-    for n in range(1, min(den, cap) + 1):
-        if den % n == 0:
-            budget = n * (a - 1) + 1
-            if budget > 0:
-                out.append((n, budget))
-    return out
+    p, q = a.numerator, a.denominator
+    return [(n, Fraction(q - n * (q - p), q))
+            for n in range(1, min(q, cap) + 1)
+            if q % n == 0 and n * (q - p) < q]
 
 
 def _project_classes(fixed_vecs, vecs):
@@ -275,10 +274,11 @@ def _project_classes(fixed_vecs, vecs):
             [[vec_dot(row, v) for row in quotient.free_map] for v in vecs])
 
 
-# Groups one _search_fine call may close before it raises
-# InputTooLargeError.  The polygon ladder of the README closes 0.52 M
-# groups at t = 12 in about 7 s and the 11/12 polygon 1.69 M at t = 8 in
-# about 14 s; at the ladder's rate this budget is under a minute.
+# Groups the grouping search of one minimize call, which finds c_fine
+# and c_orb together, may close before it raises InputTooLargeError.
+# The polygon ladder of the README closes 0.52 M groups at t = 12 in
+# about 4 s and the 11/12 polygon 1.69 M at t = 8 in about 8 s; at the
+# ladder's rate this budget is under a minute.
 _CLOSE_BUDGET = 4_000_000
 
 
@@ -326,20 +326,22 @@ def _rank_added(basis, rows):
 
 
 def _search_fine(fixed_rank, fixed_norm, elems, options):
-    """Exhaustive search for the best grouping of the fractional primes.
+    """Exhaustive search for the best groupings of the fractional primes.
 
     ``elems`` is a list of (ray, coefficient, projected class) with the
     classes given modulo the span of the ``fixed_rank``-dimensional
     coefficient-one classes (see :func:`_project_classes`);
     ``fixed_norm`` is the number of coefficient-one primes.  ``options``
-    gives the (index, weight-budget) choices per element, every budget
-    in (0, 1].  Maximizes F = |Sigma| - rank over the groupings of a
-    subset of the elements: a singleton group takes index 1, a larger
-    group any index per member, and a group weighs the smallest budget
-    of its members.  Returns (best F, groups) where groups is a list of
-    ([(element, index)...], weight), groups ordered by their first
-    member and members by element.  Raises InputTooLargeError once it
-    has closed more than ``_CLOSE_BUDGET`` groups.
+    gives the (index, weight-budget) choices per element, index 1 among
+    them, every budget in (0, 1].  Maximizes F = |Sigma| - rank over the
+    groupings of a subset of the elements: a singleton group takes
+    index 1, a larger group any index per member, and a group weighs
+    the smallest budget of its members.  Returns two optima, each
+    (best F, groups): the fine one over the groupings whose members all
+    take index 1, then the orbifold one over all of them.  groups is a
+    list of ([(element, index)...], weight), groups ordered by their
+    first member and members by element.  Raises InputTooLargeError
+    once it has closed more than ``_CLOSE_BUDGET`` groups.
 
     The search takes the smallest remaining element and either drops
     it or closes its group: the element plus a subset of the remaining
@@ -361,26 +363,40 @@ def _search_fine(fixed_rank, fixed_norm, elems, options):
       w_g.  A group weighs at most the budget of each member and the
       groups are disjoint, so that sum is at most top(k) <= top(nu).
 
-    A node is pruned only when this bound is below the best F, strictly,
-    so every optimal grouping is reached, and the key (-F, labels,
-    orbifold) picks the same one in any visiting order.
+    One walk keeps both optima.  A node or group is plain when every
+    member closed along its path takes index 1; the plain leaves are
+    exactly the groupings the fine optimum ranges over.  A plain leaf
+    is offered to both incumbents, any other leaf to the orbifold one
+    only, so the fine incumbent never exceeds the orbifold one: every
+    plain leaf is an orbifold leaf too.  A plain node is pruned only
+    when its bound is below the fine incumbent, strictly; then it is
+    below the orbifold one as well, and no completion of either kind can
+    reach its incumbent.  Every completion of any other node is
+    non-plain, so that node is pruned below the orbifold incumbent.
+    The bound uses the largest budget of each element over all its
+    indices, which bounds the index-1 budget too.  So no node is pruned
+    that holds an optimal grouping of either kind, and the key (-F,
+    labels, orbifold) picks the same optimum of each kind in any
+    visiting order.
 
     Dropping an element never raises nu.  Closing a group g whose row
     adds delta (0 or 1) to the rank leaves nullity at most
     nu - 1 + delta: one member of g lies in the span of r_g and the
     other members, so rank(S + r_g + left) >= rank(S + rem) - |g| + 1,
     where left is what g leaves of rem.  So g of weight w is worth
-    closing only if cur + w + top'(nu - 1) reaches the best F, top' over
-    left (a delta of 1 costs 1 and frees one more budget of at most 1);
-    when nu = 0, delta is 1 and the bound is cur + w - 1.  Both shrink
-    as g grows, so a failed check skips every larger group too, before
-    any rank is taken.  A node ranks for its exact nu only when its
-    inherited bound does not prune it.  Nothing is ranked once nu = 0,
-    where every row leaves S, or once nu is the number of remaining
-    elements, which then all lie in S.  Rank and nullity as in Oxley,
-    Matroid Theory (2011), ch. 1.  Ranks are taken against an echelon
-    basis of the rows closed along the path (:func:`_echelon_insert`);
-    a row joins it only where something below may still rank.
+    closing only if cur + w + top'(nu - 1) reaches the incumbent of its
+    kind, top' over left (a delta of 1 costs 1 and frees one more budget
+    of at most 1); when nu = 0, delta is 1 and the bound is
+    cur + w - 1.  Both shrink as g grows, and a group that stops being
+    plain never becomes plain again while its incumbent can only rise,
+    so a failed check skips every larger group too, before any rank is
+    taken.  A node ranks for its exact nu only when its inherited bound
+    does not prune it.  Nothing is ranked once nu = 0, where every row
+    leaves S, or once nu is the number of remaining elements, which then
+    all lie in S.  Rank and nullity as in Oxley, Matroid Theory (2011),
+    ch. 1.  Ranks are taken against an echelon basis of the rows closed
+    along the path (:func:`_echelon_insert`); a row joins it only where
+    something below may still rank.
     """
     t = len(elems)
     # weights and F are counted in units of 1/den, so the search compares
@@ -391,15 +407,16 @@ def _search_fine(fixed_rank, fixed_norm, elems, options):
     order = sorted(range(t), key=lambda e: -top[e])  # by budget, once
     classes = [v for _, _, v in elems]
 
-    best_F = -inf  # no grouping reached yet
-    best_key = best_groups = None
+    # the fine and the orbifold incumbent: best F, its key, its groups
+    fine_F = orb_F = -inf  # no grouping reached yet
+    fine_key = orb_key = fine_groups = orb_groups = None
     groups = []  # closed groups: (members, weight)
     basis = []  # echelon basis of their rows, where they are ranked
     closes = 0
 
-    def leaf(F):
-        nonlocal best_F, best_key, best_groups
-        if F < best_F:
+    def leaf(F, plain):
+        nonlocal fine_F, fine_key, fine_groups, orb_F, orb_key, orb_groups
+        if F < (fine_F if plain else orb_F):
             return
         labels = [(1,)] * t
         orb = [1] * t
@@ -409,10 +426,16 @@ def _search_fine(fixed_rank, fixed_norm, elems, options):
                                              if m != e)))
                 orb[e] = n
         key = (-F, tuple(labels), tuple(orb))
-        if best_key is None or key < best_key:
-            best_F, best_key = F, key
-            best_groups = [(list(members), Fraction(w, den))
+        if plain and (fine_key is None or key < fine_key):
+            fine_F, fine_key = F, key
+            fine_groups = [(list(members), Fraction(w, den))
                            for members, w in groups]
+        if orb_key is None or key < orb_key:
+            # orb_key <= fine_key, so a plain leaf that beats orb_key
+            # was just taken as the fine incumbent
+            orb_F, orb_key = F, key
+            orb_groups = fine_groups if plain else [
+                (list(members), Fraction(w, den)) for members, w in groups]
 
     def gain(elements, k):
         # the sum of the k largest budgets among the elements
@@ -425,17 +448,17 @@ def _search_fine(fixed_rank, fixed_norm, elems, options):
                 k -= 1
         return total
 
-    def node(rem, cur, nu, exact):
+    def node(rem, cur, nu, exact, plain):
         # nu is the nullity of rem modulo span(basis) when exact, else an
-        # upper bound on it
+        # upper bound on it; plain: every member closed so far has index 1
         if not rem:
-            leaf(cur)
+            leaf(cur, plain)
             return
         if nu and not exact:
-            if cur + gain(rem, nu) < best_F:
+            if cur + gain(rem, nu) < (fine_F if plain else orb_F):
                 return
             nu = len(rem) - _rank_added(basis, [classes[e] for e in rem])
-        if cur + gain(rem, nu) < best_F:
+        if cur + gain(rem, nu) < (fine_F if plain else orb_F):
             return
         # nu = len(rem): every remaining class lies in span(rows), and so
         # does every row closed below; nu = 0: every row leaves it.  Only
@@ -443,11 +466,12 @@ def _search_fine(fixed_rank, fixed_norm, elems, options):
         inside = nu == len(rem)
         ranked = nu and not inside
         p, rest = rem[0], rem[1:]
-        node(rest, cur, nu - inside, inside)  # drop p
+        node(rest, cur, nu - inside, inside, plain)  # drop p
 
-        def close(members, w, row, taken):
+        def close(members, w, row, taken, plain):
             # row is the group's class when ranked; taken holds its
-            # members in rest.  members stays as it is until this returns.
+            # members in rest; plain: so is the node the group leads to.
+            # members stays as it is until this returns.
             nonlocal closes
             closes += 1
             if closes > _CLOSE_BUDGET:
@@ -456,19 +480,20 @@ def _search_fine(fixed_rank, fixed_norm, elems, options):
                     "groups; the input has too many fractional primes or "
                     "orbifold options")
             left = [e for e in rest if e not in taken]
-            if (cur + w + gain(left, nu - 1) if nu else cur + w - den) < best_F:
+            if ((cur + w + gain(left, nu - 1) if nu else cur + w - den)
+                    < (fine_F if plain else orb_F)):
                 return False
             # the rank the row adds: 1 when nu = 0, 0 when inside
             delta = _echelon_insert(basis, row) if ranked else not nu
             groups.append((members, w))
             node(left, cur + w - delta * den,
-                 len(left) if inside else nu - 1 + delta, inside)
+                 len(left) if inside else nu - 1 + delta, inside, plain)
             groups.pop()
             if ranked and delta:
                 basis.pop()
             return True
 
-        def grow(members, w, start, row, scale, taken):
+        def grow(members, w, start, row, scale, taken, plain):
             # every group holding members plus elements of rest[start:];
             # when ranked, row is the class of sum(D_e / n_e) over the
             # members, scaled by scale, the lcm of their n_e, so it stays
@@ -485,30 +510,45 @@ def _search_fine(fixed_rank, fixed_norm, elems, options):
                         a, c = scale_e // scale, scale_e // n
                         row_e = [a * x + c * y
                                  for x, y in zip(row, classes[e])]
-                    if close(members, w_e, row_e, taken):
-                        grow(members, w_e, j + 1, row_e, scale_e, taken)
+                    plain_e = plain and n == 1
+                    if close(members, w_e, row_e, taken, plain_e):
+                        grow(members, w_e, j + 1, row_e, scale_e, taken,
+                             plain_e)
                     members.pop()
                 taken.discard(e)
 
-        close([(p, 1)], budgets[p][1], classes[p], ())
-        for n, b in budgets[p].items():
-            grow([(p, n)], b, 0, classes[p], n, set())
+        try:
+            close([(p, 1)], budgets[p][1], classes[p], (), plain)
+            for n, b in budgets[p].items():
+                grow([(p, n)], b, 0, classes[p], n, set(), plain and n == 1)
+        finally:
+            # grow calls itself, so it holds the cell that holds it: a
+            # cycle only the cyclic collector could free.  Emptying the
+            # cell frees it when node returns.
+            grow = None
 
-    node(list(range(t)), (fixed_norm - fixed_rank) * den, t, False)
-    return Fraction(best_F, den), best_groups
+    try:
+        node(list(range(t)), (fixed_norm - fixed_rank) * den, t, False, True)
+    finally:
+        node = None  # node calls itself too
+    return (Fraction(fine_F, den), fine_groups), (Fraction(orb_F, den),
+                                                   orb_groups)
+
+
+def _prime_part(zeros, ray, weight):
+    """The untwisted part weight * D_ray, its coeffs built from zeros."""
+    coeffs = list(zeros)
+    coeffs[ray] = _ONE
+    return Part(weight, tuple(coeffs))
 
 
 def _realizing_decomposition(pair, ones, elems, groups):
     """Assemble the Decomposition realizing a search result."""
-    nrays = len(pair.fan.rays)
-    parts = []
-    for ray in ones:
-        coeffs = [Fraction(0)] * nrays
-        coeffs[ray] = Fraction(1)
-        parts.append((ray, Part(Fraction(1), tuple(coeffs))))
-    orb = [1] * nrays
+    zeros = (_ZERO,) * len(pair.fan.rays)
+    parts = [(ray, _prime_part(zeros, ray, _ONE)) for ray in ones]
+    orb = [1] * len(zeros)
     for members, weight in groups:
-        coeffs = [Fraction(0)] * nrays
+        coeffs = list(zeros)
         first = min(elems[e][0] for e, _ in members)
         for e, n in members:
             ray = elems[e][0]
@@ -534,18 +574,24 @@ def minimize(pair: ToricPair, orbifold_cap: int = 12,
 
     The plain complexity is minimized by the prime decomposition of the
     boundary (restricted to the rays through the working locus).  The
-    fine and orbifold complexities are minimized by exhaustive search
-    over groupings of the boundary primes into parts, with drops
-    allowed; a part built from a group carries weight equal to the
+    fine and orbifold complexities are minimized by one exhaustive
+    search over groupings of the boundary primes into parts, with drops
+    allowed, which keeps the best untwisted grouping beside the best
+    one overall; a part built from a group carries weight equal to the
     smallest remaining budget among its members, and orbifold indices
     range over divisors of the coefficient denominators up to
     ``orbifold_cap``.  Coefficient-one primes always enter as their own
     untwisted parts (grouping or twisting them never improves any of
     the three values, so the search only branches on fractional primes).
 
+    Each decomposition is validated and spanned once to re-derive its
+    value; when the orbifold optimum is the fine one, that is once for
+    both, since validation and span depend only on the pair and the
+    decomposition.
+
     Raises NotLogCanonicalError for non-lc pairs and InputTooLargeError
     when more than ``partition_limit`` fractional primes would have to
-    be grouped exhaustively, or when either search closes more than
+    be grouped exhaustively, or when the search closes more than
     ``_CLOSE_BUDGET`` groups.  That budget is a count of work, set so
     that the slowest inputs measured stop within about a minute; the
     README's notes on the search space give the table.
@@ -563,12 +609,10 @@ def minimize(pair: ToricPair, orbifold_cap: int = 12,
     support = [i for i in rays if pair.boundary[i] > 0]
 
     # plain complexity: prime decomposition over the working rays
-    prime_parts = []
-    for i in support:
-        coeffs = [Fraction(0)] * nrays
-        coeffs[i] = Fraction(1)
-        prime_parts.append((pair.boundary[i], coeffs))
-    dec_c = make_decomposition(nrays, prime_parts)
+    zeros = (_ZERO,) * nrays
+    dec_c = Decomposition(
+        parts=tuple(_prime_part(zeros, i, pair.boundary[i]) for i in support),
+        orbifold=trivial_orbifold(nrays))
     _self_validate(pair, dec_c, "plain")
     c = pair.dim + pres.free_rank - dec_c.norm
 
@@ -586,25 +630,24 @@ def minimize(pair: ToricPair, orbifold_cap: int = 12,
     fixed_rank, projected = _project_classes(
         [ray_class(i) for i in ones], [ray_class(i) for i in fracs])
     elems = [(i, pair.boundary[i], v) for i, v in zip(fracs, projected)]
-
-    opts_plain = [[(1, a)] for _, a, _ in elems]
-    f_fine, groups_fine = _search_fine(fixed_rank, len(ones), elems,
-                                       opts_plain)
-    dec_fine = _realizing_decomposition(pair, ones, elems, groups_fine)
+    (f_fine, groups_fine), (f_orb, groups_orb) = _search_fine(
+        fixed_rank, len(ones), elems,
+        [_orbifold_options(a, orbifold_cap) for _, a, _ in elems])
     c_fine = pair.dim - f_fine
-
-    opts_orb = [_orbifold_options(a, orbifold_cap) for _, a, _ in elems]
-    f_orb, groups_orb = _search_fine(fixed_rank, len(ones), elems, opts_orb)
-    dec_orb = _realizing_decomposition(pair, ones, elems, groups_orb)
     c_orb = pair.dim - f_orb
 
     # self-check: re-derive both values from the decompositions, as
     # fine_complexity and orbifold_complexity would, validating and
-    # spanning each decomposition once
+    # spanning each distinct decomposition once
+    dec_fine = _realizing_decomposition(pair, ones, elems, groups_fine)
     _self_validate(pair, dec_fine, "fine")
-    _self_validate(pair, dec_orb, "orbifold")
     span_fine = span_dimension(pair, dec_fine)
-    span_orb = span_dimension(pair, dec_orb)
+    if groups_orb == groups_fine:
+        dec_orb, span_orb = dec_fine, span_fine
+    else:
+        dec_orb = _realizing_decomposition(pair, ones, elems, groups_orb)
+        _self_validate(pair, dec_orb, "orbifold")
+        span_orb = span_dimension(pair, dec_orb)
     _check(dec_fine.orbifold == trivial_orbifold(nrays),
            "the fine decomposition carries an orbifold structure")
     _check(pair.dim + span_fine - dec_fine.norm == c_fine,

@@ -36,6 +36,14 @@ A1_GERM_DOC = {
     "v": [1, 1],
 }
 
+# A germ whose orbifold optimum is twisted: c_fine 35/12, c_orb 17/6.
+TWISTED_GERM_DOC = {
+    "rank": 3, "rays": [[0, -1, 1], [1, 1, 1], [3, 4, 1], [3, 3, 1], [1, 0, 1]],
+    "max_cones": [[0, 1, 2, 3, 4]],
+    "boundary": ["7/12", "1/3", "1/12", "1/3", "7/12"],
+    "mode": "local", "cone": [0, 1, 2, 3, 4],
+}
+
 TORSION_GERM_DOC = {
     "rank": 2, "rays": [[1, 2], [1, -2]], "max_cones": [[0, 1]],
     "v": [1, 0],
@@ -190,7 +198,7 @@ def test_aliased_keys_cannot_overwrite_a_ray(capsys, monkeypatch):
 
 
 # Run as `python [-O] -c WRONG_C_ORB <expected optimize flag> <cli args>`:
-# makes minimize's second search, the orbifold one, report F one too
+# makes the orbifold half of minimize's one search report F one too
 # high, so the reported c_orb no longer matches its decomposition.
 WRONG_C_ORB = """
 import importlib, sys
@@ -198,11 +206,9 @@ if sys.flags.optimize != int(sys.argv[1]):
     sys.exit(99)
 C = importlib.import_module("toricomplex.complexity")
 search = C._search_fine
-calls = []
 def wrong(*args):
-    calls.append(None)
-    f, groups = search(*args)
-    return (f + 1 if len(calls) == 2 else f), groups
+    fine, (f, groups) = search(*args)
+    return fine, (f + 1, groups)
 C._search_fine = wrong
 from toricomplex.cli import run
 sys.exit(run(sys.argv[2:]))
@@ -836,8 +842,12 @@ def test_each_decomposition_is_evaluated_once(capsys, monkeypatch):
     ]
     for f, *args in cases:
         assert counted(f, *args) == (2, 2), f.__name__
+    # the plain decomposition is validated, not spanned; the orbifold
+    # one is evaluated only where it differs from the fine one
     half = pairmodel.pair_from_dict(dict(P2_DOC, boundary=["1", "1/2", "1/2"]))
-    assert counted(complexity.minimize, half) == (3, 2)
+    assert counted(complexity.minimize, half) == (2, 1)
+    twisted = pairmodel.pair_from_dict(TWISTED_GERM_DOC)
+    assert counted(complexity.minimize, twisted) == (3, 2)
 
     for args, doc, expected in [
             (["complexity"], P2_DOC, (2, 1)),

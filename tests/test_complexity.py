@@ -1,3 +1,4 @@
+import gc
 import importlib
 import random
 from fractions import Fraction as F
@@ -15,6 +16,7 @@ from toricomplex.complexity import (
     NotFullDimensionalError,
     NotLogCanonicalError,
     _echelon_insert,
+    _orbifold_options,
     _project_classes,
     _rank_added,
     _search_fine,
@@ -501,6 +503,16 @@ def random_boundary(rng, nrays, t):
     return boundary
 
 
+def assert_halves_match(search, oracle, options):
+    """One search over ``options`` returns the oracle's optimum over
+    their index-1 choices, then its optimum over all of them; given the
+    index-1 choices alone, both halves are that first optimum."""
+    plain = [[(1, dict(opts)[1])] for opts in options]
+    fine = oracle(plain)
+    assert search(options) == (fine, oracle(options))
+    assert search(plain) == (fine, fine)
+
+
 def assert_search_matches_reference(pair):
     pres = pair_class_group(pair)
     rays = pair.local_rays()
@@ -518,12 +530,12 @@ def assert_search_matches_reference(pair):
         [[int(x) for x in v] for v in fixed],
         [[int(x) for x in v] for _, _, v in elems])
     projected_elems = [(i, a, v) for (i, a, _), v in zip(elems, projected)]
-    plain = [[(1, a)] for _, a, _ in elems]
-    orb = [[(n, n * (a - 1) + 1) for n in index_options(a, 12)]
-           for _, a, _ in elems]
-    for options in (plain, orb):
-        assert (_search_fine(fixed_rank, len(ones), projected_elems, options)
-                == reference_search_fine(fixed, elems, options))
+    assert_halves_match(
+        lambda opts: _search_fine(fixed_rank, len(ones), projected_elems,
+                                  opts),
+        lambda opts: reference_search_fine(fixed, elems, opts),
+        [[(n, n * (a - 1) + 1) for n in index_options(a, 12)]
+         for _, a, _ in elems])
 
 
 seeds = st.integers(min_value=0, max_value=2 ** 32)
@@ -571,8 +583,10 @@ def test_search_matches_reference_on_random_classes(data):
     elems = [(e, None, v) for e, v in enumerate(classes)]
     fixed_rank, projected = _project_classes(fixed, classes)
     projected_elems = [(e, None, v) for e, v in enumerate(projected)]
-    assert (_search_fine(fixed_rank, len(fixed), projected_elems, options)
-            == reference_search_fine(fixed, elems, options))
+    assert_halves_match(
+        lambda opts: _search_fine(fixed_rank, len(fixed), projected_elems,
+                                  opts),
+        lambda opts: reference_search_fine(fixed, elems, opts), options)
 
 
 # The 12-ray polygon of the README's search-time ladder: t fractional
@@ -590,6 +604,10 @@ def ladder_pair(t):
                                for i in range(12)])
 
 
+def eleven_twelfths_pair(t):
+    return build_pair(LADDER, [F(11, 12)] * t + [F(1)] * (12 - t))
+
+
 @pytest.mark.parametrize("t", range(7))
 def test_search_matches_reference_on_ladder(t):
     assert_search_matches_reference(ladder_pair(t))
@@ -598,8 +616,11 @@ def test_search_matches_reference_on_ladder(t):
 def assert_search_matches_leaf_bound(fixed, classes, options):
     fixed_rank, projected = _project_classes(fixed, classes)
     elems = [(e, None, v) for e, v in enumerate(projected)]
-    assert (_search_fine(fixed_rank, len(fixed), elems, options)
-            == leaf_bound_search_fine(fixed_rank, len(fixed), elems, options))
+    assert_halves_match(
+        lambda opts: _search_fine(fixed_rank, len(fixed), elems, opts),
+        lambda opts: leaf_bound_search_fine(fixed_rank, len(fixed), elems,
+                                            opts),
+        options)
 
 
 def test_search_matches_leaf_bound_search_on_ladder():
@@ -610,12 +631,27 @@ def test_search_matches_leaf_bound_search_on_ladder():
     classes = [[row[i] for row in pres.free_map] for i in range(12)]
     fracs = [i for i in range(12) if pair.boundary[i] < 1]
     fixed = [classes[i] for i in range(12) if pair.boundary[i] == 1]
-    plain = [[(1, pair.boundary[i])] for i in fracs]
-    orb = [[(n, n * (pair.boundary[i] - 1) + 1)
-            for n in index_options(pair.boundary[i], 12)] for i in fracs]
-    for options in (plain, orb):
-        assert_search_matches_leaf_bound(
-            fixed, [classes[i] for i in fracs], options)
+    assert_search_matches_leaf_bound(
+        fixed, [classes[i] for i in fracs],
+        [[(n, n * (pair.boundary[i] - 1) + 1)
+          for n in index_options(pair.boundary[i], 12)] for i in fracs])
+
+
+@pytest.mark.parametrize("classes, coeffs", [
+    ([[0, -1, 0], [2, 1, 0], [-2, -2, -2], [-1, -2, 2], [1, 2, 1],
+      [-2, 2, -1]], [F(2, 3), F(7, 12), F(3, 4), F(1, 6), F(1, 3), F(1, 12)]),
+    ([[-2, 0, 0], [1, -1, -1], [1, 0, 1], [2, -2, 0], [-2, 1, 2],
+      [-1, 0, -2]], [F(1, 6), F(2, 3), F(1, 2), F(3, 4), F(1, 6), F(5, 6)]),
+])
+def test_search_keeps_a_fine_optimum_below_the_orbifold_one(classes, coeffs):
+    """F_fine = 1/12 < F_orb here, and the twisted optimum is reached
+    before some untwisted node holding the fine one: a search pruning
+    that node against the orbifold incumbent loses the fine optimum."""
+    options = [_orbifold_options(a, 12) for a in coeffs]
+    assert_search_matches_leaf_bound([], classes, options)
+    fine, orb = _search_fine(0, 0, [(e, None, v) for e, v in
+                                     enumerate(classes)], options)
+    assert fine[0] == F(1, 12) < orb[0]
 
 
 @st.composite
@@ -690,10 +726,89 @@ def test_search_stops_at_its_work_budget(monkeypatch):
     monkeypatch.setattr(C, "_CLOSE_BUDGET", SMALL_CLOSE_BUDGET)
     for t in range(7):
         minimize(ladder_pair(t))
-    pair = build_pair(LADDER, [F(11, 12)] * 7 + [F(1)] * 5)
+    pair = eleven_twelfths_pair(7)
     with pytest.raises(InputTooLargeError,
                        match=f"closed more than {SMALL_CLOSE_BUDGET} groups"):
         minimize(pair)
+
+
+@pytest.mark.parametrize("pair, closes", [(ladder_pair(6), 707),
+                                          (eleven_twelfths_pair(6), 20_629)])
+def test_work_budget_counts_one_search(monkeypatch, pair, closes):
+    """minimize closes exactly as many groups as the README's table
+    lists for these inputs, in one search: a budget of that many
+    admits it, one fewer stops it."""
+    C = importlib.import_module("toricomplex.complexity")
+    monkeypatch.setattr(C, "_CLOSE_BUDGET", closes)
+    minimize(pair)
+    monkeypatch.setattr(C, "_CLOSE_BUDGET", closes - 1)
+    with pytest.raises(InputTooLargeError,
+                       match=f"closed more than {closes - 1} groups"):
+        minimize(pair)
+
+
+def test_minimize_searches_once_and_builds_parts_directly(monkeypatch):
+    """One grouping search for c_fine and c_orb, and no part sent back
+    through make_decomposition."""
+    C = importlib.import_module("toricomplex.complexity")
+    calls = {"_search_fine": 0, "make_decomposition": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(C, name, counting(name, getattr(C, name)))
+    germ = make_fan(3, [(0, -1, 1), (1, 1, 1), (3, 4, 1), (3, 3, 1),
+                        (1, 0, 1)], [(0, 1, 2, 3, 4)])
+    pair = build_pair(germ, [F(7, 12), F(1, 3), F(1, 12), F(1, 3), F(7, 12)],
+                      mode="local", cone=(0, 1, 2, 3, 4))
+    report = minimize(pair)
+    assert calls == {"_search_fine": 1, "make_decomposition": 0}
+    assert (report.c_fine, report.c_orb) == (F(35, 12), F(17, 6))
+    assert report.dec_orb.orbifold == (2, 1, 1, 1, 1)
+
+
+
+def garbage_cycles_left_by(call):
+    """How many objects in reference cycles call() leaves behind."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("t", [0, 1, 4, 6])
+def test_minimize_leaves_no_garbage_cycles(t):
+    """The grouping search's recursive closures are unlinked when it
+    returns, so a minimize call leaves nothing for the cyclic collector,
+    whose passes would otherwise land, at random, inside later calls."""
+    assert garbage_cycles_left_by(lambda: minimize(ladder_pair(t))) == 0
+
+
+def test_a_stopped_search_leaves_no_garbage_cycles(monkeypatch):
+    C = importlib.import_module("toricomplex.complexity")
+    monkeypatch.setattr(C, "_CLOSE_BUDGET", 100)
+
+    def stopped():
+        with pytest.raises(InputTooLargeError):
+            minimize(ladder_pair(6))
+
+    assert garbage_cycles_left_by(stopped) == 0
+
+def test_orbifold_options_match_the_fraction_formula():
+    """The integer test n(q - p) < q is n(a - 1) + 1 > 0 for a = p/q."""
+    for d in range(1, 25):
+        for k in range(d + 1):
+            a = F(k, d)
+            for cap in range(1, 13):
+                assert _orbifold_options(a, cap) == [
+                    (n, n * (a - 1) + 1) for n in index_options(a, cap)]
 
 
 def cy_germ_boundaries(fan):
