@@ -468,10 +468,16 @@ def _search_fine(fixed_rank, fixed_norm, elems, options):
         p, rest = rem[0], rem[1:]
         node(rest, cur, nu - inside, inside, plain)  # drop p
 
-        def close(members, w, row, taken, plain):
-            # row is the group's class when ranked; taken holds its
-            # members in rest; plain: so is the node the group leads to.
-            # members stays as it is until this returns.
+        def close(members, w, taken, plain, row, scale=1, last=None, n=1):
+            # taken holds the members in rest; plain: so is the node the
+            # group leads to.  members stays as it is until this returns.
+            # When ranked, row is the group's class, or with last given,
+            # the class of the group without that member, of index n,
+            # scaled by scale; then the group's row, scaled by
+            # lcm(scale, n) so it stays integral (scaling a row does not
+            # change the rank), is built once the bound check passes.
+            # Returns None when the check fails, else the group's row
+            # (as given, and unused, when not ranked).
             nonlocal closes
             closes += 1
             if closes > _CLOSE_BUDGET:
@@ -482,7 +488,11 @@ def _search_fine(fixed_rank, fixed_norm, elems, options):
             left = [e for e in rest if e not in taken]
             if ((cur + w + gain(left, nu - 1) if nu else cur + w - den)
                     < (fine_F if plain else orb_F)):
-                return False
+                return None
+            if ranked and last is not None:
+                scale_e = lcm(scale, n)
+                a, c = scale_e // scale, scale_e // n
+                row = [a * x + c * y for x, y in zip(row, classes[last])]
             # the rank the row adds: 1 when nu = 0, 0 when inside
             delta = _echelon_insert(basis, row) if ranked else not nu
             groups.append((members, w))
@@ -491,34 +501,29 @@ def _search_fine(fixed_rank, fixed_norm, elems, options):
             groups.pop()
             if ranked and delta:
                 basis.pop()
-            return True
+            return row
 
         def grow(members, w, start, row, scale, taken, plain):
             # every group holding members plus elements of rest[start:];
             # when ranked, row is the class of sum(D_e / n_e) over the
-            # members, scaled by scale, the lcm of their n_e, so it stays
-            # integral (scaling a row does not change the rank)
+            # members, scaled by scale, the lcm of their n_e
             for j in range(start, len(rest)):
                 e = rest[j]
                 taken.add(e)
                 for n, b in budgets[e].items():
                     members.append((e, n))
                     w_e = min(w, b)
-                    row_e = scale_e = None
-                    if ranked:
-                        scale_e = lcm(scale, n)
-                        a, c = scale_e // scale, scale_e // n
-                        row_e = [a * x + c * y
-                                 for x, y in zip(row, classes[e])]
                     plain_e = plain and n == 1
-                    if close(members, w_e, row_e, taken, plain_e):
-                        grow(members, w_e, j + 1, row_e, scale_e, taken,
-                             plain_e)
+                    row_e = close(members, w_e, taken, plain_e, row, scale,
+                                  e, n)
+                    if row_e is not None:
+                        grow(members, w_e, j + 1, row_e, lcm(scale, n),
+                             taken, plain_e)
                     members.pop()
                 taken.discard(e)
 
         try:
-            close([(p, 1)], budgets[p][1], classes[p], (), plain)
+            close([(p, 1)], budgets[p][1], (), plain, classes[p])
             for n, b in budgets[p].items():
                 grow([(p, n)], b, 0, classes[p], n, set(), plain and n == 1)
         finally:

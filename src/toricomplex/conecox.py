@@ -206,9 +206,10 @@ def _torsion_witness(y_fan, pres):
     invariant factor, with the order and the character trivializing its
     multiple.  The generator is the matching column of left^-1 for the
     ray matrix M, that is M * m / order with m the matching column of
-    right (see SmithForm), so m trivializes order times it."""
+    right (see SmithForm), so m trivializes order times it.  pres is
+    the class group of y_fan, read off the same Smith form."""
     j = len(pres.torsion) - 1
-    s = snf([list(u) for u in y_fan.rays])
+    s = y_fan.smith_form
     row = [i for i in range(s.rank) if s.diag[i][i] >= 2][j]
     order = s.diag[row][row]
     m = tuple(r[row] for r in s.right)

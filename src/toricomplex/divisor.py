@@ -12,7 +12,6 @@ from math import lcm
 
 from .lattice import (
     InvalidInputError,
-    cokernel,
     rank_q,
     solve_rational,
     vec_dot,
@@ -40,17 +39,19 @@ def ray_matrix(fan, cone=None):
 
 
 def class_group(fan):
-    """Presentation of the divisor class group Z^rays / M."""
-    return cokernel(ray_matrix(fan))
+    """Presentation of the divisor class group Z^rays / M, kept on the
+    fan (see Fan.class_group)."""
+    return fan.class_group
 
 
 def local_class_group(fan, cone):
     """Class group of the affine germ at the cone's distinguished point.
 
     Only the rays of the cone carry divisors through the point; the
-    presentation's coordinates follow the cone's ray order.
+    presentation's coordinates follow the cone's ray order.  Kept on the
+    fan, per cone (see Fan.local_class_group).
     """
-    return cokernel(ray_matrix(fan, cone))
+    return fan.local_class_group(cone)
 
 
 def q_span_dim(pres, divisors):

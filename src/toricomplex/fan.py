@@ -5,11 +5,13 @@ completeness, smoothness, subdivision) are answered exactly through the
 cone machinery in lattice.py.
 """
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .lattice import (
     InvalidInputError,
+    cokernel,
+    cokernel_from_snf,
     cone_hform,
     cone_intersection,
     extremal_rays,
@@ -41,11 +43,14 @@ class Fan(_FanFields):
     """rank: ambient lattice rank; rays: tuple of primitive integer tuples;
     max_cones: tuple of sorted ray-index tuples.
 
-    Derived geometry (the validation verdict and the H-form of each
-    maximal cone) is computed on first use and kept on the object, in
-    the instance dict that this subclass of the fields' NamedTuple has.
-    The H-form is the one per-cone structure: pointedness, extremal
-    rays, facets, walls and containment are all read from it.
+    Derived data (the validation verdict, the H-form of each maximal
+    cone, the Smith form of the ray matrix and the class groups) is
+    computed on first use and kept on the object, in the instance dict
+    that this subclass of the fields' NamedTuple has.  make_fan returns
+    one object per content, so that data is shared by every caller that
+    builds the same fan: it is read, never changed.  The H-form is the
+    one per-cone structure: pointedness, extremal rays, facets, walls
+    and containment are all read from it.
     """
 
     def cone_rays(self, cone):
@@ -65,9 +70,36 @@ class Fan(_FanFields):
 
     @cached_property
     def hforms(self):
-        """(equalities, inequalities) of each maximal cone, in order."""
-        return tuple(cone_hform(self.cone_rays(c), self.rank)
-                     for c in self.max_cones)
+        """(equalities, inequalities) of each maximal cone, in order, as
+        tuples."""
+        hforms = (cone_hform(self.cone_rays(c), self.rank)
+                  for c in self.max_cones)
+        return tuple((tuple(eqs), tuple(ineqs)) for eqs, ineqs in hforms)
+
+    @cached_property
+    def smith_form(self):
+        """Smith form of the ray matrix (rays as rows)."""
+        return snf([list(u) for u in self.rays])
+
+    @cached_property
+    def class_group(self):
+        """Presentation of the divisor class group Z^rays / M, the
+        cokernel of the ray matrix, read off smith_form."""
+        return cokernel_from_snf(self.smith_form)
+
+    @cached_property
+    def _local_class_groups(self):
+        return {}
+
+    def local_class_group(self, cone):
+        """Presentation of the class group of the germ at a cone: the
+        cokernel of the matrix of the cone's rays, in cone order."""
+        cone = tuple(cone)
+        groups = self._local_class_groups
+        pres = groups.get(cone)
+        if pres is None:
+            pres = groups[cone] = cokernel([list(self.rays[i]) for i in cone])
+        return pres
 
 
 def as_int(x, what):
@@ -79,14 +111,31 @@ def as_int(x, what):
     return x
 
 
+# The number of distinct fans make_fan keeps, least recently used out
+# first.  It is bounded because a kept fan holds about 3 KB (up to 9 KB)
+# with what it derives, and a 30-s run of the benchmark's sweep builds
+# 9-14 k distinct fans: kept for good, they would grow the process by
+# tens of MB.  A sweep that varies the boundary over a few fans finds
+# them all in a table this size.
+_FAN_TABLE_SIZE = 64
+
+
+@lru_cache(maxsize=_FAN_TABLE_SIZE)
+def _interned(rank, rays, max_cones):
+    return Fan(rank, rays, max_cones)
+
+
 def make_fan(rank, rays, max_cones):
-    """Normalize raw data into a Fan (no validation; see validate_fan)."""
-    return Fan(rank=as_int(rank, "rank"),
-               rays=tuple(tuple(as_int(x, "a ray coordinate") for x in r)
-                          for r in rays),
-               max_cones=tuple(tuple(sorted(as_int(i, "a cone index")
-                                            for i in c))
-                               for c in max_cones))
+    """Normalize raw data into a Fan (no validation; see validate_fan).
+
+    Equal data gives the same object while it stays among the
+    _FAN_TABLE_SIZE fans most recently asked for, so what a Fan derives
+    is derived once per content."""
+    return _interned(as_int(rank, "rank"),
+                     tuple(tuple(as_int(x, "a ray coordinate") for x in r)
+                           for r in rays),
+                     tuple(tuple(sorted(as_int(i, "a cone index") for i in c))
+                           for c in max_cones))
 
 
 def validate_fan(fan):

@@ -61,10 +61,7 @@ def transpose(a):
 
 
 def vec_gcd(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
+    return gcd(*v)
 
 
 def primitive_vector(v):
@@ -73,6 +70,8 @@ def primitive_vector(v):
     Raises ValueError on the zero vector.
     """
     g = vec_gcd(v)
+    if g == 1:
+        return tuple(v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in v)
@@ -365,8 +364,12 @@ class AbelianGroupPresentation(NamedTuple):
 
 def cokernel(m):
     """Presentation of Z^rows / (column span of m)."""
-    nr = len(m)
-    s = snf(m)
+    return cokernel_from_snf(snf(m))
+
+
+def cokernel_from_snf(s):
+    """cokernel(m) read off the Smith form s of m."""
+    nr = len(s.left)
     r = s.rank
     torsion_idx = [i for i in range(r) if s.diag[i][i] >= 2]
     return AbelianGroupPresentation(

@@ -26,9 +26,7 @@ from .divisor import (
     NotQCartierError,
     as_coeffs,
     canonical_coeffs,
-    class_group,
     is_nef,
-    local_class_group,
 )
 from .lattice import AbelianGroupPresentation, InvalidInputError, solve_rational
 
@@ -75,19 +73,20 @@ class _PairFields(NamedTuple):
 class ToricPair(_PairFields):
     """A validated toric pair ``(X, B + M)`` with a working mode.
 
-    The cached class group and linear data live in the instance dict
-    that this subclass of the fields' NamedTuple has."""
+    The cached linear data lives in the instance dict that this subclass
+    of the fields' NamedTuple has; the class group lives on the fan."""
 
     @property
     def dim(self) -> int:
         return self.fan.rank
 
-    @cached_property
+    @property
     def class_group(self) -> AbelianGroupPresentation:
-        """The divisor class group seen by the mode, presented once."""
+        """The divisor class group seen by the mode, presented once per
+        fan (and cone, in local mode)."""
         if self.mode == "local":
-            return local_class_group(self.fan, self.cone)
-        return class_group(self.fan)
+            return self.fan.local_class_group(self.cone)
+        return self.fan.class_group
 
     @cached_property
     def log_linear_data(self) -> tuple:

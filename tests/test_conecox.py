@@ -1,7 +1,6 @@
 import itertools
 import random
 from fractions import Fraction as F
-from types import SimpleNamespace
 
 import pytest
 
@@ -234,8 +233,9 @@ def test_torsion_witness_on_random_ray_matrices():
         pres = cokernel([list(u) for u in rays])
         if not pres.torsion:
             continue
-        # the witness reads only the rays of the fan it is given
-        divisor, order, m = _torsion_witness(SimpleNamespace(rays=rays), pres)
+        # the witness reads only the rays of the fan it is given and
+        # their Smith form, so a fan with no cones will do
+        divisor, order, m = _torsion_witness(make_fan(rank, rays, []), pres)
         j = len(pres.torsion) - 1
         assert order == pres.torsion[j]
         assert pres.class_of(list(divisor)) == (

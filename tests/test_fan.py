@@ -1,4 +1,7 @@
+import json
 import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -6,7 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 import toricomplex.fan
 import toricomplex.lattice
+from toricomplex.divisor import class_group, local_class_group
 from toricomplex.fan import (
+    _FAN_TABLE_SIZE,
+    InvalidFanError,
+    _interned,
     cone_dim,
     is_complete,
     is_simplicial,
@@ -26,7 +33,7 @@ from toricomplex.lattice import (
     rank_q,
     vec_dot,
 )
-from toricomplex.pairmodel import build_pair, pair_class_group
+from toricomplex.pairmodel import build_pair, pair_class_group, pair_from_dict
 
 from bruteforce import sampled_is_complete
 from fans import (A1_SING, A2, A3, CONIFOLD, P1, P2, P3, SUITE, fan_product,
@@ -592,3 +599,155 @@ def test_projective_space_minus_one_cone_at_rank_seven():
     fan = make_fan(7, p7.rays, p7.max_cones[1:])
     assert validate_fan(fan) == []
     assert not is_complete(fan)
+
+
+# ---------------------------------------------------------------------------
+# one Fan per content
+
+
+def test_spellings_of_one_fan_are_one_object():
+    """Lists or tuples, cone indices in any order: make_fan normalizes
+    them to one content and returns one object for it."""
+    a = make_fan(2, [[1, 0], [0, 1], [-1, -1]], [[1, 0], [2, 1], [0, 2]])
+    b = make_fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)))
+    assert a is b
+    assert a == P2 and a.max_cones == ((0, 1), (1, 2), (0, 2))
+    assert make_fan(2, a.rays, a.max_cones[::-1]) is not a
+
+
+@pytest.mark.parametrize("rank, rays", [
+    (2, [(1, 0), (0, True), (-1, -1)]),
+    (2, [(1, 0), (0, 1.0), (-1, -1)]),
+    (2, [(1, 0), (0, 1), (-1, -2.0)]),
+    (True, [(1,), (-1,)]),
+    (2.0, [(1, 0), (0, 1), (-1, -1)]),
+])
+def test_make_fan_rejects_non_integers_of_a_known_fan(rank, rays):
+    """True == 1 and 2.0 == 2, so the table would take them for a fan it
+    holds; they are rejected before it is asked."""
+    cones = [(0, 1), (1, 2), (0, 2)] if len(rays) == 3 else [(0,), (1,)]
+    make_fan(2, [(1, 0), (0, 1), (-1, -1)], cones)
+    make_fan(1, [(1,), (-1,)], [(0,), (1,)])
+    with pytest.raises(TypeError):
+        make_fan(rank, rays, cones)
+    with pytest.raises(TypeError):
+        make_fan(1, [(1,), (-1,)], [(0,), (True,)])
+
+
+def test_an_invalid_fan_fails_the_same_way_twice():
+    """The verdict is kept on the shared object, and what validate_fan
+    hands out is the caller's own list."""
+    doc = {"rank": 2, "rays": [[1, 0], [0, 1], [1, 1]],
+           "max_cones": [[0, 1], [1, 2], [0, 2]], "boundary": [1, 1, 1]}
+    errors = []
+    for _ in range(2):
+        with pytest.raises(InvalidFanError) as info:
+            pair_from_dict(doc)
+        errors.append(info.value)
+        validate_fan(CYCLE).append(("spoiled", "by a caller"))
+    assert errors[0].diagnostics == errors[1].diagnostics
+    assert str(errors[0]) == str(errors[1])
+    assert ("spoiled", "by a caller") not in errors[1].diagnostics
+    assert validate_fan(CYCLE) == list(CYCLE.diagnostics) == errors[0].diagnostics
+
+
+def test_shared_derived_data_is_immutable():
+    """Every caller of make_fan with this content shares these values,
+    so the H-forms are tuples all the way down."""
+    fan = make_fan(3, CONIFOLD.rays, CONIFOLD.max_cones)
+    assert fan.diagnostics == ()
+    for eqs, ineqs in fan.hforms:
+        assert type(eqs) is tuple and type(ineqs) is tuple
+        assert all(type(phi) is tuple for phi in eqs + ineqs)
+
+
+def test_a_second_reading_derives_nothing(monkeypatch):
+    """A second document over the same fan finds the fan's verdict,
+    H-forms and class groups already derived: no _diagnose, cone_hform
+    or Smith form."""
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for module, name in [(toricomplex.fan, "_diagnose"),
+                         (toricomplex.fan, "cone_hform"),
+                         (toricomplex.fan, "snf"),
+                         (toricomplex.fan, "cokernel"),
+                         (toricomplex.lattice, "snf")]:
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name,
+                                counting(name, getattr(module, name)))
+    docs = [{"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+             "max_cones": [[0, 1], [1, 2], [0, 2]],
+             "boundary": ["1/2", "1/3", "1"]},
+            {"rank": 2, "rays": [[0, 1], [2, 1]], "max_cones": [[1, 0]],
+             "boundary": ["1", "1/2"], "mode": "local", "cone": [0, 1]}]
+    for doc in docs:
+        calls.clear()
+        first = pair_from_dict(doc)
+        pair_class_group(first)
+        assert calls["_diagnose"] == 1 and calls["snf"] + calls["cokernel"]
+        calls.clear()
+        second = pair_from_dict(json.loads(json.dumps(doc)))
+        assert second.fan is first.fan
+        assert pair_class_group(second) is pair_class_group(first)
+        assert not calls, calls
+
+
+def test_the_class_group_lives_on_the_fan():
+    pair = build_pair(P2, [1, 1, 1])
+    assert pair_class_group(pair) is class_group(P2) is P2.class_group
+    local = build_pair(A1_SING, [1, 1], mode="local", cone=(0, 1))
+    assert pair_class_group(local) is local_class_group(A1_SING, [0, 1])
+    assert local_class_group(A1_SING, (0, 1)).torsion == [2]
+
+
+def test_the_fan_table_is_bounded():
+    """The table keeps the _FAN_TABLE_SIZE fans last asked for: the
+    first fan is rebuilt once that many others have been made since."""
+    def other(k):
+        return make_fan(1, [(1,), (-1,)], [(0,), (1,)] * (k + 1))
+
+    first = make_fan(2, P2.rays, P2.max_cones)
+    for k in range(_FAN_TABLE_SIZE - 1):
+        other(k)
+    assert make_fan(2, P2.rays, P2.max_cones) is first
+    for k in range(_FAN_TABLE_SIZE):
+        other(k)
+    again = make_fan(2, P2.rays, P2.max_cones)
+    assert again is not first and again == first
+
+
+def test_threads_share_one_fan_and_its_derived_data():
+    """Threads that empty the table, build one fan and read it at once
+    all get its verdict and class group: what a race may do is derive a
+    value twice, never change one."""
+    p5 = projective_space(5)
+    expected = (validate_fan(p5), class_group(p5).free_rank,
+                class_group(p5).torsion)
+    seen = []
+
+    def work():
+        for _ in range(20):
+            _interned.cache_clear()
+            fan = make_fan(5, p5.rays, p5.max_cones)
+            seen.append((validate_fan(fan), class_group(fan).free_rank,
+                         class_group(fan).torsion))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 8 * 20
+    assert all(values == expected for values in seen)
