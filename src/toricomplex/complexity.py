@@ -28,6 +28,7 @@ from .divisor import as_coeffs, local_class_group, q_span_dim
 from .fan import as_int, cone_dim
 from .lattice import (
     ClaimFailedError,
+    InputTooLargeError,
     InternalInvariantError,
     InvalidInputError,
     _check,
@@ -52,10 +53,6 @@ class NotLogCanonicalError(ClaimFailedError):
 
 class NotFullDimensionalError(InvalidInputError):
     """Raised when a fixed-point computation is asked at a small cone."""
-
-
-class InputTooLargeError(InvalidInputError):
-    """The exhaustive search exceeds the partition limit or its work budget."""
 
 
 class Part(NamedTuple):
@@ -343,9 +340,10 @@ def _search_fine(fixed_rank, fixed_norm, elems, options):
     first member and members by element.  Raises InputTooLargeError
     once it has closed more than ``_CLOSE_BUDGET`` groups.
 
-    The search takes the smallest remaining element and either drops
-    it or closes its group: the element plus a subset of the remaining
-    ones, with their indices.  A group's row r_g is the class of
+    The search takes the smallest remaining element p and either drops
+    it or closes its group: p plus a subset of the remaining elements,
+    with their indices.  p alone closes with index 1 only, but each of
+    its indices leads larger groups.  A group's row r_g is the class of
     sum(D_e / n_e); the closed rows span a space S, and their rank is
     exact.  At a node let cur be F with every remaining element dropped,
     nu the nullity of the remaining classes modulo S (their number less
@@ -390,13 +388,17 @@ def _search_fine(fixed_rank, fixed_norm, elems, options):
     cur + w - 1.  Both shrink as g grows, and a group that stops being
     plain never becomes plain again while its incumbent can only rise,
     so a failed check skips every larger group too, before any rank is
-    taken.  A node ranks for its exact nu only when its inherited bound
-    does not prune it.  Nothing is ranked once nu = 0, where every row
-    leaves S, or once nu is the number of remaining elements, which then
-    all lie in S.  Rank and nullity as in Oxley, Matroid Theory (2011),
-    ch. 1.  Ranks are taken against an echelon basis of the rows closed
-    along the path (:func:`_echelon_insert`); a row joins it only where
-    something below may still rank.
+    taken.  That holds for the singleton {p} too, with any index: p
+    alone with an index above 1 is checked but never closed (nor
+    counted against the budget), and when the check of (p, n) fails, no
+    larger group led by (p, n) is tried.  A node ranks for its exact nu
+    only when its inherited bound does not prune it.  Nothing is ranked
+    once nu = 0, where every row leaves S, or once nu is the number of
+    remaining elements, which then all lie in S.  Rank and nullity as in
+    Oxley, Matroid Theory (2011), ch. 1.  Ranks are taken against an
+    echelon basis of the rows closed along the path
+    (:func:`_echelon_insert`); a row joins it only where something below
+    may still rank.
     """
     t = len(elems)
     # weights and F are counted in units of 1/den, so the search compares
@@ -406,6 +408,7 @@ def _search_fine(fixed_rank, fixed_norm, elems, options):
     top = [max(b.values()) for b in budgets]
     order = sorted(range(t), key=lambda e: -top[e])  # by budget, once
     classes = [v for _, _, v in elems]
+    zero = [0] * len(classes[0]) if t else []  # the row of the empty group
 
     # the fine and the orbifold incumbent: best F, its key, its groups
     fine_F = orb_F = -inf  # no grouping reached yet
@@ -467,32 +470,43 @@ def _search_fine(fixed_rank, fixed_norm, elems, options):
         ranked = nu and not inside
         p, rest = rem[0], rem[1:]
         node(rest, cur, nu - inside, inside, plain)  # drop p
+        ctx = (rest, cur, nu, inside, ranked)
+        for n, b in budgets[p].items():
+            group(ctx, [(p, n)], b, 0, zero, 1, [], plain and n == 1)
 
-        def close(members, w, taken, plain, row, scale=1, last=None, n=1):
-            # taken holds the members in rest; plain: so is the node the
-            # group leads to.  members stays as it is until this returns.
-            # When ranked, row is the group's class, or with last given,
-            # the class of the group without that member, of index n,
-            # scaled by scale; then the group's row, scaled by
-            # lcm(scale, n) so it stays integral (scaling a row does not
-            # change the rank), is built once the bound check passes.
-            # Returns None when the check fails, else the group's row
-            # (as given, and unused, when not ranked).
-            nonlocal closes
+    def group(ctx, members, w, start, row, scale, skipped, plain):
+        # When the group members, of weight w, passes its bound check,
+        # closes it, unless it is the node's element p alone with an
+        # index above 1, and then extends it by each later element of
+        # rest, with each of that element's indices.  members holds p and
+        # then elements of rest before start; skipped holds the others
+        # among those, in order; plain: so is the node the group leads
+        # to.  members and skipped are as given again when this returns.
+        # When ranked, row is the class of the group without its last
+        # member (e, n), scaled by scale; the group's row, scaled by
+        # lcm(scale, n) so it stays integral (scaling a row does not
+        # change the rank), is built only once the check passes.
+        nonlocal closes
+        rest, cur, nu, inside, ranked = ctx
+        e, n = members[-1]
+        closing = n == 1 or len(members) > 1
+        if closing:
             closes += 1
             if closes > _CLOSE_BUDGET:
                 raise InputTooLargeError(
                     f"the grouping search closed more than {_CLOSE_BUDGET} "
                     "groups; the input has too many fractional primes or "
                     "orbifold options")
-            left = [e for e in rest if e not in taken]
-            if ((cur + w + gain(left, nu - 1) if nu else cur + w - den)
-                    < (fine_F if plain else orb_F)):
-                return None
-            if ranked and last is not None:
-                scale_e = lcm(scale, n)
-                a, c = scale_e // scale, scale_e // n
-                row = [a * x + c * y for x, y in zip(row, classes[last])]
+        left = skipped + rest[start:]
+        if ((cur + w + gain(left, nu - 1) if nu else cur + w - den)
+                < (fine_F if plain else orb_F)):
+            return
+        if ranked:
+            scale_e = lcm(scale, n)
+            a, c = scale_e // scale, scale_e // n
+            row = [a * x + c * y for x, y in zip(row, classes[e])]
+            scale = scale_e
+        if closing:
             # the rank the row adds: 1 when nu = 0, 0 when inside
             delta = _echelon_insert(basis, row) if ranked else not nu
             groups.append((members, w))
@@ -501,41 +515,21 @@ def _search_fine(fixed_rank, fixed_norm, elems, options):
             groups.pop()
             if ranked and delta:
                 basis.pop()
-            return row
-
-        def grow(members, w, start, row, scale, taken, plain):
-            # every group holding members plus elements of rest[start:];
-            # when ranked, row is the class of sum(D_e / n_e) over the
-            # members, scaled by scale, the lcm of their n_e
-            for j in range(start, len(rest)):
-                e = rest[j]
-                taken.add(e)
-                for n, b in budgets[e].items():
-                    members.append((e, n))
-                    w_e = min(w, b)
-                    plain_e = plain and n == 1
-                    row_e = close(members, w_e, taken, plain_e, row, scale,
-                                  e, n)
-                    if row_e is not None:
-                        grow(members, w_e, j + 1, row_e, lcm(scale, n),
-                             taken, plain_e)
-                    members.pop()
-                taken.discard(e)
-
-        try:
-            close([(p, 1)], budgets[p][1], (), plain, classes[p])
-            for n, b in budgets[p].items():
-                grow([(p, n)], b, 0, classes[p], n, set(), plain and n == 1)
-        finally:
-            # grow calls itself, so it holds the cell that holds it: a
-            # cycle only the cyclic collector could free.  Emptying the
-            # cell frees it when node returns.
-            grow = None
+        mark = len(skipped)
+        for j in range(start, len(rest)):
+            e = rest[j]
+            for n, b in budgets[e].items():
+                members.append((e, n))
+                group(ctx, members, min(w, b), j + 1, row, scale, skipped,
+                      plain and n == 1)
+                members.pop()
+            skipped.append(e)
+        del skipped[mark:]
 
     try:
         node(list(range(t)), (fixed_norm - fixed_rank) * den, t, False, True)
     finally:
-        node = None  # node calls itself too
+        node = group = None  # they call themselves and each other
     return (Fraction(fine_F, den), fine_groups), (Fraction(orb_F, den),
                                                    orb_groups)
 

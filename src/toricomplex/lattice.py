@@ -7,7 +7,8 @@ rational data uses fractions.Fraction.  No floats anywhere.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import product
+from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -24,6 +25,11 @@ class InvalidInputError(ToricomplexError):
 class ClaimFailedError(ToricomplexError):
     """Well-formed input on which the checked statement, or one of its
     hypotheses, fails.  The command line exits 2 on it."""
+
+
+class InputTooLargeError(InvalidInputError):
+    """The job exceeds a work limit: the exhaustive search's partition
+    limit or close budget, or the Hilbert basis box budget."""
 
 
 class InternalInvariantError(ToricomplexError):
@@ -89,15 +95,17 @@ class SmithForm(NamedTuple):
     """Result of a Smith normal form computation.
 
     left * original * right == diag, where left and right are unimodular and
-    diag has a non-negative diagonal d_1 | d_2 | ... .  No inverse is
-    carried: original * right == left^-1 * diag, so for i below the rank,
-    column i of left^-1 is column i of original * right divided by d_i,
-    and that division is exact.
+    diag has a non-negative diagonal d_1 | d_2 | ... .  The three matrices
+    are tuples of row tuples, so a Smith form cached on a shared fan
+    cannot be changed by a reader.  No inverse is carried:
+    original * right == left^-1 * diag, so for i below the rank, column i
+    of left^-1 is column i of original * right divided by d_i, and that
+    division is exact.
     """
 
-    diag: list
-    left: list
-    right: list
+    diag: tuple
+    left: tuple
+    right: tuple
 
     @property
     def invariants(self):
@@ -207,7 +215,8 @@ def snf(m):
     for i in range(min(nr, nc)):
         if a[i][i] < 0:
             row_neg(i)
-    return SmithForm(diag=a, left=left, right=right)
+    return SmithForm(diag=tuple(map(tuple, a)), left=tuple(map(tuple, left)),
+                     right=tuple(map(tuple, right)))
 
 
 def kernel_basis(m):
@@ -344,12 +353,14 @@ class AbelianGroupPresentation(NamedTuple):
     torsion: invariant factors d_1 | d_2 | ... (all >= 2).
     free_map / torsion_map: integer functionals on Z^n computing the free and
     torsion coordinates of a class (torsion coordinates live mod torsion[i]).
+    All are tuples (the maps of row tuples), as a fan's class groups are
+    shared by every holder of the fan.
     """
 
     free_rank: int
-    torsion: list
-    free_map: list
-    torsion_map: list
+    torsion: tuple
+    free_map: tuple
+    torsion_map: tuple
 
     def class_of(self, v):
         free = tuple(vec_dot(row, v) for row in self.free_map)
@@ -374,9 +385,9 @@ def cokernel_from_snf(s):
     torsion_idx = [i for i in range(r) if s.diag[i][i] >= 2]
     return AbelianGroupPresentation(
         free_rank=nr - r,
-        torsion=[s.diag[i][i] for i in torsion_idx],
-        free_map=[list(s.left[i]) for i in range(r, nr)],
-        torsion_map=[list(s.left[i]) for i in torsion_idx],
+        torsion=tuple(s.diag[i][i] for i in torsion_idx),
+        free_map=s.left[r:],
+        torsion_map=tuple(s.left[i] for i in torsion_idx),
     )
 
 
@@ -601,39 +612,39 @@ def _pulling_triangulation(rays, normals, cdim):
     return pieces
 
 
-def _simplicial_box_points(rays):
+def _simplicial_box_points(vmat, s):
     """Non-zero lattice points of the half-open parallelepiped of a
     simplicial cone, via the quotient group (Z^n & span V) / V Z^k.
 
-    V is the n x k matrix whose columns are the k independent rays, and
-    k < n is allowed.  With left * V * right = D, left * V = D * right^-1
-    vanishes below row k, so a lattice point y of the span has
-    (left * y)_i = 0 for i >= k: the quotient is the Z^k / D Z^k of the
-    first k rows, and its class acc is y = left^-1 * (acc, 0).  Then
-    V^-1 y = right * D^-1 * acc, so the box point is
-    V * frac(right * D^-1 * acc), computed in integers over lcm(D).
+    V = vmat is the n x k matrix whose columns are the k independent
+    rays, and k < n is allowed; s is its Smith form.  With
+    left * V * right = D, left * V = D * right^-1 vanishes below row k,
+    so a lattice point y of the span has (left * y)_i = 0 for i >= k:
+    the quotient is the Z^k / D Z^k of the first k rows, and its class
+    acc is y = left^-1 * (acc, 0).  Then V^-1 y = right * D^-1 * acc, so
+    the box point is V * frac(right * D^-1 * acc), computed in integers
+    over lcm(D).  The classes number the product of the invariants.
     """
-    k = len(rays)
-    vmat = transpose([list(r) for r in rays])  # columns are the rays
-    s = snf(vmat)
-    ds = [s.diag[i][i] for i in range(k)]
+    ds = s.invariants
     den = lcm(*ds)
     scale = [den // d for d in ds]
     pts = set()
-
-    def rec(i, acc):
-        if i == k:
-            scaled = [a * c for a, c in zip(acc, scale)]
-            num = [vec_dot(row, scaled) % den for row in s.right]
-            p = tuple(vec_dot(row, num) // den for row in vmat)
-            if any(p):
-                pts.add(p)
-            return
-        for a in range(ds[i]):
-            rec(i + 1, acc + [a])
-
-    rec(0, [])
+    for acc in product(*map(range, ds)):
+        scaled = [a * c for a, c in zip(acc, scale)]
+        num = [vec_dot(row, scaled) % den for row in s.right]
+        p = tuple(vec_dot(row, num) // den for row in vmat)
+        if any(p):
+            pts.add(p)
     return pts
+
+
+# Box points hilbert_basis may list, summed over the simplices of its
+# triangulation, before it raises InputTooLargeError.  With its share of
+# the candidate table and the reduction, a point costs about 15-18 us and
+# 0.5 KB: the README's germ with a box of 10^6 points took 15-18 s of CPU
+# and 0.54 GB on a 2-vCPU Xeon, so this budget is about half a minute
+# and 1 GB.
+_BOX_BUDGET = 2_000_000
 
 
 def hilbert_basis(gens, dim=None):
@@ -657,6 +668,8 @@ def hilbert_basis(gens, dim=None):
 
     Raises:
         NotPointedError: if the cone has a non-trivial lineality space.
+        InputTooLargeError: if the simplices' boxes hold more than
+            ``_BOX_BUDGET`` points in all.
     """
     gens = [tuple(g) for g in gens if any(g)]
     if dim is None:
@@ -671,9 +684,21 @@ def hilbert_basis(gens, dim=None):
         raise NotPointedError("Hilbert basis requires a pointed cone")
     # the equalities are a basis of the functionals vanishing on the cone
     eqs, ineqs = hform
-    candidates = set(rays)
+    # each simplex's box has as many points as the product of its Smith
+    # invariants, so the work is known before any point is listed
+    pieces = []
     for piece in _pulling_triangulation(rays, ineqs, dim - len(eqs)):
-        candidates.update(_simplicial_box_points(piece))
+        vmat = transpose(piece)  # columns are the rays
+        pieces.append((vmat, snf(vmat)))
+    size = sum(prod(s.invariants) for _, s in pieces)
+    if size > _BOX_BUDGET:
+        raise InputTooLargeError(
+            f"the Hilbert basis would enumerate {size} box points, more "
+            f"than the budget of {_BOX_BUDGET}; the cone's simplicial "
+            "pieces have too large a determinant")
+    candidates = set(rays)
+    for vmat, s in pieces:
+        candidates.update(_simplicial_box_points(vmat, s))
     # Candidates lie in the cone's span, where the equalities hold, so
     # c - h lies in the cone exactly when it is >= 0 on every facet
     # normal.  The sum of those values grades the cone, positive off the

@@ -563,6 +563,17 @@ def test_search_over_its_work_budget_exits_invalid(capsys, monkeypatch):
     assert "closed more than 2000 groups" in err
 
 
+def test_hilbert_over_its_box_budget_exits_invalid(capsys, monkeypatch):
+    """The degree-zero cone of this germ is one simplex whose box holds
+    4,000,000 points, past the budget: it stops before listing any."""
+    doc = {"rank": 3, "rays": [[1, 0, 0], [0, 1, 0], [3, 7, 2000]],
+           "max_cones": [[0, 1, 2]], "v": [1, 1, 1]}
+    code, out, err = invoke(capsys, ["hilbert", "--torsion-cover"], doc,
+                            monkeypatch)
+    assert code == EXIT_INVALID and out == ""
+    assert "would enumerate 4000000 box points" in err
+
+
 def test_module_entry_point_runs(tmp_path):
     path = write_doc(tmp_path, P2_DOC)
     proc = subprocess.run(

@@ -33,7 +33,7 @@ from toricomplex.complexity import (
     validate_decomposition,
 )
 from toricomplex.fan import make_fan, star_subdivision
-from toricomplex.lattice import rank_q
+from toricomplex.lattice import hilbert_basis, rank_q
 from toricomplex.pairmodel import (
     build_pair,
     is_log_canonical,
@@ -716,7 +716,7 @@ def test_search_matches_leaf_bound_search_on_wide_classes(data):
     assert_search_matches_leaf_bound(fixed, classes, options)
 
 
-# A work budget that admits the ladder up to t = 6 (at most 707 closed
+# A work budget that admits the ladder up to t = 6 (at most 621 closed
 # groups) and stops the polygon with every coefficient 11/12 at t = 7.
 SMALL_CLOSE_BUDGET = 2000
 
@@ -732,8 +732,8 @@ def test_search_stops_at_its_work_budget(monkeypatch):
         minimize(pair)
 
 
-@pytest.mark.parametrize("pair, closes", [(ladder_pair(6), 707),
-                                          (eleven_twelfths_pair(6), 20_629)])
+@pytest.mark.parametrize("pair, closes", [(ladder_pair(6), 621),
+                                          (eleven_twelfths_pair(6), 19_919)])
 def test_work_budget_counts_one_search(monkeypatch, pair, closes):
     """minimize closes exactly as many groups as the README's table
     lists for these inputs, in one search: a budget of that many
@@ -800,6 +800,14 @@ def test_a_stopped_search_leaves_no_garbage_cycles(monkeypatch):
             minimize(ladder_pair(6))
 
     assert garbage_cycles_left_by(stopped) == 0
+
+
+def test_hilbert_basis_leaves_no_garbage_cycles():
+    """The box points of a simplex are listed without a recursive
+    closure, so a Hilbert basis leaves no cycles behind either."""
+    assert garbage_cycles_left_by(
+        lambda: hilbert_basis([(1, 0, 0), (0, 1, 0), (3, 7, 5)])) == 0
+
 
 def test_orbifold_options_match_the_fraction_formula():
     """The integer test n(q - p) < q is n(a - 1) + 1 > 0 for a = p/q."""

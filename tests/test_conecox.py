@@ -200,8 +200,8 @@ def test_monoid_degrees_vanish_and_tau_adds():
 
 def test_monoid_torsion_obstruction_and_cover():
     g = cox_degrees(TORSION_CONE, (1, 0))
-    assert g.cl_y.torsion == [2]
-    assert g.cl_x.torsion == [4]
+    assert g.cl_y.torsion == (2,)
+    assert g.cl_x.torsion == (4,)
     with pytest.raises(TorsionObstructionError):
         degree_zero_monoid(g)
     mon = degree_zero_monoid(g, torsion_cover=True)

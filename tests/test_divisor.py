@@ -28,17 +28,17 @@ def test_class_group_ranks():
     assert class_group(P1XP1).free_rank == 2
     assert class_group(BLP2).free_rank == 2
     assert class_group(CONIFOLD).free_rank == 1
-    assert all(class_group(f).torsion == [] for f in SUITE.values())
+    assert all(class_group(f).torsion == () for f in SUITE.values())
 
 
 def test_local_class_group_a1():
     g = local_class_group(A1_SING, (0, 1))
-    assert g.free_rank == 0 and g.torsion == [2]
+    assert g.free_rank == 0 and g.torsion == (2,)
 
 
 def test_local_class_group_smooth_point_trivial():
     g = local_class_group(P2, (0, 1))
-    assert g.free_rank == 0 and g.torsion == []
+    assert g.free_rank == 0 and g.torsion == ()
 
 
 def test_q_span_two_lines_p2():

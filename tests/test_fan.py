@@ -661,6 +661,20 @@ def test_shared_derived_data_is_immutable():
         assert all(type(phi) is tuple for phi in eqs + ineqs)
 
 
+@pytest.mark.parametrize("fan", [P2, P3, A1_SING, CONIFOLD,
+                                 star_subdivision(A3, (1, 1, 1))])
+def test_every_derived_fan_value_hashes(fan):
+    """The verdict, the H-forms, the Smith form and the class groups an
+    interned fan hands out are built of tuples only, so no holder of the
+    fan can change them under another: each of them hashes."""
+    fan = make_fan(fan.rank, fan.rays, fan.max_cones)
+    values = [fan.diagnostics, fan.hforms, fan.smith_form, fan.class_group,
+              is_complete(fan)]
+    values += [local_class_group(fan, c) for c in fan.max_cones]
+    for value in values:
+        hash(value)
+
+
 def test_a_second_reading_derives_nothing(monkeypatch):
     """A second document over the same fan finds the fan's verdict,
     H-forms and class groups already derived: no _diagnose, cone_hform
@@ -703,7 +717,7 @@ def test_the_class_group_lives_on_the_fan():
     assert pair_class_group(pair) is class_group(P2) is P2.class_group
     local = build_pair(A1_SING, [1, 1], mode="local", cone=(0, 1))
     assert pair_class_group(local) is local_class_group(A1_SING, [0, 1])
-    assert local_class_group(A1_SING, (0, 1)).torsion == [2]
+    assert local_class_group(A1_SING, (0, 1)).torsion == (2,)
 
 
 def test_the_fan_table_is_bounded():

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import toricomplex.lattice
 from toricomplex.lattice import (
+    InputTooLargeError,
     NotPointedError,
     _det,
     cartier_scale,
@@ -57,20 +58,20 @@ def matrices(max_dim=4):
 
 def test_snf_identity_fixed():
     s = snf(identity_matrix(3))
-    assert s.diag == identity_matrix(3)
+    assert s.diag == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_snf_zero():
     s = snf([[0, 0], [0, 0]])
-    assert s.diag == [[0, 0], [0, 0]]
+    assert s.diag == ((0, 0), (0, 0))
     assert s.rank == 0
 
 
 def test_snf_diag_2_3():
     m = [[2, 0], [0, 3]]
     s = snf(m)
-    assert s.diag == [[1, 0], [0, 6]]
-    assert mat_mul(mat_mul(s.left, m), s.right) == s.diag
+    assert s.diag == ((1, 0), (0, 6))
+    assert tuple(map(tuple, mat_mul(mat_mul(s.left, m), s.right))) == s.diag
 
 
 @settings(max_examples=150)
@@ -78,7 +79,7 @@ def test_snf_diag_2_3():
 def test_snf_properties(m):
     s = snf(m)
     nr, nc = len(m), len(m[0])
-    assert mat_mul(mat_mul(s.left, m), s.right) == s.diag
+    assert tuple(map(tuple, mat_mul(mat_mul(s.left, m), s.right))) == s.diag
     assert abs(_det(s.left)) == 1
     assert abs(_det(s.right)) == 1
     inv = s.invariants
@@ -108,7 +109,7 @@ def test_kernel_basis(m):
 def test_cokernel_free():
     g = cokernel([[0], [0], [0]])
     assert g.free_rank == 3
-    assert g.torsion == []
+    assert g.torsion == ()
 
 
 def test_cokernel_p2():
@@ -116,7 +117,7 @@ def test_cokernel_p2():
     # all three ray divisors in the same generating class
     g = cokernel([[1, 0], [0, 1], [-1, -1]])
     assert g.free_rank == 1
-    assert g.torsion == []
+    assert g.torsion == ()
     cls = [g.class_of(v) for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
     assert len(set(cls)) == 1
     assert cls[0][0] in ((1,), (-1,))
@@ -125,7 +126,7 @@ def test_cokernel_p2():
 def test_cokernel_a1():
     g = cokernel([[0, 1], [2, 1]])
     assert g.free_rank == 0
-    assert g.torsion == [2]
+    assert g.torsion == (2,)
     assert g.class_of([1, 0]) == ((), (1,))
     assert not g.is_zero_class([1, 0])
     assert g.is_zero_class([1, 1]) or g.class_of([1, 1]) == ((), (0,))
@@ -731,6 +732,30 @@ def test_hilbert_basis_takes_one_smith_form_per_simplex(monkeypatch):
     monkeypatch.setattr(toricomplex.lattice, "snf", counting)
     assert len(hilbert_basis(_cube_cone(4))) == 27
     assert len(calls) == 6
+
+
+def test_hilbert_basis_stops_at_its_box_budget(monkeypatch):
+    """The simplex on (1, 0, 0), (0, 1, 0), (3, 7, 5) has a box of 5
+    points: a budget of 5 admits it, and one of 4 stops it before any
+    box point is listed."""
+    listed = []
+    real = toricomplex.lattice._simplicial_box_points
+
+    def listing(vmat, s):
+        listed.append(vmat)
+        return real(vmat, s)
+
+    monkeypatch.setattr(toricomplex.lattice, "_simplicial_box_points",
+                        listing)
+    gens = [(1, 0, 0), (0, 1, 0), (3, 7, 5)]
+    monkeypatch.setattr(toricomplex.lattice, "_BOX_BUDGET", 5)
+    assert hilbert_basis(gens) == brute_hilbert_basis(gens)
+    assert len(listed) == 1
+    listed.clear()
+    monkeypatch.setattr(toricomplex.lattice, "_BOX_BUDGET", 4)
+    with pytest.raises(InputTooLargeError, match="enumerate 5 box points"):
+        hilbert_basis(gens)
+    assert listed == []
 
 
 def test_hilbert_simplicial_3d_singular():
