@@ -33,8 +33,6 @@ from .lattice import (
     InvalidInputError,
     _check,
     cokernel,
-    transpose,
-    vec_dot,
 )
 from .pairmodel import ToricPair, is_log_canonical, pair_class_group
 
@@ -256,19 +254,19 @@ def _orbifold_options(a: Fraction, cap: int):
             if q % n == 0 and n * (q - p) < q]
 
 
-def _project_classes(fixed_vecs, vecs):
-    """Integer coordinates of vecs in Cl_Q / span(fixed_vecs).
-
-    The class vectors are integral.  The free part of the cokernel of
-    the fixed classes gives integer functionals whose common kernel over
-    Q is exactly their span, so rank(fixed + S) = fixed_rank + rank of
-    the projections of S.  Returns (fixed_rank, projected vecs).
-    """
-    if not fixed_vecs or not fixed_vecs[0]:
-        return 0, [list(v) for v in vecs]
-    quotient = cokernel(transpose(fixed_vecs))
-    return (len(fixed_vecs[0]) - quotient.free_rank,
-            [[vec_dot(row, v) for row in quotient.free_map] for v in vecs])
+def _fractional_elems(pair: ToricPair, fracs) -> tuple:
+    """(fixed_rank, elems): the rank of the span of the coefficient-one
+    classes in the mode's Cl_Q, and (ray, coefficient, class modulo that
+    span) per ray of ``fracs``.  The quotient is Q^rays / (M_Q + Q^ones)
+    = Q^rest / M_Q, rest the other working rays: the cokernel of their
+    rays, and a class is its ray's column of the cokernel's free map."""
+    pres = pair_class_group(pair)
+    rest = [i for i in pair.local_rays() if pair.boundary[i] != 1]
+    quot = pres if len(rest) == len(pair.local_rays()) else cokernel(
+        [pair.fan.rays[i] for i in rest])
+    return pres.free_rank - quot.free_rank, [
+        (i, pair.boundary[i], [row[rest.index(i)] for row in quot.free_map])
+        for i in fracs]
 
 
 # Groups the grouping search of one minimize call, which finds c_fine
@@ -327,7 +325,7 @@ def _search_fine(fixed_rank, fixed_norm, elems, options):
 
     ``elems`` is a list of (ray, coefficient, projected class) with the
     classes given modulo the span of the ``fixed_rank``-dimensional
-    coefficient-one classes (see :func:`_project_classes`);
+    coefficient-one classes, in any coordinates (:func:`_fractional_elems`);
     ``fixed_norm`` is the number of coefficient-one primes.  ``options``
     gives the (index, weight-budget) choices per element, index 1 among
     them, every budget in (0, 1].  Maximizes F = |Sigma| - rank over the
@@ -615,20 +613,13 @@ def minimize(pair: ToricPair, orbifold_cap: int = 12,
     _self_validate(pair, dec_c, "plain")
     c = pair.dim + pres.free_rank - dec_c.norm
 
-    def ray_class(i):
-        # the class of a prime is its column of the free map
-        k = rays.index(i)
-        return [row[k] for row in pres.free_map]
-
     ones = [i for i in support if pair.boundary[i] == 1]
     fracs = [i for i in support if pair.boundary[i] < 1]
     if len(fracs) > partition_limit:
         raise InputTooLargeError(
             f"{len(fracs)} fractional boundary primes exceed the partition "
             f"limit of {partition_limit}")
-    fixed_rank, projected = _project_classes(
-        [ray_class(i) for i in ones], [ray_class(i) for i in fracs])
-    elems = [(i, pair.boundary[i], v) for i, v in zip(fracs, projected)]
+    fixed_rank, elems = _fractional_elems(pair, fracs)
     (f_fine, groups_fine), (f_orb, groups_orb) = _search_fine(
         fixed_rank, len(ones), elems,
         [_orbifold_options(a, orbifold_cap) for _, a, _ in elems])

@@ -79,6 +79,17 @@ def q_span_dim(pres, divisors):
     return rank_q(rows)
 
 
+def log_class_vanishes(pres, total):
+    """Whether K + B + M, with B + M given by ``total`` on the rays of
+    ``pres``, is 0 in Cl tensor Q.  K is -1 on every ray, so scaled by
+    the lcm of the denominators it is integral, and over Q the free map
+    vanishes exactly on the image of M_Q, as M_Q -> Q^rays -> Cl_Q -> 0
+    is exact (Cox-Little-Schenck, Toric Varieties, Thm. 4.1.3)."""
+    den = lcm(*(t.denominator for t in total))
+    v = [t.numerator * (den // t.denominator) - den for t in total]
+    return not any(vec_dot(row, v) for row in pres.free_map)
+
+
 def canonical_coeffs(fan):
     """The invariant canonical divisor: coefficient -1 at every ray."""
     return tuple(Fraction(-1) for _ in fan.rays)

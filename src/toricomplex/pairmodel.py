@@ -27,10 +27,11 @@ from .divisor import (
     as_coeffs,
     canonical_coeffs,
     is_nef,
+    log_class_vanishes,
 )
 from .lattice import AbelianGroupPresentation, InvalidInputError, solve_rational
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 class InvalidPairError(InvalidInputError):
@@ -39,15 +40,12 @@ class InvalidPairError(InvalidInputError):
 
 def parse_rational(s) -> Fraction:
     """Parse ``"p/q"`` / ``"p"`` strings (or ints) into an exact Fraction."""
-    if isinstance(s, bool):
-        raise InvalidPairError(f"not a rational: {s!r}")
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
-    if isinstance(s, str):
-        if not _RATIONAL_RE.fullmatch(s.strip()):
-            raise InvalidPairError(f"not a rational: {s!r}")
+    match = isinstance(s, str) and _RATIONAL_RE.fullmatch(s.strip())
+    if match:
         try:
-            return Fraction(s.strip())
+            return Fraction(int(match[1]), int(match[2] or 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidPairError(f"not a rational: {s!r}") from exc
     raise InvalidPairError(f"not a rational: {s!r}")
@@ -177,28 +175,28 @@ def log_canonical_coeffs(pair: ToricPair) -> tuple:
 
 
 def is_log_cy(pair: ToricPair) -> bool:
-    """Whether ``K + B + M`` is numerically trivial for the mode.
-
-    Projective and birational modes ask for a global rational witness;
-    the local mode only needs one on the chosen cone's rays, which is
-    the pair's linear data there.
-    """
-    if pair.mode == "local":
-        return pair.log_linear_data[0] is not None
-    kb = log_canonical_coeffs(pair)
-    return solve_rational(pair.fan.rays, kb) is not None
+    """Whether ``K + B + M`` is numerically trivial for the mode: whether
+    its class in the mode's class group, the cokernel of the working
+    rays, is 0 over Q (:func:`.divisor.log_class_vanishes`)."""
+    total = pair.total_coeffs()
+    return log_class_vanishes(pair.class_group,
+                              [total[i] for i in pair.local_rays()])
 
 
 def is_log_canonical(pair: ToricPair) -> bool:
-    """Whether the pair is log canonical near its working locus.
-
-    For invariant boundaries this comes down to ``b <= 1`` on the
-    relevant rays together with ``K + B + M`` being Q-Cartier there.
-    """
-    if any(m is None for m in pair.log_linear_data):
-        return False
-    total = pair.total_coeffs()
-    return all(total[i] <= 1 for i in pair.local_rays())
+    """Whether the pair is log canonical near its working locus: ``b <= 1``
+    on its rays and ``K + B + M`` Q-Cartier on each of its maximal cones.
+    Every divisor is Q-Cartier on a cone whose rays are independent,
+    ``len(cone) + len(eqs) == rank`` as its equalities are a Q-basis of
+    the functionals vanishing on it (Cox-Little-Schenck, Prop. 4.2.7).
+    On any other cone K + B + M is Q-Cartier when its class in the cone's
+    local class group is 0 over Q (:func:`.divisor.log_class_vanishes`)."""
+    total, fan = pair.total_coeffs(), pair.fan
+    return all(total[i] <= 1 for i in pair.local_rays()) and all(
+        len(cone) + len(eqs) == fan.rank or log_class_vanishes(
+            fan.local_class_group(cone), [total[i] for i in cone])
+        for cone, (eqs, _) in zip(fan.max_cones, fan.hforms)
+        if pair.cone in (None, cone))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ weights come from the closed-form budget minimum, and span ranks are
 computed by sympy on the quotient presentation (rank of rays+parts
 minus rank of rays).  The reference grouping search ranks with its own
 Fraction Gauss elimination, and a Fraction Gauss-Jordan solver is the
-referee of the library's fraction-free ``solve_rational``.
+referee of the library's fraction-free ``solve_rational``.  It also
+decides the log Calabi-Yau and log canonical predicates as the package
+did before it read them off class groups: by solving for the linear
+data of K + B + M, globally and on each maximal cone.
 Completeness is decided by facet counting plus a fixed dense grid of
 rational sample points, with facet normals found by sympy; cone maps
 are solved by sympy over bijections of extremal rays.  Hilbert bases
@@ -31,14 +34,17 @@ products with the free map, ranks by the Gauss elimination kept here.
 They raise the package's own error classes, so a differential test can
 compare class and message.
 
-There are two exceptions.  The leaf-bound grouping search ranks with
-the package's ``rank_q``: it is the library's search before the nullity
-bound, a second enumeration of the same groupings, pruned differently
-and fast enough for seven primes.  And ``vform_by_vertex_subsets`` is
-the package's ``cone_vform`` as it stood before it read extremal rays
-as the facet normals of the dual cone: it solves each (dim - 1)-subset
-of the normals' lines for a ray and tests it on every normal, with the
-package's ``rank_q`` and ``kernel_basis``, and with ``_hyperplane_normal``,
+There are three exceptions.  ``project_classes``, the class projection
+of ``minimize`` before it read the cokernel of the rays, takes the
+package's ``cokernel`` of the class vectors.  The leaf-bound grouping
+search ranks with the package's ``rank_q``: it is the library's search
+before the nullity bound, a second enumeration of the same groupings,
+pruned differently and fast enough for seven primes.  And
+``vform_by_vertex_subsets`` is the package's ``cone_vform`` as it stood
+before it read extremal rays as the facet normals of the dual cone: it
+solves each (dim - 1)-subset of the normals' lines for a ray and tests
+it on every normal, with the package's ``rank_q`` and
+``kernel_basis``, and with ``_hyperplane_normal``,
 kept here on the package's ``_det``: the signed-minor kernel of d - 1
 rows that the library used before its double description (refereed by
 sympy in its own test).
@@ -53,8 +59,9 @@ import sympy
 
 from toricomplex.complexity import (IncompatibleOrbifoldError,
                                    InvalidDecompositionError)
-from toricomplex.lattice import (_det, identity_matrix, kernel_basis,
-                                 primitive_vector, rank_q, vec_dot)
+from toricomplex.lattice import (_det, cokernel, identity_matrix,
+                                 kernel_basis, primitive_vector, rank_q,
+                                 transpose, vec_dot)
 
 
 def set_partitions(items):
@@ -193,6 +200,40 @@ def gauss_jordan_solve(a, b):
     return x
 
 
+def _log_canonical_coeffs(pair):
+    """K + B + M per ray: -1 plus the boundary and the nef part."""
+    nef = pair.nef_part or [0] * len(pair.boundary)
+    return [b + m - 1 for b, m in zip(pair.boundary, nef)]
+
+
+def _working_rays(pair):
+    if pair.mode == "local":
+        return list(pair.cone)
+    return list(range(len(pair.fan.rays)))
+
+
+def solve_is_log_cy(pair):
+    """``is_log_cy`` by a Gauss-Jordan solve: some rational m has
+    <m, u_i> = (K + B + M)_i on every ray of the working locus."""
+    kb = _log_canonical_coeffs(pair)
+    rays = _working_rays(pair)
+    return gauss_jordan_solve([pair.fan.rays[i] for i in rays],
+                              [kb[i] for i in rays]) is not None
+
+
+def solve_is_log_canonical(pair):
+    """``is_log_canonical`` by Gauss-Jordan solves: B + M <= 1 on the
+    working rays, and on each maximal cone of the working locus some
+    rational m has <m, u_i> = -(K + B + M)_i on the cone's rays."""
+    kb = _log_canonical_coeffs(pair)
+    if any(kb[i] > 0 for i in _working_rays(pair)):
+        return False
+    cones = [pair.cone] if pair.mode == "local" else pair.fan.max_cones
+    return all(gauss_jordan_solve([pair.fan.rays[i] for i in cone],
+                                  [-kb[i] for i in cone]) is not None
+               for cone in cones)
+
+
 def reference_search_fine(fixed_vecs, elems, options):
     """The grouping search of ``minimize`` ranking every leaf from scratch.
 
@@ -287,6 +328,23 @@ def reference_search_fine(fixed_vecs, elems, options):
     return best["F"], best["groups"]
 
 
+def project_classes(fixed_vecs, vecs):
+    """Integer coordinates of vecs in Cl_Q / span(fixed_vecs).
+
+    The projection ``minimize`` made before it read the quotient off the
+    cokernel of the rays whose coefficient is not one: the class vectors
+    are integral, and the free part of the cokernel of the fixed classes
+    gives integer functionals whose common kernel over Q is exactly
+    their span, so rank(fixed + S) = fixed_rank + rank of the
+    projections of S.  Returns (fixed_rank, projected vecs).
+    """
+    if not fixed_vecs or not fixed_vecs[0]:
+        return 0, [list(v) for v in vecs]
+    quotient = cokernel(transpose(fixed_vecs))
+    return (len(fixed_vecs[0]) - quotient.free_rank,
+            [[vec_dot(row, v) for row in quotient.free_map] for v in vecs])
+
+
 def leaf_bound_search_fine(fixed_rank, fixed_norm, elems, options):
     """The grouping search of ``minimize`` before the nullity bound.
 
@@ -296,7 +354,7 @@ def leaf_bound_search_fine(fixed_rank, fixed_norm, elems, options):
 
     ``elems`` is a list of (ray, coefficient, projected class) with the
     classes given modulo the span of the ``fixed_rank``-dimensional
-    coefficient-one classes (see ``complexity._project_classes``);
+    coefficient-one classes (see ``project_classes``);
     ``fixed_norm`` is the number of coefficient-one primes.  ``options``
     gives the (index, weight-budget) choices per element.  Maximizes
     F = |Sigma| - rank over: drop the element, start a new group, or

@@ -211,8 +211,9 @@ def test_flop_of_the_cone_germ():
 
 
 def test_check_small_solves_each_cone_once(monkeypatch):
-    """is_log_canonical's cached linear data of the source is reused, so
-    each of the conifold flop's four cones is solved once."""
+    """The linear data of source and target are solved once each where
+    check_small reads them, so each of the conifold flop's four cones is
+    solved once."""
     s = small_modification(FLOP_A, FLOP_B)
     pair = build_pair(FLOP_A, [F(1)] * 4, mode="birational")
     solved = []

@@ -16,8 +16,8 @@ from toricomplex.complexity import (
     NotFullDimensionalError,
     NotLogCanonicalError,
     _echelon_insert,
+    _fractional_elems,
     _orbifold_options,
-    _project_classes,
     _rank_added,
     _search_fine,
     Part,
@@ -49,6 +49,7 @@ from bruteforce import (
     lp_extremal_rays,
     lp_local_complexity,
     oracle_minimize,
+    project_classes,
     reference_search_fine,
 )
 from fans import A1_SING, BLP2, CONIFOLD, P1, P1XP1, P2, P3, SUITE
@@ -526,7 +527,7 @@ def assert_search_matches_reference(pair):
     fracs = [i for i in rays if 0 < pair.boundary[i] < 1]
     fixed = [q_class(i) for i in ones]
     elems = [(i, pair.boundary[i], q_class(i)) for i in fracs]
-    fixed_rank, projected = _project_classes(
+    fixed_rank, projected = project_classes(
         [[int(x) for x in v] for v in fixed],
         [[int(x) for x in v] for _, _, v in elems])
     projected_elems = [(i, a, v) for (i, a, _), v in zip(elems, projected)]
@@ -581,7 +582,7 @@ def test_search_matches_reference_on_random_classes(data):
     classes = data.draw(st.lists(vec, min_size=1, max_size=5))
     options = [data.draw(option_lists()) for _ in classes]
     elems = [(e, None, v) for e, v in enumerate(classes)]
-    fixed_rank, projected = _project_classes(fixed, classes)
+    fixed_rank, projected = project_classes(fixed, classes)
     projected_elems = [(e, None, v) for e, v in enumerate(projected)]
     assert_halves_match(
         lambda opts: _search_fine(fixed_rank, len(fixed), projected_elems,
@@ -613,8 +614,53 @@ def test_search_matches_reference_on_ladder(t):
     assert_search_matches_reference(ladder_pair(t))
 
 
+def assert_quotient_matches_projection(pair):
+    """minimize's classes modulo the coefficient-one span, read off the
+    cokernel of the other working rays, against the Smith-form
+    projection of the class vectors: the same fixed rank, and the same
+    rank for every subset of the fractional primes."""
+    pres = pair_class_group(pair)
+    rays = pair.local_rays()
+    columns = [list(col) for col in zip(*pres.free_map)] or [[]] * len(rays)
+    ones = [k for k, i in enumerate(rays) if pair.boundary[i] == 1]
+    fracs = [k for k, i in enumerate(rays) if 0 < pair.boundary[i] < 1]
+    fixed_rank, elems = _fractional_elems(pair, [rays[k] for k in fracs])
+    classes = [v for _, _, v in elems]
+    expected_rank, projected = project_classes(
+        [columns[k] for k in ones], [columns[k] for k in fracs])
+    assert fixed_rank == expected_rank
+    for chosen in product((False, True), repeat=len(fracs)):
+        assert (rank_q([v for v, c in zip(classes, chosen) if c])
+                == rank_q([v for v, c in zip(projected, chosen) if c]))
+
+
+@pytest.mark.parametrize("pair", [ladder_pair(t) for t in range(9)]
+                         + [eleven_twelfths_pair(t) for t in (5, 8)]
+                         + [build_pair(LADDER, [F(1)] * 12),
+                            build_pair(LADDER, [F(1, 2)] * 6 + [F(0)] * 6),
+                            build_pair(CUBE, [F(1, 2)] * 4 + [F(1)] * 4)])
+def test_quotient_matches_class_projection_on_ladder(pair):
+    assert_quotient_matches_projection(pair)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.integers(8, 12), st.integers(0, 6), st.booleans())
+def test_quotient_matches_class_projection_on_random_pairs(seed, nrays, t,
+                                                           germ):
+    rng = random.Random(seed)
+    if germ:
+        fan = random_germ(rng, rng.choice(GERM_POLYGONS))
+        cone = fan.max_cones[0]
+        boundary = random_boundary(rng, len(cone), min(t, len(cone)))
+        pair = build_pair(fan, boundary, mode="local", cone=cone)
+    else:
+        pair = build_pair(random_polygon(rng, nrays),
+                          random_boundary(rng, nrays, t))
+    assert_quotient_matches_projection(pair)
+
+
 def assert_search_matches_leaf_bound(fixed, classes, options):
-    fixed_rank, projected = _project_classes(fixed, classes)
+    fixed_rank, projected = project_classes(fixed, classes)
     elems = [(e, None, v) for e, v in enumerate(projected)]
     assert_halves_match(
         lambda opts: _search_fine(fixed_rank, len(fixed), elems, opts),
