@@ -18,9 +18,11 @@ restricts to ``E`` with multiplier ``1 / i_Q`` (proved in
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .complexity import (
+    _ZERO,
     Decomposition,
     Part,
     _values,
@@ -28,8 +30,7 @@ from .complexity import (
     validate_decomposition,
 )
 from .fan import StarFan, is_complete, star_fan
-from .lattice import (ClaimFailedError, InvalidInputError, _check,
-                      cartier_scale)
+from .lattice import ClaimFailedError, InvalidInputError, _check
 from .pairmodel import ToricPair, build_pair, pair_class_group
 
 
@@ -51,9 +52,30 @@ class HypothesisViolationError(ClaimFailedError):
     """The decomposition does not single out the center as required."""
 
 
+def _wall_index(u_e, u_p) -> int:
+    """gcd of the 2 x 2 minors of the rows u_e, u_p (0 when dependent)."""
+    g = 0
+    for a in range(len(u_e)):
+        for b in range(a + 1, len(u_e)):
+            g = gcd(g, u_e[a] * u_p[b] - u_e[b] * u_p[a])
+    return g
+
+
 def _checked_star(fan, ray_e: int) -> StarFan:
     """The star fan of the center, after checking wall by wall that the
     Cartier index i_Q of E along the wall is the wall's lattice index.
+
+    The Cartier index is the smallest k >= 1 with a monomial witness m
+    for k E on the wall cone(u_E, u_p): <m, u_E> = -k and <m, u_p> = 0,
+    so (-k, 0) lies in the image L of m -> (<m, u_E>, <m, u_p>), which
+    is the row lattice of the 2 x n matrix A with rows u_E and u_p.  L
+    meets Z x 0 in kZ x 0, and its projection to the second coordinate
+    is all of Z, as u_p is primitive.  So [Z^2 : L] = k * 1, and the
+    index of L is the gcd of the 2 x 2 minors of A (the product of its
+    two Smith invariants).  Dependent rays make every minor 0, and no k
+    exists.  :func:`_wall_index` reads that gcd in integers, and it is
+    checked against ``star.multiplicity``, the index l that star_fan
+    reads off the projection, with no Smith form per wall.
 
     Let P be the projection N -> N / Z u_E = Z^(n-1) of the star fan and
     P(u_p) = l * w, with w the primitive star ray and l the wall's
@@ -67,33 +89,38 @@ def _checked_star(fan, ray_e: int) -> StarFan:
     restriction is (1 / i_Q) Q and no wall solves for gamma.
     """
     star = star_fan(fan, ray_e)
-    u_e = list(fan.rays[ray_e])
+    u_e = fan.rays[ray_e]
     for partner in star.partners:
-        # Cartier index of E along the wall: smallest k with a monomial
-        # witness for k*E on the two-dimensional cone
-        scaled = cartier_scale([u_e, list(fan.rays[partner])], [-1, 0])
-        _check(scaled is not None, "wall rays are linearly independent")
-        _check(scaled[0] == star.multiplicity[partner],
+        index = _wall_index(u_e, fan.rays[partner])
+        _check(index != 0, "wall rays are linearly independent")
+        _check(index == star.multiplicity[partner],
                "the Cartier index is the wall's lattice index")
     return star
 
 
 def _restrict_coeffs(star: StarFan, coeffs) -> tuple:
     """Restrict an invariant divisor to E: partner p contributes
-    coeffs[p] / i_Q at its star ray.  The center's own coefficient is
-    not read."""
-    out = [Fraction(0)] * len(star.fan.rays)
+    coeffs[p] / i_Q at its star ray, the only one it meets.  Zero
+    coefficients are skipped, and the center's own is not read."""
+    out = [_ZERO] * len(star.fan.rays)
     for p in star.partners:
-        out[star.partner_star[p]] += Fraction(coeffs[p], star.multiplicity[p])
+        c = coeffs[p]
+        if c.numerator:
+            out[star.partner_star[p]] = Fraction(
+                c.numerator, c.denominator * star.multiplicity[p])
     return tuple(out)
 
 
 def _different_coeffs(pair: ToricPair, star: StarFan):
-    """The different's coefficients on the star fan of the center."""
-    coeffs = list(_restrict_coeffs(star, pair.boundary))
+    """The different's coefficients on the star fan of the center:
+    b_p / i_Q + 1 - 1 / i_Q = (b_p + i_Q - 1) / i_Q at the star ray of
+    partner p."""
+    out = [_ZERO] * len(star.fan.rays)
     for p in star.partners:
-        coeffs[star.partner_star[p]] += 1 - Fraction(1, star.multiplicity[p])
-    return tuple(coeffs)
+        b, i_q = pair.boundary[p], star.multiplicity[p]
+        out[star.partner_star[p]] = Fraction(
+            b.numerator + (i_q - 1) * b.denominator, b.denominator * i_q)
+    return tuple(out)
 
 
 class AdjunctionResult(NamedTuple):
@@ -127,7 +154,7 @@ def normalize_center(dec: Decomposition, ray_e: int) -> Decomposition:
     orb[ray_e] = 1
     parts = []
     for p in dec.parts:
-        if p.coeffs[ray_e] > 0:
+        if p.coeffs[ray_e].numerator > 0:
             coeffs = list(p.coeffs)
             coeffs[ray_e] = coeffs[ray_e] * n_e
             parts.append(Part(p.weight, tuple(coeffs)))
@@ -183,13 +210,14 @@ def induced_decomposition(pair: ToricPair, dec: Decomposition,
         raise NotDivisorialCenterError(
             f"ray {ray_e} has boundary coefficient {pair.boundary[ray_e]}, "
             "adjunction needs coefficient one")
-    carriers = [j for j, p in enumerate(dec.parts) if p.coeffs[ray_e] > 0]
+    carriers = [j for j, p in enumerate(dec.parts)
+                if p.coeffs[ray_e].numerator > 0]
     if len(carriers) != 1:
         raise HypothesisViolationError(
             f"{len(carriers)} parts carry the center; exactly one must")
     center_part = dec.parts[carriers[0]]
     if center_part.weight != 1 or any(
-            c != 0 for i, c in enumerate(center_part.coeffs) if i != ray_e
+            c.numerator for i, c in enumerate(center_part.coeffs) if i != ray_e
     ) or center_part.coeffs[ray_e] != 1:
         raise HypothesisViolationError(
             "the center part must be the center prime alone with weight one")
@@ -205,7 +233,7 @@ def induced_decomposition(pair: ToricPair, dec: Decomposition,
     for j, p in enumerate(dec.parts):
         if j == carriers[0]:
             continue
-        if not any(p.coeffs[i] > 0 for i in visible):
+        if not any(p.coeffs[i].numerator > 0 for i in visible):
             raise HypothesisViolationError(
                 f"part {j} does not meet the center divisor along a wall "
                 "through the working locus")
@@ -215,7 +243,7 @@ def induced_decomposition(pair: ToricPair, dec: Decomposition,
     m_e = None
     if pair.nef_part is not None:
         m_e = _restrict_coeffs(star, pair.nef_part)
-        if all(x == 0 for x in m_e):
+        if not any(x.numerator for x in m_e):
             m_e = None
     e_pair = build_pair(star.fan, b_e, mode=mode, cone=cone, nef_part=m_e)
 

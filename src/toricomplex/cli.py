@@ -34,7 +34,11 @@ Exit codes
 
 A package error's base class sets its exit code: InvalidInputError 1,
 ClaimFailedError 2 and InternalInvariantError 4 (all in lattice.py).
-ValueError, TypeError and KeyError also exit 1.  So :func:`run` names
+ValueError, TypeError and KeyError exit 1 while the document is read and
+its objects are built, and 4 after that, where they can only come from
+a fault of the library.  So each command runs in two phases: its
+handler reads the document and returns the report step, and
+:func:`run` knows which phase an error came from.  :func:`run` names
 no module's error classes, and the adjunction, surgery and cone modules
 are imported only inside the commands that use them: a process running
 one command loads only what that command needs.
@@ -257,37 +261,46 @@ def _class_doc(pres, v):
 # commands
 
 
+# Each handler reads the document and builds its objects, then returns
+# the step that computes the report from them.
+
 def _cmd_validate(job):
     doc = _load_doc(job.input_path)
     pair = pair_from_dict(doc)
     checked = "decomposition" in doc or "orbifold" in doc
     dec = _decomposition_from_doc(doc, pair)
-    return {
-        "claim": "document-is-well-formed",
-        "ok": True,
-        "mode": pair.mode,
-        "rank": pair.fan.rank,
-        "rays": len(pair.fan.rays),
-        "log_cy": is_log_cy(pair),
-        "log_canonical": is_log_canonical(pair),
-        "decomposition_checked": checked,
-        "decomposition_norm": _rat(dec.norm),
-    }
+
+    def report():
+        return {
+            "claim": "document-is-well-formed",
+            "ok": True,
+            "mode": pair.mode,
+            "rank": pair.fan.rank,
+            "rays": len(pair.fan.rays),
+            "log_cy": is_log_cy(pair),
+            "log_canonical": is_log_canonical(pair),
+            "decomposition_checked": checked,
+            "decomposition_norm": _rat(dec.norm),
+        }
+    return report
 
 
 def _cmd_classgroup(job):
-    doc = _load_doc(job.input_path)
-    fan = require_valid(_load_fan(doc))
-    pres = class_group(fan)
-    nrays = len(fan.rays)
-    units = [[1 if j == i else 0 for j in range(nrays)] for i in range(nrays)]
-    return {
-        "claim": "class-group-presentation",
-        "ok": True,
-        "free_rank": pres.free_rank,
-        "torsion": list(pres.torsion),
-        "ray_classes": [_class_doc(pres, u) for u in units],
-    }
+    fan = require_valid(_load_fan(_load_doc(job.input_path)))
+
+    def report():
+        pres = class_group(fan)
+        nrays = len(fan.rays)
+        units = [[1 if j == i else 0 for j in range(nrays)]
+                 for i in range(nrays)]
+        return {
+            "claim": "class-group-presentation",
+            "ok": True,
+            "free_rank": pres.free_rank,
+            "torsion": list(pres.torsion),
+            "ray_classes": [_class_doc(pres, u) for u in units],
+        }
+    return report
 
 
 def _cmd_complexity(job):
@@ -299,37 +312,42 @@ def _cmd_complexity(job):
             doc["cone"] = list(job.options["cone"])
     pair = pair_from_dict(doc)
     dec = _decomposition_from_doc(doc, pair)
-    c, c_fine, c_orb = complexity_values(pair, dec)
-    return {
-        "claim": "complexity-values",
-        "ok": True,
-        "mode": pair.mode,
-        "c": _opt_rat(c),
-        "c_fine": _opt_rat(c_fine),
-        "c_orb": _rat(c_orb),
-        "norm": _rat(dec.norm),
-    }
+
+    def report():
+        c, c_fine, c_orb = complexity_values(pair, dec)
+        return {
+            "claim": "complexity-values",
+            "ok": True,
+            "mode": pair.mode,
+            "c": _opt_rat(c),
+            "c_fine": _opt_rat(c_fine),
+            "c_orb": _rat(c_orb),
+            "norm": _rat(dec.norm),
+        }
+    return report
 
 
 def _cmd_minimize(job):
-    doc = _load_doc(job.input_path)
-    pair = pair_from_dict(doc)
-    rep = minimize(pair, orbifold_cap=job.options["orbifold_cap"],
-                   partition_limit=job.options["partition_limit"])
-    return {
-        "claim": "minimal-complexity-values",
-        "ok": True,
-        "c": _rat(rep.c),
-        "c_fine": _rat(rep.c_fine),
-        "c_orb": _rat(rep.c_orb),
-        "nonnegative": rep.c_orb >= 0,
-        "cl_rank": rep.cl_rank,
-        "span_fine": rep.span_fine,
-        "span_orb": rep.span_orb,
-        "dec_c": _dec_doc(rep.dec_c),
-        "dec_fine": _dec_doc(rep.dec_fine),
-        "dec_orb": _dec_doc(rep.dec_orb),
-    }
+    pair = pair_from_dict(_load_doc(job.input_path))
+
+    def report():
+        rep = minimize(pair, orbifold_cap=job.options["orbifold_cap"],
+                       partition_limit=job.options["partition_limit"])
+        return {
+            "claim": "minimal-complexity-values",
+            "ok": True,
+            "c": _rat(rep.c),
+            "c_fine": _rat(rep.c_fine),
+            "c_orb": _rat(rep.c_orb),
+            "nonnegative": rep.c_orb >= 0,
+            "cl_rank": rep.cl_rank,
+            "span_fine": rep.span_fine,
+            "span_orb": rep.span_orb,
+            "dec_c": _dec_doc(rep.dec_c),
+            "dec_fine": _dec_doc(rep.dec_fine),
+            "dec_orb": _dec_doc(rep.dec_orb),
+        }
+    return report
 
 
 def _cmd_adjoin(job):
@@ -340,72 +358,89 @@ def _cmd_adjoin(job):
     ray = job.options["ray"]
     if not 0 <= ray < len(pair.fan.rays):
         raise InvalidDocumentError(f"--ray {ray} out of range")
-    chk = check_adjunction(pair, dec, ray)
-    res = chk.result
-    return {
-        "claim": "adjunction-does-not-increase-complexity",
-        "ok": chk.monotone,
-        "value_x": _rat(chk.value_x),
-        "value_e": _rat(chk.value_e),
-        "equality": chk.equality,
-        "span_full": chk.span_full,
-        # Each point of E meets one marked prime at most, so the
-        # two-prime set is always empty; both keys keep the report's shape.
-        "s_empty": True,
-        "sigma_is_boundary": chk.sigma_is_boundary,
-        "boundary_is_lower_bound": res.boundary_is_lower_bound,
-        "e_fan": _fan_doc(res.e_pair.fan),
-        "e_mode": res.e_pair.mode,
-        "e_boundary": [_rat(b) for b in res.boundary],
-        "e_orbifold": list(res.orbifold),
-        "sigma": _dec_doc(res.sigma),
-        "s_rays": [],
-    }
+
+    def report():
+        chk = check_adjunction(pair, dec, ray)
+        res = chk.result
+        return {
+            "claim": "adjunction-does-not-increase-complexity",
+            "ok": chk.monotone,
+            "value_x": _rat(chk.value_x),
+            "value_e": _rat(chk.value_e),
+            "equality": chk.equality,
+            "span_full": chk.span_full,
+            # Each point of E meets one marked prime at most, so the
+            # two-prime set is always empty; both keys keep the report's
+            # shape.
+            "s_empty": True,
+            "sigma_is_boundary": chk.sigma_is_boundary,
+            "boundary_is_lower_bound": res.boundary_is_lower_bound,
+            "e_fan": _fan_doc(res.e_pair.fan),
+            "e_mode": res.e_pair.mode,
+            "e_boundary": [_rat(b) for b in res.boundary],
+            "e_orbifold": list(res.orbifold),
+            "sigma": _dec_doc(res.sigma),
+            "s_rays": [],
+        }
+    return report
+
+
+def _germ(job):
+    """The germ document's single cone and interior vector, checked as
+    the cone commands check them."""
+    from .conecox import _require_interior, _single_cone
+    doc = _load_doc(job.input_path)
+    fan = _load_fan(doc)
+    v = _interior_vector(doc, fan)
+    _single_cone(fan)
+    return fan, _require_interior(fan, v)
 
 
 def _cmd_cone(job):
     from .conecox import verify_cone_iso
-    doc = _load_doc(job.input_path)
-    fan = _load_fan(doc)
-    v = _interior_vector(doc, fan)
-    rep = verify_cone_iso(fan, v)
-    return {
-        "claim": "germ-is-cone-over-its-exceptional-divisor",
-        "ok": rep.ok,
-        "witness": [list(row) for row in rep.witness],
-        "e_fan": _fan_doc(rep.e_fan),
-        "polarization": [_rat(a) for a in rep.polarization],
-        "target": _fan_doc(rep.target),
-        "ray_map": list(rep.ray_map),
-    }
+    fan, v = _germ(job)
+
+    def report():
+        rep = verify_cone_iso(fan, v)
+        return {
+            "claim": "germ-is-cone-over-its-exceptional-divisor",
+            "ok": rep.ok,
+            "witness": [list(row) for row in rep.witness],
+            "e_fan": _fan_doc(rep.e_fan),
+            "polarization": [_rat(a) for a in rep.polarization],
+            "target": _fan_doc(rep.target),
+            "ray_map": list(rep.ray_map),
+        }
+    return report
 
 
 def _cmd_hilbert(job):
     from .conecox import (TorsionObstructionError, cox_degrees,
                           degree_zero_monoid)
-    doc = _load_doc(job.input_path)
-    fan = _load_fan(doc)
-    v = _interior_vector(doc, fan)
-    degrees = cox_degrees(fan, v)
-    try:
-        monoid = degree_zero_monoid(
-            degrees, torsion_cover=job.options["torsion_cover"])
-    except TorsionObstructionError as exc:
-        raise TorsionObstructionError(
-            f"{exc} (command line: --torsion-cover)") from exc
-    return {
-        "claim": "degree-zero-part-is-finitely-generated",
-        "ok": True,
-        "class_free_rank": degrees.cl_y.free_rank,
-        "class_torsion": list(degrees.cl_y.torsion),
-        "generators": [list(g) for g in monoid.generators],
-        "tau": list(monoid.tau),
-        "cover_steps": [{
-            "divisor": list(step.divisor),
-            "order": step.order,
-            "character": list(step.character),
-        } for step in monoid.cover_steps],
-    }
+    fan, v = _germ(job)
+
+    def report():
+        degrees = cox_degrees(fan, v)
+        try:
+            monoid = degree_zero_monoid(
+                degrees, torsion_cover=job.options["torsion_cover"])
+        except TorsionObstructionError as exc:
+            raise TorsionObstructionError(
+                f"{exc} (command line: --torsion-cover)") from exc
+        return {
+            "claim": "degree-zero-part-is-finitely-generated",
+            "ok": True,
+            "class_free_rank": degrees.cl_y.free_rank,
+            "class_torsion": list(degrees.cl_y.torsion),
+            "generators": [list(g) for g in monoid.generators],
+            "tau": list(monoid.tau),
+            "cover_steps": [{
+                "divisor": list(step.divisor),
+                "order": step.order,
+                "character": list(step.character),
+            } for step in monoid.cover_steps],
+        }
+    return report
 
 
 def _surgery_doc(job):
@@ -432,19 +467,22 @@ def _cmd_check_contract(job):
     if not isinstance(ray, int) or isinstance(ray, bool):
         raise InvalidDocumentError('contraction document needs the integer "ray"')
     surgery = contraction(pair.fan, target, ray)
-    rep = check_contraction(pair, surgery, dec)
-    return {
-        "claim": "contraction-drops-complexity-by-at-most-one",
-        "ok": rep.ok,
-        "values_source": _values_doc(rep.values_source),
-        "values_target": _values_doc(rep.values_target),
-        "dropped_norm": _rat(rep.dropped_norm),
-        "e_total_coefficient": _rat(rep.e_total_coefficient),
-        "equality_plain": rep.equality_plain,
-        "criterion": rep.criterion,
-        "e_is_glc_place": rep.e_is_glc_place,
-        "pushed": _dec_doc(rep.pushed),
-    }
+
+    def report():
+        rep = check_contraction(pair, surgery, dec)
+        return {
+            "claim": "contraction-drops-complexity-by-at-most-one",
+            "ok": rep.ok,
+            "values_source": _values_doc(rep.values_source),
+            "values_target": _values_doc(rep.values_target),
+            "dropped_norm": _rat(rep.dropped_norm),
+            "e_total_coefficient": _rat(rep.e_total_coefficient),
+            "equality_plain": rep.equality_plain,
+            "criterion": rep.criterion,
+            "e_is_glc_place": rep.e_is_glc_place,
+            "pushed": _dec_doc(rep.pushed),
+        }
+    return report
 
 
 def _cmd_check_small(job):
@@ -452,14 +490,17 @@ def _cmd_check_small(job):
     doc, pair, dec = _surgery_doc(job)
     target = _target_fan(doc, pair.fan.rank)
     surgery = small_modification(pair.fan, target)
-    rep = check_small(pair, surgery, dec)
-    return {
-        "claim": "small-modification-preserves-complexity",
-        "ok": rep.ok,
-        "values_source": _values_doc(rep.values_source),
-        "values_target": _values_doc(rep.values_target),
-        "pushed": _dec_doc(rep.pushed),
-    }
+
+    def report():
+        rep = check_small(pair, surgery, dec)
+        return {
+            "claim": "small-modification-preserves-complexity",
+            "ok": rep.ok,
+            "values_source": _values_doc(rep.values_source),
+            "values_target": _values_doc(rep.values_target),
+            "pushed": _dec_doc(rep.pushed),
+        }
+    return report
 
 
 def _cmd_check_extract(job):
@@ -469,15 +510,18 @@ def _cmd_check_extract(job):
     if not isinstance(vectors, list) or not vectors:
         raise InvalidDocumentError('extraction document needs "vectors"')
     surgery = extraction(pair.fan, [tuple(v) for v in vectors])
-    rep = check_extraction(pair, surgery, dec)
-    return {
-        "claim": "crepant-extraction-does-not-increase-complexity",
-        "ok": rep.ok,
-        "values_source": _values_doc(rep.values_source),
-        "values_target": _values_doc(rep.values_target),
-        "discrepancies": [_rat(d) for d in rep.discrepancies],
-        "lifted": _dec_doc(rep.lifted),
-    }
+
+    def report():
+        rep = check_extraction(pair, surgery, dec)
+        return {
+            "claim": "crepant-extraction-does-not-increase-complexity",
+            "ok": rep.ok,
+            "values_source": _values_doc(rep.values_source),
+            "values_target": _values_doc(rep.values_target),
+            "discrepancies": [_rat(d) for d in rep.discrepancies],
+            "lifted": _dec_doc(rep.lifted),
+        }
+    return report
 
 
 def _suite_row(item):
@@ -498,12 +542,14 @@ def _suite_row(item):
 
 
 def _cmd_check_suite(job):
-    rows = [_suite_row(item) for item in _SUITE_DATA]
-    return {
-        "claim": "bundled-fans-have-zero-complexity",
-        "ok": all(row["ok"] for row in rows),
-        "fans": rows,
-    }
+    def report():
+        rows = [_suite_row(item) for item in _SUITE_DATA]
+        return {
+            "claim": "bundled-fans-have-zero-complexity",
+            "ok": all(row["ok"] for row in rows),
+            "fans": rows,
+        }
+    return report
 
 
 _HANDLERS = {
@@ -666,8 +712,10 @@ def run(argv):
     except _UsageError as exc:
         print(f"toricomplex: error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    report = None  # set once the document's objects are built
     try:
-        payload = _HANDLERS[job.command](job)
+        report = _HANDLERS[job.command](job)
+        payload = report()
     except InternalInvariantError as exc:
         print(f"toricomplex: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -678,7 +726,14 @@ def run(argv):
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"toricomplex: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (InvalidInputError, ValueError, TypeError, KeyError) as exc:
+    except InvalidInputError as exc:
+        print(f"toricomplex: invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except (ValueError, TypeError, KeyError) as exc:
+        if report is not None:  # a library fault, not the document's
+            print(f"toricomplex: internal error: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            return EXIT_INTERNAL
         print(f"toricomplex: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     _emit(job, payload)

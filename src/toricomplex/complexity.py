@@ -68,11 +68,24 @@ class Decomposition(NamedTuple):
 
     @property
     def norm(self) -> Fraction:
-        return sum((p.weight for p in self.parts), Fraction(0))
+        """The sum of the weights, added over a common denominator."""
+        num, den = 0, 1
+        for p in self.parts:
+            num, den = _add_ratio(num, den, p.weight.numerator,
+                                  p.weight.denominator)
+        return Fraction(num, den)
 
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _add_ratio(num, den, a, b):
+    """num/den + a/b as an unreduced integer ratio over lcm(den, b)."""
+    if den == b:
+        return num + a, den
+    g = gcd(den, b)
+    return num * (b // g) + a * (den // g), den // g * b
 
 
 def trivial_orbifold(nrays: int) -> tuple:
@@ -97,14 +110,21 @@ def make_decomposition(nrays: int, parts, orbifold=None) -> Decomposition:
 def decomposition_total(dec: Decomposition) -> tuple:
     """Per-ray coefficient of the full divisor Sigma, orbifold tax included.
 
-    Only the non-zero coefficients of each part are added in.
+    Only the non-zero coefficients of each part are added in, each ray
+    over a common denominator; one Fraction is formed per ray at the end.
     """
-    total = [1 - Fraction(1, n) if n != 1 else _ZERO for n in dec.orbifold]
+    total = [(0, 1)] * len(dec.orbifold)
+    for i, n in enumerate(dec.orbifold):
+        if n != 1:
+            tax = 1 - Fraction(1, n)  # raises as Fraction does on a bad n
+            total[i] = tax.numerator, tax.denominator
     for p in dec.parts:
+        wn, wd = p.weight.numerator, p.weight.denominator
         for i, c in enumerate(p.coeffs):
-            if c:
-                total[i] += p.weight * c
-    return tuple(total)
+            cn = c.numerator
+            if cn:
+                total[i] = _add_ratio(*total[i], wn * cn, wd * c.denominator)
+    return tuple(Fraction(num, den) for num, den in total)
 
 
 def validate_decomposition(pair: ToricPair, dec: Decomposition) -> None:
@@ -116,55 +136,66 @@ def validate_decomposition(pair: ToricPair, dec: Decomposition) -> None:
     Each part is read through its non-zero coefficients only, and the
     budget is checked on the rays where Sigma is non-zero: elsewhere its
     coefficient is 0, which a pair's boundary (in [0, 1]) never falls
-    below.
+    below.  Weights and coefficients are rationals (int or Fraction),
+    read through their numerators and denominators: signs and zeros are
+    those of the numerators, as denominators are positive; the tax
+    (n - 1) / n and each ray's total are integer ratios compared with
+    the boundary by cross-multiplication; a Fraction is formed only to
+    word an error.
     """
     nrays = len(pair.fan.rays)
     orbifold = dec.orbifold
     if len(orbifold) != nrays:
         raise IncompatibleOrbifoldError(
             f"expected {nrays} orbifold indices, got {len(orbifold)}")
-    total = {}  # ray -> coefficient of Sigma, for the rays it meets
+    boundary = pair.boundary
+    total = {}  # ray -> (numerator, denominator) of Sigma, where non-zero
     for i, n in enumerate(orbifold):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise IncompatibleOrbifoldError(f"orbifold index {n!r} at ray {i}")
         if n > 1:
-            tax = 1 - Fraction(1, n)
-            if pair.boundary[i] < tax:
+            b = boundary[i]
+            if b.numerator * n < (n - 1) * b.denominator:
+                # gcd(n - 1, n) = 1, so this is the reduced tax
                 raise IncompatibleOrbifoldError(
                     f"index {n} at ray {i} needs boundary coefficient >= "
-                    f"{tax}, found {pair.boundary[i]}")
-            total[i] = tax
+                    f"{n - 1}/{n}, found {b}")
+            total[i] = (n - 1, n)
     local = set(pair.cone) if pair.mode == "local" else None
     for j, p in enumerate(dec.parts):
-        if p.weight <= 0:
+        wn, wd = p.weight.numerator, p.weight.denominator
+        if wn <= 0:
             raise InvalidDecompositionError(f"part {j} has weight {p.weight}")
         if len(p.coeffs) != nrays:
             raise InvalidDecompositionError(
                 f"part {j} has {len(p.coeffs)} coefficients, expected {nrays}")
-        support = [(i, c) for i, c in enumerate(p.coeffs) if c]
+        support = [(i, c.numerator, c.denominator)
+                   for i, c in enumerate(p.coeffs) if c.numerator]
         if not support:
             raise InvalidDecompositionError(f"part {j} is the zero divisor")
-        for i, c in support:
-            if c < 0:
+        for i, cn, cd in support:
+            if cn < 0:
                 raise InvalidDecompositionError(
                     f"part {j} has negative coefficient at ray {i}")
             # c * n is an integer exactly when c's denominator divides n
-            if orbifold[i] % c.denominator:
+            if orbifold[i] % cd:
                 raise InvalidDecompositionError(
                     f"part {j} is not integral against orbifold index "
                     f"{orbifold[i]} at ray {i}")
         # the support is positive now, so a part meets the point exactly
         # when one of its rays is a ray of the cone
-        if local is not None and not any(i in local for i, _ in support):
+        if local is not None and not any(i in local for i, _, _ in support):
             raise InvalidDecompositionError(
                 f"part {j} misses the chosen point (no ray of the cone)")
-        for i, c in support:
-            total[i] = total.get(i, _ZERO) + p.weight * c
+        for i, cn, cd in support:
+            total[i] = _add_ratio(*total.get(i, (0, 1)), wn * cn, wd * cd)
     for i in sorted(total):
-        if total[i] > pair.boundary[i]:
+        num, den = total[i]
+        b = boundary[i]
+        if num * b.denominator > b.numerator * den:
             raise InvalidDecompositionError(
-                f"total coefficient {total[i]} at ray {i} exceeds boundary "
-                f"{pair.boundary[i]}")
+                f"total coefficient {Fraction(num, den)} at ray {i} exceeds "
+                f"boundary {b}")
 
 
 def span_dimension(pair: ToricPair, dec: Decomposition) -> int:
@@ -603,7 +634,7 @@ def minimize(pair: ToricPair, orbifold_cap: int = 12,
     nrays = len(pair.fan.rays)
     pres = pair_class_group(pair)
     rays = pair.local_rays()
-    support = [i for i in rays if pair.boundary[i] > 0]
+    support = [i for i in rays if pair.boundary[i].numerator]  # b > 0
 
     # plain complexity: prime decomposition over the working rays
     zeros = (_ZERO,) * nrays
@@ -614,7 +645,7 @@ def minimize(pair: ToricPair, orbifold_cap: int = 12,
     c = pair.dim + pres.free_rank - dec_c.norm
 
     ones = [i for i in support if pair.boundary[i] == 1]
-    fracs = [i for i in support if pair.boundary[i] < 1]
+    fracs = [i for i in support if pair.boundary[i] != 1]
     if len(fracs) > partition_limit:
         raise InputTooLargeError(
             f"{len(fracs)} fractional boundary primes exceed the partition "

@@ -126,6 +126,9 @@ def _require_interior(fan, v):
     _, ineqs = fan.hforms[0]
     if any(vec_dot(phi, v) <= 0 for phi in ineqs):
         raise NotInteriorError(f"{v} is not in the interior of the cone")
+    if v in fan.rays:  # rank one, where the cone's interior is its ray
+        raise NotInteriorError(
+            f"{v} is the ray of the cone: subdividing there adds no divisor")
     return v
 
 

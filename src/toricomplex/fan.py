@@ -429,10 +429,14 @@ class StarFan(NamedTuple):
 
 
 def star_fan(fan, ray_idx):
-    """Quotient fan seen by the invariant divisor at ray_idx."""
+    """Quotient fan seen by the invariant divisor at ray_idx.
+
+    A fan of rank one has none: that is an input error (exit 1 in the
+    CLI), whichever step of a computation meets it.
+    """
     n = fan.rank
     if n < 2:
-        raise ValueError("star fan needs ambient rank >= 2")
+        raise InvalidInputError("star fan needs ambient rank >= 2")
     u = list(fan.rays[ray_idx])
     s = snf([[x] for x in u])
     if s.diag[0][0] != 1:

@@ -315,33 +315,6 @@ def rank_q(vectors):
     return len(_bareiss(rows)[0])
 
 
-def cartier_scale(a, b):
-    """Smallest k >= 1 such that a x = k b has an integer solution.
-
-    Returns (k, x) with a x = k b, or None when the system is not even
-    rationally solvable.
-    """
-    s = snf(a)
-    c = mat_vec(s.left, list(b))
-    r = s.rank
-    for i in range(r, len(c)):
-        if c[i] != 0:
-            return None
-    k = 1
-    for i in range(r):
-        d = s.diag[i][i]
-        num = c[i]
-        if num % d:
-            g = gcd(abs(num), d)
-            step = d // g
-            k = k * step // gcd(k, step)
-    y = [0] * (len(a[0]) if a else 0)
-    for i in range(r):
-        y[i] = k * c[i] // s.diag[i][i]
-    x = mat_vec(s.right, y)
-    return k, x
-
-
 # ---------------------------------------------------------------------------
 # finitely generated abelian groups (cokernels)
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ products with the free map, ranks by the Gauss elimination kept here.
 They raise the package's own error classes, so a differential test can
 compare class and message.
 
-There are three exceptions.  ``project_classes``, the class projection
+There are four exceptions.  ``project_classes``, the class projection
 of ``minimize`` before it read the cokernel of the rays, takes the
 package's ``cokernel`` of the class vectors.  The leaf-bound grouping
 search ranks with the package's ``rank_q``: it is the library's search
@@ -47,7 +47,10 @@ it on every normal, with the package's ``rank_q`` and
 ``kernel_basis``, and with ``_hyperplane_normal``,
 kept here on the package's ``_det``: the signed-minor kernel of d - 1
 rows that the library used before its double description (refereed by
-sympy in its own test).
+sympy in its own test).  And ``cartier_scale``, the smallest k with
+a x = k b integrally, reads the package's ``snf``: the library checked
+each adjunction wall's Cartier index with it before it read the index
+as the gcd of the wall's 2 x 2 minors.
 """
 
 from fractions import Fraction
@@ -60,8 +63,8 @@ import sympy
 from toricomplex.complexity import (IncompatibleOrbifoldError,
                                    InvalidDecompositionError)
 from toricomplex.lattice import (_det, cokernel, identity_matrix,
-                                 kernel_basis, primitive_vector, rank_q,
-                                 transpose, vec_dot)
+                                 kernel_basis, mat_vec, primitive_vector,
+                                 rank_q, snf, transpose, vec_dot)
 
 
 def set_partitions(items):
@@ -913,6 +916,37 @@ def lp_local_complexity(cone_rays, rank):
     witness = tuple(x[k] - x[n + k] for k in range(n))
     return (n + cl_rank - best, boundary, witness,
             sum(1 for a in boundary if a == 1))
+
+
+# ---------------------------------------------------------------------------
+# integral solves through a Smith form
+
+
+def cartier_scale(a, b):
+    """Smallest k >= 1 such that a x = k b has an integer solution.
+
+    Returns (k, x) with a x = k b, or None when the system is not even
+    rationally solvable.
+    """
+    s = snf(a)
+    c = mat_vec(s.left, list(b))
+    r = s.rank
+    for i in range(r, len(c)):
+        if c[i] != 0:
+            return None
+    k = 1
+    for i in range(r):
+        d = s.diag[i][i]
+        num = c[i]
+        if num % d:
+            g = gcd(abs(num), d)
+            step = d // g
+            k = k * step // gcd(k, step)
+    y = [0] * (len(a[0]) if a else 0)
+    for i in range(r):
+        y[i] = k * c[i] // s.diag[i][i]
+    x = mat_vec(s.right, y)
+    return k, x
 
 
 # ---------------------------------------------------------------------------

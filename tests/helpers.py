@@ -4,7 +4,9 @@ They check results of the library (a matrix product, the order of a
 class, a Cartier index, Q-Cartier and principal divisors, the face
 lattice of a cone and of a fan, the cones of one dimension, cone
 multiplicities, smoothness, the different, a wall's restriction
-multiplier, an integral solve) and are built from its public pieces.
+multiplier, an integral solve) and are built from its public pieces;
+the Cartier index and the integral solve go through ``cartier_scale``,
+the Smith-form solve kept in ``bruteforce``.
 """
 
 from fractions import Fraction
@@ -14,8 +16,9 @@ from toricomplex.adjunction import (NotDivisorialCenterError,
                                     _checked_star, _different_coeffs)
 from toricomplex.divisor import NotQCartierError, cartier_data, ray_matrix
 from toricomplex.fan import cone_dim, is_simplicial_cone
-from toricomplex.lattice import (cartier_scale, snf, solve_rational,
-                                 vec_dot)
+from toricomplex.lattice import snf, solve_rational, vec_dot
+
+from bruteforce import cartier_scale
 
 
 def solve_integral(a, b):

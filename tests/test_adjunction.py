@@ -3,13 +3,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from toricomplex.adjunction import (
     HypothesisViolationError,
     NotDivisorialCenterError,
     _checked_star,
     _induced_mode,
+    _wall_index,
     check_adjunction,
     induced_decomposition,
     normalize_center,
@@ -20,11 +21,12 @@ from toricomplex.complexity import (
     orbifold_complexity,
 )
 from toricomplex.fan import make_fan, star_fan, star_subdivision, wall_partners
-from toricomplex.lattice import (cartier_scale, primitive_vector, rank_q,
-                                 vec_gcd)
+from toricomplex.lattice import (InternalInvariantError, InvalidInputError,
+                                 primitive_vector, rank_q, vec_gcd)
 from toricomplex.pairmodel import build_pair
 
-from fans import (A1_SING, A2, A3, BLP2, CONIFOLD, P1XP1, P2, SUITE,
+from bruteforce import cartier_scale
+from fans import (A1_SING, A2, A3, BLP2, CONIFOLD, P1, P1XP1, P2, SUITE,
                   projective_space)
 from helpers import different, wall_gamma
 
@@ -115,22 +117,126 @@ def test_restriction_multiplier_is_one():
 
 
 def test_wall_ledger_solves_once_per_wall(monkeypatch):
-    """The star fan's self-check takes one cartier_scale per wall."""
+    """The star fan's self-check reads one wall index per wall, and
+    takes no Smith form beyond the one star_fan takes."""
     adjunction = importlib.import_module("toricomplex.adjunction")
+    walls, snfs, star_snfs = [], [], []
     lattice = importlib.import_module("toricomplex.lattice")
-    calls = []
+    real_snf, real_star, real_index = (lattice.snf, adjunction.star_fan,
+                                       adjunction._wall_index)
 
-    def counting(*args):
-        calls.append(args)
-        return lattice.cartier_scale(*args)
+    def counting_snf(*args):
+        snfs.append(args)
+        return real_snf(*args)
 
-    monkeypatch.setattr(adjunction, "cartier_scale", counting)
+    def counting_star(*args):
+        before = len(snfs)
+        star = real_star(*args)
+        star_snfs.append(len(snfs) - before)
+        return star
+
+    def counting_index(*args):
+        walls.append(args)
+        return real_index(*args)
+
+    for name in ("lattice", "fan", "divisor", "pairmodel", "complexity",
+                 "adjunction"):
+        module = importlib.import_module(f"toricomplex.{name}")
+        if hasattr(module, "snf"):
+            monkeypatch.setattr(module, "snf", counting_snf)
+    monkeypatch.setattr(adjunction, "star_fan", counting_star)
+    monkeypatch.setattr(adjunction, "_wall_index", counting_index)
+    assert not hasattr(lattice, "cartier_scale")
     nwalls = 0
     for fan in (P2, A1_SING):
         for e in range(len(fan.rays)):
+            before = len(snfs)
             nwalls += len(_checked_star(fan, e).partners)
+            assert len(snfs) - before == star_snfs[-1] >= 1
     assert nwalls == 8
-    assert len(calls) == nwalls
+    assert len(walls) == nwalls
+
+
+def primitive_vectors(d):
+    return st.lists(st.integers(-4, 4), min_size=d, max_size=d).map(
+        tuple).filter(lambda u: any(u) and vec_gcd(u) == 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_wall_index_matches_cartier_scale(data):
+    """The gcd of the 2 x 2 minors of (u_E, u_p) is 0 exactly when no
+    multiple of E has a monomial witness on the wall, and otherwise is
+    the smallest such multiple, on random primitive pairs in ranks 2-5,
+    dependent pairs included."""
+    d = data.draw(st.integers(2, 5))
+    u_e = data.draw(primitive_vectors(d))
+    kind = data.draw(st.sampled_from(
+        ["random", "equal", "opposite", "combination"]))
+    if kind == "random":
+        u_p = data.draw(primitive_vectors(d))
+    elif kind == "equal":
+        u_p = u_e
+    elif kind == "opposite":
+        u_p = tuple(-x for x in u_e)
+    else:
+        v = data.draw(primitive_vectors(d))
+        a, b = data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3))
+        w = [a * x + b * y for x, y in zip(u_e, v)]
+        assume(any(w))
+        u_p = primitive_vector(w)
+    index = _wall_index(u_e, u_p)
+    scaled = cartier_scale([list(u_e), list(u_p)], [-1, 0])
+    assert (index == 0) == (scaled is None)
+    if scaled is not None:
+        assert index == scaled[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_wall_index_is_the_star_multiplicity_on_random_fans(data):
+    """On star fans of random fans (germs of rank 3 and 4 and their star
+    subdivisions) each wall's minor gcd is the multiplicity star_fan
+    reads off its projection."""
+    d = data.draw(st.integers(3, 4))
+    rays = data.draw(st.lists(primitive_vectors(d), min_size=d, max_size=d))
+    assume(rank_q(rays) == d)
+    fan = make_fan(d, rays, [tuple(range(d))])
+    fan = star_subdivision(fan, primitive_vector(
+        [sum(xs) for xs in zip(*rays)]))
+    for e in range(len(fan.rays)):
+        star = star_fan(fan, e)
+        for p in star.partners:
+            assert _wall_index(fan.rays[e], fan.rays[p]) == \
+                star.multiplicity[p]
+
+
+def test_corrupted_wall_index_fails_the_self_check(monkeypatch):
+    """star_fan reporting the first wall's index one too high trips the
+    wall check (the CLI's exit 4 is in test_cli)."""
+    adjunction = importlib.import_module("toricomplex.adjunction")
+    real_star = adjunction.star_fan
+
+    def corrupted(*args):
+        star = real_star(*args)
+        first = star.partners[0]
+        return star._replace(multiplicity={
+            p: m + (p == first) for p, m in star.multiplicity.items()})
+
+    monkeypatch.setattr(adjunction, "star_fan", corrupted)
+    pair = build_pair(P2, [F(1)] * 3)
+    with pytest.raises(InternalInvariantError,
+                       match="the Cartier index is the wall's lattice index"):
+        check_adjunction(pair, prime_dec(3, [0, 1, 2]), 0)
+
+
+def test_rank_one_center_is_invalid_input():
+    """A fan of rank one has no star fan: an input error (exit 1 in the
+    CLI), which the check meets after the decomposition's own checks."""
+    pair = build_pair(P1, [F(1)] * 2)
+    with pytest.raises(InvalidInputError,
+                       match="star fan needs ambient rank >= 2"):
+        check_adjunction(pair, prime_dec(2, [0, 1]), 0)
 
 
 @pytest.mark.parametrize("center", [-1, 3, True, 1.0])

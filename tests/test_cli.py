@@ -234,6 +234,40 @@ sys.exit(run(sys.argv[2:]))
 """
 
 
+# The same, but raises a KeyError inside minimize's search: after the
+# document is built, a built-in error is a library fault, not bad input.
+INJECTED_KEY_ERROR = """
+import importlib, sys
+if sys.flags.optimize != int(sys.argv[1]):
+    sys.exit(99)
+C = importlib.import_module("toricomplex.complexity")
+def injected(*args):
+    raise KeyError("injected")
+C._search_fine = injected
+from toricomplex.cli import run
+sys.exit(run(sys.argv[2:]))
+"""
+
+
+# The same, but makes star_fan report the first wall's lattice index one
+# too high, so adjunction's wall-by-wall Cartier index check fails.
+WRONG_WALL_INDEX = """
+import importlib, sys
+if sys.flags.optimize != int(sys.argv[1]):
+    sys.exit(99)
+A = importlib.import_module("toricomplex.adjunction")
+star_fan = A.star_fan
+def wrong(*args):
+    star = star_fan(*args)
+    first = star.partners[0]
+    return star._replace(multiplicity={
+        p: m + (p == first) for p, m in star.multiplicity.items()})
+A.star_fan = wrong
+from toricomplex.cli import run
+sys.exit(run(sys.argv[2:]))
+"""
+
+
 # The same, but makes minimize realize its groups with every part's
 # weight doubled, so its own decompositions overrun the boundary.
 DOUBLED_WEIGHTS = """
@@ -268,7 +302,10 @@ def test_failed_self_check_exits_internal(tmp_path, flags):
             (WRONG_TARGET_VALUE, CONTRACT_DOC, ["check", "contract"],
              "contraction"),
             (DOUBLED_WEIGHTS, half, ["minimize"],
-             "total coefficient 1 at ray 0 exceeds boundary 1/2")]:
+             "total coefficient 1 at ray 0 exceeds boundary 1/2"),
+            (INJECTED_KEY_ERROR, P2_DOC, ["minimize"], "KeyError: 'injected'"),
+            (WRONG_WALL_INDEX, P2_DOC, ["adjoin", "--ray", "0"],
+             "the Cartier index is the wall's lattice index")]:
         path = write_doc(tmp_path, doc)
         proc = subprocess.run(
             [sys.executable, *flags, "-c", script, str(len(flags)),
@@ -372,6 +409,33 @@ def test_every_public_library_name_has_a_library_caller():
             if name not in referenced] == []
 
 
+def test_every_top_level_definition_has_a_caller():
+    """No helper without a caller: every top-level function or class of
+    the package, private ones included, is used by name somewhere in
+    the package (an import alone does not count) or is exported by
+    ``__init__``, through its imports or its lazy table."""
+    package = Path(toricomplex.__file__).resolve().parent
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exported = set()
+    for node in ast.walk(init):
+        if isinstance(node, ast.alias):
+            exported.add(node.asname or node.name)
+        exported |= _exported_strings(node)
+    defined, used = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        defined += [(path.stem, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert [f"{mod}.{name}" for mod, name in defined
+            if name not in used and name not in exported
+            and not (mod == "__init__" and name == "__getattr__")] == []
+
+
 def test_complexity_mode_override_builds_a_germ(capsys, monkeypatch):
     doc = {"rank": 2, "rays": [[0, 1], [2, 1]], "max_cones": [[0, 1]],
            "boundary": ["1", "1"]}
@@ -466,6 +530,16 @@ def test_cone_rejects_boundary_vectors(capsys, monkeypatch):
     doc = dict(A1_GERM_DOC, v=[0, 1])
     code, _, err = invoke(capsys, ["cone"], doc, monkeypatch)
     assert code == EXIT_INVALID and "interior" in err
+
+
+@pytest.mark.parametrize("command", ["cone", "hilbert"])
+def test_rank_one_germs_have_no_interior_vector(capsys, monkeypatch, command):
+    """The interior of a rank-one cone is its ray, which subdividing
+    does not add: the document is invalid, not a fault of the library."""
+    doc = {"rank": 1, "rays": [[1]], "max_cones": [[0]], "v": [1]}
+    code, out, err = invoke(capsys, [command], doc, monkeypatch)
+    assert code == EXIT_INVALID and out == ""
+    assert "is the ray of the cone" in err
 
 
 def test_hilbert_quadric_monoid(capsys, monkeypatch):
@@ -998,3 +1072,25 @@ def test_each_error_class_has_one_exit_verdict(capsys, monkeypatch):
         else:
             assert run(["validate"]) == expected, type(exc).__name__
         assert capsys.readouterr().out == ""
+
+
+def test_builtin_errors_after_the_document_is_built_exit_internal(
+        capsys, monkeypatch):
+    """A handler reads the document and returns its report step.
+    ValueError, TypeError and KeyError from the report step are library
+    faults (exit 4); package errors keep their verdicts there."""
+    handlers = importlib.import_module("toricomplex.cli")._HANDLERS
+    for exc, expected in [
+            (ValueError("x"), EXIT_INTERNAL), (TypeError("x"), EXIT_INTERNAL),
+            (KeyError("x"), EXIT_INTERNAL), (OSError("x"), EXIT_IO),
+            (InvalidInputError("x"), EXIT_INVALID),
+            (ClaimFailedError("x"), EXIT_CLAIM),
+            (InternalInvariantError("x"), EXIT_INTERNAL)]:
+        def report(exc=exc):
+            raise exc
+        monkeypatch.setitem(handlers, "validate", lambda job, r=report: r)
+        assert run(["validate"]) == expected, type(exc).__name__
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if expected == EXIT_INTERNAL:
+            assert captured.err.startswith("toricomplex: internal error: ")

@@ -182,10 +182,12 @@ CHECK_FANS = [
 ]
 
 CHECK_BOUNDARY = [F(0), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(5, 6), F(1)]
-CHECK_WEIGHTS = [F(-1, 3), F(0)] + [F(1, 6), F(1, 4), F(1, 3), F(1, 2),
-                                    F(1)] * 2
+# ints stand beside Fractions, and 1/1000003 and 1/1000033 give large
+# coprime denominators
+CHECK_WEIGHTS = [F(-1, 3), F(0), 0, 1, F(1, 1000003), F(1, 1000033)] + [
+    F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(1)] * 2
 CHECK_COEFFS = [F(-1, 2), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 2),
-                F(2)] + [F(1)] * 7
+                F(2), -1, 0, 2] + [F(1)] * 6 + [1] * 2
 # admissible indices and bad ones, at a few rays of an untwisted orbifold
 CHECK_INDICES = [2, 3, 4, 6, 2, 3, 0, -1, F(2), 2.0]
 
@@ -210,6 +212,9 @@ def assert_checks_agree(pair, dec):
             None if twisted else complexity(pair, dec),
             None if twisted else fine_complexity(pair, dec),
             orbifold_complexity(pair, dec))
+    norm = dec.norm
+    assert norm == sum((p.weight for p in dec.parts), F(0))
+    assert type(norm) is F
     nrays = len(pair.fan.rays)
     if len(dec.orbifold) == nrays and all(len(p.coeffs) == nrays
                                           for p in dec.parts):
@@ -248,6 +253,15 @@ def _dec(parts, orbifold):
                                for w, coeffs in parts), tuple(orbifold))
 
 
+def _int_dec(parts, orbifold):
+    """A decomposition whose weights and coefficients stay ints."""
+    return Decomposition(tuple(Part(w, tuple(coeffs)) for w, coeffs in parts),
+                         tuple(orbifold))
+
+
+# 1/2 = 500001/1000003 + 1/2000006, over coprime denominators
+_BIG = F(500001, 1000003)
+
 P2_HALF = build_pair(P2, [F(1), F(1, 2), F(1)])
 GERM = build_pair(star_subdivision(BLP2, (2, 1)), [F(1)] * 5, mode="local",
                   cone=(0, 4))
@@ -274,6 +288,39 @@ GERM = build_pair(star_subdivision(BLP2, (2, 1)), [F(1)] * 5, mode="local",
     (P2_HALF, _dec([], [1, 1]), "expected 3 orbifold indices"),
     (GERM, _dec([(1, [0, 1, 0, 0, 0])], [1] * 5), "misses the chosen point"),
     (GERM, _dec([(1, [0, 1, 0, 0, 1])], [1] * 5), None),
+    # a total equal to the boundary passes; one unit of the common
+    # denominator more fails, worded as the reduced Fraction
+    (P2_HALF, _dec([(F(1, 3), [0, 1, 0]), (F(1, 6), [0, 1, 0])], [1, 1, 1]),
+     None),
+    (P2_HALF, _dec([(_BIG, [0, 1, 0]), (F(1, 2000006), [0, 1, 0])],
+                   [1, 1, 1]), None),
+    (P2_HALF, _dec([(_BIG, [0, 1, 0]), (F(1, 1000003), [0, 1, 0])],
+                   [1, 1, 1]),
+     "total coefficient 500002/1000003 at ray 1 exceeds boundary 1/2"),
+    (P2_HALF, _dec([(F(1, 1000003), [0, 1, 1]), (F(1000001, 2000006),
+                                                  [0, 1, 0])], [1, 1, 1]),
+     None),
+    # int weights and coefficients
+    (P2_HALF, _int_dec([(1, [1, 0, 0]), (1, [0, 0, 1])], [1, 1, 1]), None),
+    (P2_HALF, _int_dec([(1, [1, 0, 1]), (1, [0, 0, 1])], [1, 1, 1]),
+     "total coefficient 2 at ray 2 exceeds boundary 1"),
+    (P2_HALF, _int_dec([(1, [0, 1, 0])], [1, 1, 1]),
+     "total coefficient 1 at ray 1 exceeds boundary 1/2"),
+    (P2_HALF, _int_dec([(0, [1, 0, 0])], [1, 1, 1]), "part 0 has weight 0"),
+    (P2_HALF, _int_dec([(1, [-1, 0, 1])], [1, 1, 1]),
+     "negative coefficient at ray 0"),
+    (P2_HALF, _int_dec([(1, [0, 0, 0])], [1, 1, 1]), "zero divisor"),
+    # the orbifold tax and parts on one ray
+    (P2_HALF, _dec([(F(1, 3), [0, 1, 0]), (F(1, 6), [0, 1, 1]),
+                    (F(1, 42), [0, F(1, 7), 0])], [1, 7, 1]),
+     "needs boundary coefficient >= 6/7, found 1/2"),
+    (P2_HALF, _dec([(F(1, 2), [F(2, 3), 0, 0])], [3, 1, 1]), None),
+    (P2_HALF, _dec([(F(1, 2), [F(2, 3), 0, 0]), (F(1, 3), [F(1, 3), 0, 0])],
+                   [3, 1, 1]),
+     "total coefficient 10/9 at ray 0 exceeds boundary 1"),
+    (P2_HALF, _dec([], [1, 2, 1]), None),
+    (P2_HALF, _dec([(F(1, 1000003), [0, F(1, 2), 0])], [1, 2, 1]),
+     "total coefficient 500002/1000003 at ray 1 exceeds boundary 1/2"),
 ])
 def test_sparse_checks_match_dense_checks_on_each_error(pair, dec, error):
     assert_checks_agree(pair, dec)
@@ -283,6 +330,16 @@ def test_sparse_checks_match_dense_checks_on_each_error(pair, dec, error):
     else:
         assert kind in (InvalidDecompositionError, IncompatibleOrbifoldError)
         assert error in result
+
+
+def test_norm_adds_weights_over_a_common_denominator():
+    assert Decomposition((), ()).norm == F(0)
+    assert type(Decomposition((), ()).norm) is F
+    ints = _int_dec([(1, [1, 0, 0]), (2, [0, 1, 0])], [1, 1, 1])
+    assert ints.norm == 3 and type(ints.norm) is F
+    dec = _dec([(_BIG, [0, 1, 0]), (F(1, 2000006), [0, 1, 0]),
+                (F(1, 1000033), [1, 0, 0])], [1, 1, 1])
+    assert dec.norm == F(1, 2) + F(1, 1000033)
 
 
 # ---------------------------------------------------------------------------

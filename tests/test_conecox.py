@@ -142,6 +142,9 @@ def test_cox_degrees_interior_guards():
         cox_degrees(A2, (2, 2))  # interior but not primitive
     with pytest.raises(ValueError):
         cox_degrees(P1XP1, (1, 1))  # not a single cone
+    ray = make_fan(1, [(1,)], [(0,)])
+    with pytest.raises(NotInteriorError, match="is the ray of the cone"):
+        cox_degrees(ray, (1,))  # rank one: the interior is the ray
 
 
 @pytest.mark.parametrize("v", [(1.5, 1.2), (1.0, 1), (True, 1)])

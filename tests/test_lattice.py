@@ -11,7 +11,6 @@ from toricomplex.lattice import (
     InputTooLargeError,
     NotPointedError,
     _det,
-    cartier_scale,
     cokernel,
     cone_hform,
     cone_intersection,
@@ -32,6 +31,7 @@ from toricomplex.lattice import (
 from bruteforce import (
     _hyperplane_normal,
     brute_hilbert_basis,
+    cartier_scale,
     facet_normals,
     gauss_jordan_solve,
     lp_cone_is_pointed,
