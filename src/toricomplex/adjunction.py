@@ -25,6 +25,7 @@ from .complexity import (
     _ZERO,
     Decomposition,
     Part,
+    _self_validate,
     _values,
     decomposition_total,
     validate_decomposition,
@@ -200,6 +201,15 @@ def induced_decomposition(pair: ToricPair, dec: Decomposition,
     m(Q) = n_p * i_Q, with n_p the orbifold index of D_p and i_Q the
     Cartier index of E along the wall.  A center that is not an int
     indexing a ray (a bool is not) raises ValueError.
+
+    Sigma_E is valid whenever the input is, so a failed validation of it
+    is a library fault (InternalInvariantError).  At the star ray of Q,
+    the parts other than the center's carry at most b_p - 1 + 1/n_p on
+    D_p, by the budget upstairs, and restrict with multiplier 1/i_Q, so
+    Sigma_E's total there is at most
+    (1 - 1/(n_p i_Q)) + (b_p - 1 + 1/n_p)/i_Q = (b_p + i_Q - 1)/i_Q,
+    the different; the tax fits as 1 - 1/n_p <= b_p; and c/i_Q has a
+    denominator dividing n_p i_Q when c's divides n_p.
     """
     validate_decomposition(pair, dec)
     if not isinstance(ray_e, int) or isinstance(ray_e, bool) \
@@ -258,7 +268,7 @@ def induced_decomposition(pair: ToricPair, dec: Decomposition,
         coeffs = _restrict_coeffs(star, p.coeffs)
         parts.append(Part(p.weight, coeffs))
     sigma = Decomposition(parts=tuple(parts), orbifold=tuple(orb))
-    validate_decomposition(e_pair, sigma)
+    _self_validate(e_pair, sigma, "induced")
     return AdjunctionResult(star=star, e_pair=e_pair, sigma=sigma,
                             boundary_is_lower_bound=pair.nef_part is not None)
 

@@ -38,6 +38,8 @@ from .divisor import NotQCartierError, support_value
 from .complexity import (
     Decomposition,
     NotLogCanonicalError,
+    _self_validate,
+    _values,
     complexity_values,
     decomposition_total,
     make_decomposition,
@@ -215,6 +217,11 @@ def pushforward(surgery: FanSurgery, dec: Decomposition):
 
     Returns ``(pushed, dropped_norm)``, where dropped_norm is the total
     weight of the parts whose support consists of contracted rays only.
+    A decomposition valid on the source pair pushes to one valid on
+    :func:`_target_pair`: each kept ray keeps its coefficients, orbifold
+    index and boundary coefficient, and a part left with no support is
+    dropped.  So the checkers validate ``pushed`` as a self-check, whose
+    failure is a library fault (InternalInvariantError).
     """
     parts, dropped = [], Fraction(0)
     for part in dec.parts:
@@ -335,7 +342,8 @@ def check_contraction(pair: ToricPair, surgery: FanSurgery,
             f"discrepancy {a_e} downstairs, {expected} upstairs")
 
     pushed, dropped = pushforward(surgery, dec)
-    vy = complexity_values(target_pair, pushed)
+    _self_validate(target_pair, pushed, "pushed")
+    vy = _values(target_pair, pushed)
     for x, y in zip(vx, vy):
         if x is not None:
             _check(y <= x, "a contraction increased a complexity")
@@ -414,7 +422,8 @@ def check_small(pair: ToricPair, surgery: FanSurgery,
 
     pushed, dropped = pushforward(surgery, dec)
     _check(dropped == 0, "a small modification dropped a part")
-    vy = complexity_values(target_pair, pushed)
+    _self_validate(target_pair, pushed, "pushed")
+    vy = _values(target_pair, pushed)
     for x, y in zip(vx, vy):
         if x is not None:
             _check(x == y, "a small modification changed a complexity")
@@ -448,7 +457,11 @@ def check_extraction(pair: ToricPair, surgery: FanSurgery,
     Every subdivision vector must be an lc place of the pair (log
     discrepancy zero); the lifted decomposition consists of one
     coefficient-one part per extracted ray plus the strict transforms,
-    and no complexity measure may increase.
+    and no complexity measure may increase.  The lifted decomposition is
+    valid whenever ``dec`` is: the old rays keep their data, and each
+    extracted ray is untwisted with boundary coefficient one and one
+    part of coefficient one; so its validation is a self-check
+    (InternalInvariantError).
     """
     if surgery.kind != "extraction":
         raise SurgeryMismatchError(f"not an extraction: {surgery.kind}")
@@ -493,7 +506,8 @@ def check_extraction(pair: ToricPair, surgery: FanSurgery,
                       list(part.coeffs) + [Fraction(0)] * n_new))
     orbifold = list(dec.orbifold) + [1] * n_new
     lifted = make_decomposition(n_src, parts, orbifold)
-    vy = complexity_values(source_pair, lifted)
+    _self_validate(source_pair, lifted, "lifted")
+    vy = _values(source_pair, lifted)
     for y, x in zip(vy, vx):
         if x is not None:
             _check(y <= x, "an extraction increased a complexity")

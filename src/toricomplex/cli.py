@@ -38,17 +38,20 @@ ValueError, TypeError and KeyError exit 1 while the document is read and
 its objects are built, and 4 after that, where they can only come from
 a fault of the library.  So each command runs in two phases: its
 handler reads the document and returns the report step, and
-:func:`run` knows which phase an error came from.  :func:`run` names
-no module's error classes, and the adjunction, surgery and cone modules
-are imported only inside the commands that use them: a process running
-one command loads only what that command needs.
+:func:`run` knows which phase an error came from.
+
+Each subparser binds its handler with ``set_defaults(handler=...)``, a
+handler reads its flags off the argparse namespace, and :func:`run`
+calls ``args.handler(args)``.  :func:`run` names no module's error
+classes, and the adjunction, surgery and cone modules are imported only
+inside the commands that use them: a process running one command loads
+only what that command needs.
 """
 
 import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import NamedTuple
 
 from .complexity import (IncompatibleOrbifoldError, InvalidDecompositionError,
                          complexity_values, local_complexity_cloc,
@@ -100,15 +103,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
-
-
-class JobSpec(NamedTuple):
-    """One resolved invocation: what to run, on what, reported how."""
-
-    command: str
-    input_path: str
-    fmt: str
-    options: dict
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +200,12 @@ def _decomposition_from_doc(doc, pair):
     return dec
 
 
+def _pair_and_decomposition(doc):
+    """The pair document's pair and its validated decomposition."""
+    pair = pair_from_dict(doc)
+    return pair, _decomposition_from_doc(doc, pair)
+
+
 def _interior_vector(doc, fan):
     if "v" not in doc:
         raise InvalidDocumentError('germ document needs the interior vector "v"')
@@ -264,11 +264,10 @@ def _class_doc(pres, v):
 # Each handler reads the document and builds its objects, then returns
 # the step that computes the report from them.
 
-def _cmd_validate(job):
-    doc = _load_doc(job.input_path)
-    pair = pair_from_dict(doc)
+def _cmd_validate(args):
+    doc = _load_doc(args.input)
+    pair, dec = _pair_and_decomposition(doc)
     checked = "decomposition" in doc or "orbifold" in doc
-    dec = _decomposition_from_doc(doc, pair)
 
     def report():
         return {
@@ -285,8 +284,8 @@ def _cmd_validate(job):
     return report
 
 
-def _cmd_classgroup(job):
-    fan = require_valid(_load_fan(_load_doc(job.input_path)))
+def _cmd_classgroup(args):
+    fan = require_valid(_load_fan(_load_doc(args.input)))
 
     def report():
         pres = class_group(fan)
@@ -303,15 +302,13 @@ def _cmd_classgroup(job):
     return report
 
 
-def _cmd_complexity(job):
-    doc = _load_doc(job.input_path)
-    mode = job.options.get("mode")
-    if mode is not None:
-        doc = dict(doc, mode=mode)
-        if job.options.get("cone") is not None:
-            doc["cone"] = list(job.options["cone"])
-    pair = pair_from_dict(doc)
-    dec = _decomposition_from_doc(doc, pair)
+def _cmd_complexity(args):
+    doc = _load_doc(args.input)
+    if args.mode is not None:
+        doc = dict(doc, mode=args.mode)
+        if args.cone is not None:
+            doc["cone"] = list(args.cone)
+    pair, dec = _pair_and_decomposition(doc)
 
     def report():
         c, c_fine, c_orb = complexity_values(pair, dec)
@@ -327,12 +324,12 @@ def _cmd_complexity(job):
     return report
 
 
-def _cmd_minimize(job):
-    pair = pair_from_dict(_load_doc(job.input_path))
+def _cmd_minimize(args):
+    pair = pair_from_dict(_load_doc(args.input))
 
     def report():
-        rep = minimize(pair, orbifold_cap=job.options["orbifold_cap"],
-                       partition_limit=job.options["partition_limit"])
+        rep = minimize(pair, orbifold_cap=args.orbifold_cap,
+                       partition_limit=args.partition_limit)
         return {
             "claim": "minimal-complexity-values",
             "ok": True,
@@ -350,17 +347,14 @@ def _cmd_minimize(job):
     return report
 
 
-def _cmd_adjoin(job):
+def _cmd_adjoin(args):
     from .adjunction import check_adjunction
-    doc = _load_doc(job.input_path)
-    pair = pair_from_dict(doc)
-    dec = _decomposition_from_doc(doc, pair)
-    ray = job.options["ray"]
-    if not 0 <= ray < len(pair.fan.rays):
-        raise InvalidDocumentError(f"--ray {ray} out of range")
+    pair, dec = _pair_and_decomposition(_load_doc(args.input))
+    if not 0 <= args.ray < len(pair.fan.rays):
+        raise InvalidDocumentError(f"--ray {args.ray} out of range")
 
     def report():
-        chk = check_adjunction(pair, dec, ray)
+        chk = check_adjunction(pair, dec, args.ray)
         res = chk.result
         return {
             "claim": "adjunction-does-not-increase-complexity",
@@ -385,20 +379,20 @@ def _cmd_adjoin(job):
     return report
 
 
-def _germ(job):
+def _germ(args):
     """The germ document's single cone and interior vector, checked as
     the cone commands check them."""
     from .conecox import _require_interior, _single_cone
-    doc = _load_doc(job.input_path)
+    doc = _load_doc(args.input)
     fan = _load_fan(doc)
     v = _interior_vector(doc, fan)
     _single_cone(fan)
     return fan, _require_interior(fan, v)
 
 
-def _cmd_cone(job):
+def _cmd_cone(args):
     from .conecox import verify_cone_iso
-    fan, v = _germ(job)
+    fan, v = _germ(args)
 
     def report():
         rep = verify_cone_iso(fan, v)
@@ -414,16 +408,16 @@ def _cmd_cone(job):
     return report
 
 
-def _cmd_hilbert(job):
+def _cmd_hilbert(args):
     from .conecox import (TorsionObstructionError, cox_degrees,
                           degree_zero_monoid)
-    fan, v = _germ(job)
+    fan, v = _germ(args)
 
     def report():
         degrees = cox_degrees(fan, v)
         try:
             monoid = degree_zero_monoid(
-                degrees, torsion_cover=job.options["torsion_cover"])
+                degrees, torsion_cover=args.torsion_cover)
         except TorsionObstructionError as exc:
             raise TorsionObstructionError(
                 f"{exc} (command line: --torsion-cover)") from exc
@@ -443,13 +437,11 @@ def _cmd_hilbert(job):
     return report
 
 
-def _surgery_doc(job):
-    doc = _load_doc(job.input_path)
+def _surgery_doc(args):
+    doc = _load_doc(args.input)
     if "pair" not in doc:
         raise InvalidDocumentError('surgery document needs a "pair" object')
-    pair = pair_from_dict(doc["pair"])
-    dec = _decomposition_from_doc(doc["pair"], pair)
-    return doc, pair, dec
+    return (doc, *_pair_and_decomposition(doc["pair"]))
 
 
 def _target_fan(doc, rank):
@@ -459,9 +451,9 @@ def _target_fan(doc, rank):
     return make_fan(rank, target["rays"], target["max_cones"])
 
 
-def _cmd_check_contract(job):
+def _cmd_check_contract(args):
     from .birational import check_contraction, contraction
-    doc, pair, dec = _surgery_doc(job)
+    doc, pair, dec = _surgery_doc(args)
     target = _target_fan(doc, pair.fan.rank)
     ray = doc.get("ray")
     if not isinstance(ray, int) or isinstance(ray, bool):
@@ -485,9 +477,9 @@ def _cmd_check_contract(job):
     return report
 
 
-def _cmd_check_small(job):
+def _cmd_check_small(args):
     from .birational import check_small, small_modification
-    doc, pair, dec = _surgery_doc(job)
+    doc, pair, dec = _surgery_doc(args)
     target = _target_fan(doc, pair.fan.rank)
     surgery = small_modification(pair.fan, target)
 
@@ -503,9 +495,9 @@ def _cmd_check_small(job):
     return report
 
 
-def _cmd_check_extract(job):
+def _cmd_check_extract(args):
     from .birational import check_extraction, extraction
-    doc, pair, dec = _surgery_doc(job)
+    doc, pair, dec = _surgery_doc(args)
     vectors = doc.get("vectors")
     if not isinstance(vectors, list) or not vectors:
         raise InvalidDocumentError('extraction document needs "vectors"')
@@ -541,7 +533,7 @@ def _suite_row(item):
     }
 
 
-def _cmd_check_suite(job):
+def _cmd_check_suite(args):
     def report():
         rows = [_suite_row(item) for item in _SUITE_DATA]
         return {
@@ -550,21 +542,6 @@ def _cmd_check_suite(job):
             "fans": rows,
         }
     return report
-
-
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "classgroup": _cmd_classgroup,
-    "complexity": _cmd_complexity,
-    "minimize": _cmd_minimize,
-    "adjoin": _cmd_adjoin,
-    "cone": _cmd_cone,
-    "hilbert": _cmd_hilbert,
-    "check:contract": _cmd_check_contract,
-    "check:small": _cmd_check_small,
-    "check:extract": _cmd_check_extract,
-    "check:suite": _cmd_check_suite,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +574,8 @@ def _text_lines(value, prefix=""):
         yield f"{prefix}: {_scalar(value)}"
 
 
-def _emit(job, payload):
-    if job.fmt == "json":
+def _emit(fmt, payload):
+    if fmt == "json":
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
         for line in _text_lines(payload):
@@ -616,7 +593,8 @@ def _cap(value):
     return n
 
 
-def _add_io_flags(parser):
+def _add_io_flags(parser, handler):
+    parser.set_defaults(handler=handler)
     parser.add_argument("--input", default="-", metavar="PATH",
                         help="input document; '-' reads stdin (default)")
     parser.add_argument("--format", choices=("text", "json"), default="text",
@@ -630,36 +608,36 @@ def _build_parser():
                                 required=True, metavar="command")
 
     p = sub.add_parser("validate", help="check a pair document")
-    _add_io_flags(p)
+    _add_io_flags(p, _cmd_validate)
 
     p = sub.add_parser("classgroup", help="divisor class group of the fan")
-    _add_io_flags(p)
+    _add_io_flags(p, _cmd_classgroup)
 
     p = sub.add_parser("complexity",
                        help="values of one decomposition")
-    _add_io_flags(p)
+    _add_io_flags(p, _cmd_complexity)
     p.add_argument("--mode", choices=("projective", "local", "birational"),
                    help="override the document's pair mode")
     p.add_argument("--cone", metavar="I,J,...",
                    help="cone ray indices for --mode local")
 
     p = sub.add_parser("minimize", help="minimal values over decompositions")
-    _add_io_flags(p)
+    _add_io_flags(p, _cmd_minimize)
     p.add_argument("--orbifold-cap", type=_cap, default=12, metavar="N",
                    help="largest orbifold multiplicity tried (1..64)")
     p.add_argument("--partition-limit", type=_cap, default=12, metavar="N",
                    help="largest grouping size enumerated (1..64)")
 
     p = sub.add_parser("adjoin", help="adjunction onto a boundary divisor")
-    _add_io_flags(p)
+    _add_io_flags(p, _cmd_adjoin)
     p.add_argument("--ray", type=int, required=True, metavar="I",
                    help="ray index of the center")
 
     p = sub.add_parser("cone", help="identify a germ as a cone")
-    _add_io_flags(p)
+    _add_io_flags(p, _cmd_cone)
 
     p = sub.add_parser("hilbert", help="degree-zero monoid generators")
-    _add_io_flags(p)
+    _add_io_flags(p, _cmd_hilbert)
     p.add_argument("--torsion-cover", action="store_true",
                    help="descend to a finite cover when the class group"
                         " has torsion")
@@ -667,20 +645,19 @@ def _build_parser():
     p = sub.add_parser("check", help="verify one surgery or the suite")
     kind = p.add_subparsers(dest="kind", parser_class=_Parser, required=True,
                             metavar="kind")
-    for name, blurb in (("contract", "divisorial contraction"),
-                        ("small", "isomorphism in codimension one"),
-                        ("extract", "crepant divisorial extraction")):
-        q = kind.add_parser(name, help=blurb)
-        _add_io_flags(q)
+    for name, handler, blurb in (
+            ("contract", _cmd_check_contract, "divisorial contraction"),
+            ("small", _cmd_check_small, "isomorphism in codimension one"),
+            ("extract", _cmd_check_extract, "crepant divisorial extraction")):
+        _add_io_flags(kind.add_parser(name, help=blurb), handler)
     q = kind.add_parser("suite", help="bundled fans, all values zero")
+    q.set_defaults(handler=_cmd_check_suite)
     q.add_argument("--format", choices=("text", "json"), default="text",
                    dest="fmt")
     return parser
 
 
 def _parse_cone_flag(raw):
-    if raw is None:
-        return None
     try:
         return tuple(int(part) for part in raw.split(","))
     except ValueError as exc:
@@ -688,33 +665,18 @@ def _parse_cone_flag(raw):
             f"--cone expects comma-separated integers: {raw!r}") from exc
 
 
-def _job_from_args(args):
-    command = args.command
-    if command == "check":
-        command = f"check:{args.kind}"
-    options = {}
-    for key in ("mode", "orbifold_cap", "partition_limit", "ray",
-                "torsion_cover"):
-        if hasattr(args, key):
-            options[key] = getattr(args, key)
-    if hasattr(args, "cone"):
-        options["cone"] = _parse_cone_flag(args.cone)
-    return JobSpec(command=command,
-                   input_path=getattr(args, "input", "-"),
-                   fmt=args.fmt, options=options)
-
-
 def run(argv):
     """Execute one invocation; returns the exit code without exiting."""
     try:
         args = _build_parser().parse_args(argv)
-        job = _job_from_args(args)
+        if getattr(args, "cone", None) is not None:
+            args.cone = _parse_cone_flag(args.cone)
     except _UsageError as exc:
         print(f"toricomplex: error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     report = None  # set once the document's objects are built
     try:
-        report = _HANDLERS[job.command](job)
+        report = args.handler(args)
         payload = report()
     except InternalInvariantError as exc:
         print(f"toricomplex: internal error: {exc}", file=sys.stderr)
@@ -736,7 +698,7 @@ def run(argv):
             return EXIT_INTERNAL
         print(f"toricomplex: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    _emit(job, payload)
+    _emit(args.fmt, payload)
     return EXIT_OK if payload.get("ok", True) else EXIT_CLAIM
 
 

@@ -384,6 +384,9 @@ def star_subdivision(fan, v):
     already is a ray, the fan is returned unchanged.
     """
     v = tuple(as_int(x, "a subdivision vector entry") for x in v)
+    if len(v) != fan.rank:
+        raise ValueError(f"subdivision vector {v} has {len(v)} entries, "
+                         f"expected {fan.rank}")
     if not any(v):
         raise ValueError("cannot subdivide at the origin")
     if not is_primitive(v):

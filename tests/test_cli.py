@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import copy
@@ -215,20 +216,51 @@ sys.exit(run(sys.argv[2:]))
 """
 
 
-# The same, but makes the evaluator that birational binds report every
-# value of its second call, the contracted side, one too high.
+# The same, but makes the evaluator that birational binds for the
+# transported side, the contracted one, report every value one too high.
 WRONG_TARGET_VALUE = """
 import importlib, sys
 if sys.flags.optimize != int(sys.argv[1]):
     sys.exit(99)
 B = importlib.import_module("toricomplex.birational")
-values = B.complexity_values
-calls = []
+values = B._values
 def wrong(*args):
-    calls.append(None)
-    return tuple(v if v is None or len(calls) == 1 else v + 1
-                 for v in values(*args))
-B.complexity_values = wrong
+    return tuple(v if v is None else v + 1 for v in values(*args))
+B._values = wrong
+from toricomplex.cli import run
+sys.exit(run(sys.argv[2:]))
+"""
+
+
+# The same, but doubles every coefficient adjunction restricts to the
+# center, so the induced decomposition overruns the different.
+DOUBLED_RESTRICTION = """
+import importlib, sys
+if sys.flags.optimize != int(sys.argv[1]):
+    sys.exit(99)
+A = importlib.import_module("toricomplex.adjunction")
+restrict = A._restrict_coeffs
+def doubled(*args):
+    return tuple(2 * c for c in restrict(*args))
+A._restrict_coeffs = doubled
+from toricomplex.cli import run
+sys.exit(run(sys.argv[2:]))
+"""
+
+
+# The same, but doubles the weights of every decomposition a surgery
+# pushes forward, so the pushed one overruns the target's boundary.
+DOUBLED_PUSHED = """
+import importlib, sys
+if sys.flags.optimize != int(sys.argv[1]):
+    sys.exit(99)
+B = importlib.import_module("toricomplex.birational")
+push = B.pushforward
+def doubled(*args):
+    pushed, dropped = push(*args)
+    return pushed._replace(parts=tuple(
+        p._replace(weight=2 * p.weight) for p in pushed.parts)), dropped
+B.pushforward = doubled
 from toricomplex.cli import run
 sys.exit(run(sys.argv[2:]))
 """
@@ -305,7 +337,13 @@ def test_failed_self_check_exits_internal(tmp_path, flags):
              "total coefficient 1 at ray 0 exceeds boundary 1/2"),
             (INJECTED_KEY_ERROR, P2_DOC, ["minimize"], "KeyError: 'injected'"),
             (WRONG_WALL_INDEX, P2_DOC, ["adjoin", "--ray", "0"],
-             "the Cartier index is the wall's lattice index")]:
+             "the Cartier index is the wall's lattice index"),
+            (DOUBLED_RESTRICTION, P2_DOC, ["adjoin", "--ray", "0"],
+             "the induced decomposition is invalid: total coefficient 2 at"
+             " ray 0 exceeds boundary 1"),
+            (DOUBLED_PUSHED, CONTRACT_DOC, ["check", "contract"],
+             "the pushed decomposition is invalid: total coefficient 2 at"
+             " ray 0 exceeds boundary 1")]:
         path = write_doc(tmp_path, doc)
         proc = subprocess.run(
             [sys.executable, *flags, "-c", script, str(len(flags)),
@@ -648,6 +686,90 @@ def test_hilbert_over_its_box_budget_exits_invalid(capsys, monkeypatch):
     assert "would enumerate 4000000 box points" in err
 
 
+CHOICES = {
+    "command": "validate, classgroup, complexity, minimize, adjoin, cone,"
+               " hilbert, check",
+    "--format": "text, json",
+    "--mode": "projective, local, birational",
+}
+
+# Each usage error with its whole standard error.  {command}, {--format}
+# and {--mode} stand for the choices of that argument.
+USAGE_ERRORS = [
+    (["bogus"], "argument command: invalid choice: bogus"
+                " (choose from {command})"),
+    ([], "the following arguments are required: command"),
+    (["check"], "the following arguments are required: kind"),
+    (["validate", "--format", "yaml"],
+     "argument --format: invalid choice: yaml (choose from {--format})"),
+    (["minimize", "--orbifold-cap", "0"],
+     "argument --orbifold-cap: must be between 1 and 64"),
+    (["minimize", "--orbifold-cap", "65"],
+     "argument --orbifold-cap: must be between 1 and 64"),
+    (["adjoin"], "the following arguments are required: --ray"),
+    (["adjoin", "--ray", "x"], "argument --ray: invalid int value: 'x'"),
+    (["complexity", "--cone", "a,b"],
+     "--cone expects comma-separated integers: 'a,b'"),
+    # argparse rejects the arguments before --cone is read
+    (["complexity", "--cone", "a", "--mode", "bogus"],
+     "argument --mode: invalid choice: bogus (choose from {--mode})"),
+    (["complexity", "--cone", "a", "extra"],
+     "unrecognized arguments: extra"),
+]
+
+
+def _unquoted_choices(err):
+    """The error with its choice list unquoted: Python versions differ
+    in whether argparse quotes the invalid choice and the choices."""
+    head, sep, tail = err.partition(": invalid choice: ")
+    return head + sep + tail.replace("'", "") if sep else err
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                         ids=[" ".join(a) or "(none)" for a, _ in USAGE_ERRORS])
+def test_usage_errors_exit_invalid_with_one_line(capsys, argv, message):
+    code, out, err = invoke(capsys, argv)
+    assert code == EXIT_INVALID and out == ""
+    expected = message
+    for name, choices in CHOICES.items():
+        expected = expected.replace("{" + name + "}", choices)
+    assert _unquoted_choices(err) == f"toricomplex: error: {expected}\n"
+
+
+SUBCOMMANDS = [["validate"], ["classgroup"], ["complexity"], ["minimize"],
+               ["adjoin"], ["cone"], ["hilbert"], ["check", "contract"],
+               ["check", "small"], ["check", "extract"], ["check", "suite"]]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS, ids=" ".join)
+def test_help_exits_zero_without_errors(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        run(command + ["--help"])
+    assert info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "--help" in captured.out
+
+
+def test_every_subcommand_binds_its_handler():
+    """Each leaf of the parser names the handler run calls."""
+    cli_module = importlib.import_module("toricomplex.cli")
+    leaves, todo = [], [((), cli_module._build_parser())]
+    while todo:
+        path, parser = todo.pop()
+        subs = [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            leaves.append((path, parser))
+        for action in subs:
+            todo += [(path + (name,), p) for name, p in action.choices.items()]
+    assert sorted(path for path, _ in leaves) == sorted(
+        tuple(c) for c in SUBCOMMANDS)
+    for path, parser in leaves:
+        handler = parser.get_default("handler")
+        assert callable(handler), path
+        assert handler.__name__ == "_cmd_" + "_".join(path), path
+
+
 def test_module_entry_point_runs(tmp_path):
     path = write_doc(tmp_path, P2_DOC)
     proc = subprocess.run(
@@ -668,6 +790,19 @@ def test_surgery_documents_are_validated(capsys, monkeypatch):
     code, _, err = invoke(capsys, ["check", "extract"], {"pair": P2_DOC},
                           monkeypatch)
     assert code == EXIT_INVALID and "vectors" in err
+
+
+@pytest.mark.parametrize("vector", [[1], [1, 1, 1]])
+def test_extraction_vectors_of_the_wrong_length_are_invalid(
+        capsys, monkeypatch, vector):
+    """An extraction vector whose length is not the rank is invalid
+    input; a short one must not reach the rank computation, where it
+    raises IndexError."""
+    code, out, err = invoke(capsys, ["check", "extract"],
+                            {"pair": P2_DOC, "vectors": [vector]}, monkeypatch)
+    assert code == EXIT_INVALID and out == ""
+    assert err == (f"toricomplex: invalid input: subdivision vector "
+                   f"{tuple(vector)} has {len(vector)} entries, expected 2\n")
 
 
 CONTRACT_DOC = {
@@ -879,6 +1014,137 @@ FLOP_DOC = {
 ADJOIN_DOC = dict(BLP2_DOC, decomposition=[
     {"b": "1", "support": {str(i): "1"}} for i in (0, 1, 3)])
 
+EXTRACT_DOC = {"pair": P2_DOC, "vectors": [[1, 1]]}
+
+# Support keys that name no ray of BlP2: non-canonical spellings, out of
+# range, not numbers.
+BAD_RAY_KEYS = ("00", "+1", " 1", "1 ", "1.0", "4", "-1", "99", "a", "")
+# Fans that are not one full-dimensional cone over all their rays.
+NOT_ONE_CONE = (
+    (2, [[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [0, 2]]),
+    (2, [[1, 0]], [[0]]),
+    (2, [[1, 0], [0, 1]], [[0], [1]]),
+    (3, [[1, 0, 0], [0, 1, 0]], [[0, 1]]),
+) + BAD_FANS
+# Each surgery command with its valid document and its own fields.
+SURGERIES = (
+    (("check", "contract"), CONTRACT_DOC, ("pair", "target", "ray")),
+    (("check", "small"), FLOP_DOC, ("pair", "target")),
+    (("check", "extract"), EXTRACT_DOC, ("pair", "vectors")),
+)
+
+
+@st.composite
+def _malformed_adjoin(draw):
+    doc = copy.deepcopy(ADJOIN_DOC)
+    parts = doc["decomposition"]
+    j = draw(st.integers(0, len(parts) - 1))
+    (key, value), = parts[j]["support"].items()
+    kind = draw(st.sampled_from((
+        "parts", "part", "missing-b", "b", "support", "key", "value")))
+    if kind == "parts":
+        doc["decomposition"] = draw(JUNK.filter(
+            lambda v: not isinstance(v, list)))
+    elif kind == "part":
+        parts[j] = draw(JUNK_ENTRY.filter(lambda v: not isinstance(v, dict)))
+    elif kind == "missing-b":
+        del parts[j]["b"]
+    elif kind == "b":
+        parts[j]["b"] = draw(st.sampled_from(BAD_FRACTIONS))
+    elif kind == "support":
+        parts[j]["support"] = draw(JUNK.filter(lambda v: v is not None))
+    elif kind == "key":
+        parts[j]["support"] = {draw(st.sampled_from(BAD_RAY_KEYS)): value}
+    else:
+        parts[j]["support"][key] = draw(st.sampled_from(BAD_FRACTIONS))
+    return ["adjoin", "--ray", "3"], doc
+
+
+@st.composite
+def _malformed_germ(draw):
+    args = list(draw(st.sampled_from(
+        (["cone"], ["hilbert"], ["hilbert", "--torsion-cover"]))))
+    doc = copy.deepcopy(draw(st.sampled_from((A1_GERM_DOC,
+                                              TORSION_GERM_DOC))))
+    v = doc["v"]
+    kind = draw(st.sampled_from((
+        "missing-v", "junk-v", "ragged-v", "junk-entry", "zero-v",
+        "not-one-cone")))
+    if kind == "missing-v":
+        del doc["v"]
+    elif kind == "junk-v":
+        doc["v"] = draw(JUNK)
+    elif kind == "ragged-v":
+        if draw(st.booleans()):
+            v.append(draw(st.integers(-2, 2)))
+        else:
+            v.pop()
+    elif kind == "junk-entry":
+        v[draw(st.integers(0, len(v) - 1))] = draw(JUNK_ENTRY)
+    elif kind == "zero-v":
+        doc["v"] = [0] * len(v)
+    else:
+        rank, rays, cones = draw(st.sampled_from(NOT_ONE_CONE))
+        doc = {"rank": rank, "rays": rays, "max_cones": cones,
+               "v": [1] * rank}
+    return args, doc
+
+
+@st.composite
+def _malformed_surgery(draw):
+    args, doc, fields = draw(st.sampled_from(SURGERIES))
+    doc = copy.deepcopy(doc)
+    key = draw(st.sampled_from(fields))
+    kind = draw(st.sampled_from(("missing", "junk", "junk-entry")))
+    if kind == "missing":
+        del doc[key]
+    elif kind == "junk" or key == "ray":
+        doc[key] = draw(JUNK)
+    elif key == "vectors":
+        # any entry but a list of two, which may be a valid vector
+        doc[key] = [draw(JUNK_ENTRY.filter(
+            lambda v: not isinstance(v, list) or len(v) != 2))]
+    else:
+        inner = draw(st.sampled_from(sorted(doc[key])))
+        doc[key][inner] = draw(JUNK)
+    return list(args), doc
+
+
+@st.composite
+def _malformed_other_documents(draw):
+    """(arguments, document text) that no adjoin, cone, hilbert or
+    surgery command may accept."""
+    kind = draw(st.sampled_from(("adjoin", "germ", "surgery", "text")))
+    if kind == "text":
+        args = draw(st.sampled_from(
+            (["adjoin", "--ray", "0"], ["cone"], ["hilbert"],
+             ["check", "contract"], ["check", "small"], ["check", "extract"])))
+        doc = draw(st.sampled_from(([], 3, "pair", None, [P2_DOC])))
+        text = draw(st.sampled_from(
+            (json.dumps(doc), '{"rank":', "", "nul", "{'pair': 2}")))
+        return args, text
+    strategy = {"adjoin": _malformed_adjoin, "germ": _malformed_germ,
+                "surgery": _malformed_surgery}[kind]
+    args, doc = draw(strategy())
+    return args, json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_malformed_other_documents())
+def test_malformed_other_documents_are_rejected(case):
+    """Malformed parts and support keys for adjoin, bad interior vectors
+    and fans that are not one cone for the cone commands, and missing
+    or junk surgery fields: exit 1 or 3, with a one-line verdict."""
+    args, text = case
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(args)
+    assert code in (EXIT_INVALID, EXIT_IO), (code, err.getvalue())
+    assert out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().startswith("toricomplex: ")
+
 
 def test_each_decomposition_is_evaluated_once(capsys, monkeypatch):
     """One validation and one span per decomposition a call handles;
@@ -1061,11 +1327,11 @@ def test_each_error_class_has_one_exit_verdict(capsys, monkeypatch):
                  (OSError("x"), EXIT_IO),
                  (json.JSONDecodeError("x", "", 0), EXIT_IO),
                  (UnicodeDecodeError("utf-8", b"", 0, 1, "x"), EXIT_IO)]
-    handlers = importlib.import_module("toricomplex.cli")._HANDLERS
+    cli_module = importlib.import_module("toricomplex.cli")
     for exc, expected in injected:
-        def fail(job, exc=exc):
+        def fail(args, exc=exc):
             raise exc
-        monkeypatch.setitem(handlers, "validate", fail)
+        monkeypatch.setattr(cli_module, "_cmd_validate", fail)
         if expected is None:
             with pytest.raises(type(exc)):
                 run(["validate"])
@@ -1079,7 +1345,7 @@ def test_builtin_errors_after_the_document_is_built_exit_internal(
     """A handler reads the document and returns its report step.
     ValueError, TypeError and KeyError from the report step are library
     faults (exit 4); package errors keep their verdicts there."""
-    handlers = importlib.import_module("toricomplex.cli")._HANDLERS
+    cli_module = importlib.import_module("toricomplex.cli")
     for exc, expected in [
             (ValueError("x"), EXIT_INTERNAL), (TypeError("x"), EXIT_INTERNAL),
             (KeyError("x"), EXIT_INTERNAL), (OSError("x"), EXIT_IO),
@@ -1088,7 +1354,8 @@ def test_builtin_errors_after_the_document_is_built_exit_internal(
             (InternalInvariantError("x"), EXIT_INTERNAL)]:
         def report(exc=exc):
             raise exc
-        monkeypatch.setitem(handlers, "validate", lambda job, r=report: r)
+        monkeypatch.setattr(cli_module, "_cmd_validate",
+                            lambda args, r=report: r)
         assert run(["validate"]) == expected, type(exc).__name__
         captured = capsys.readouterr()
         assert captured.out == ""
