@@ -27,8 +27,6 @@ from .fan import (  # noqa: F401
 )
 from .divisor import (  # noqa: F401
     NotQCartierError,
-    class_group,
-    local_class_group,
     is_ample,
     is_nef,
 )
@@ -38,7 +36,6 @@ from .pairmodel import (  # noqa: F401
     build_pair,
     pair_from_dict,
     pair_to_dict,
-    pair_class_group,
     is_log_cy,
     is_log_canonical,
 )

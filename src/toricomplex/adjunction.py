@@ -32,7 +32,7 @@ from .complexity import (
 )
 from .fan import StarFan, is_complete, star_fan
 from .lattice import ClaimFailedError, InvalidInputError, _check
-from .pairmodel import ToricPair, build_pair, pair_class_group
+from .pairmodel import ToricPair, build_pair
 
 
 class NotDivisorialCenterError(InvalidInputError):
@@ -297,7 +297,7 @@ def check_adjunction(pair: ToricPair, dec: Decomposition,
     value_e = _values(res.e_pair, res.sigma)[2]
     # value_e = dim E + span - |Sigma_E|, so the span fills Cl_Q(E)
     # exactly when value_e is dim E + rank Cl_Q(E) - |Sigma_E|
-    full = res.e_pair.dim + pair_class_group(res.e_pair).free_rank
+    full = res.e_pair.dim + res.e_pair.class_group.free_rank
     total = decomposition_total(res.sigma)
     return AdjunctionCheck(
         result=res,

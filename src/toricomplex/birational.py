@@ -34,7 +34,7 @@ from .lattice import (
 )
 from .fan import (Fan, as_int, is_complete, is_simplicial, require_valid,
                   star_subdivision)
-from .divisor import NotQCartierError, support_value
+from .divisor import cartier_data, support_value
 from .complexity import (
     Decomposition,
     NotLogCanonicalError,
@@ -408,13 +408,11 @@ def check_small(pair: ToricPair, surgery: FanSurgery,
 
     target_pair = _target_pair(pair, surgery)
 
-    # the source's data exists on every cone, as the pair is log canonical
-    data_t = target_pair.log_linear_data
-    for ci, m in enumerate(data_t):
-        if m is None:
-            raise NotQCartierError(ci)
-    witness = _crepancy_witness(surgery.source, surgery.target,
-                                pair.log_linear_data, data_t)
+    # NotQCartierError names the first target cone without linear data;
+    # the source has data on every cone, as the pair is log canonical
+    data_t = cartier_data(surgery.target, log_canonical_coeffs(target_pair))
+    data_s = cartier_data(surgery.source, log_canonical_coeffs(pair))
+    witness = _crepancy_witness(surgery.source, surgery.target, data_s, data_t)
     if witness is not None:
         raise CrepancyError(
             "the log divisor's support functions disagree between source "

@@ -36,9 +36,10 @@ A package error's base class sets its exit code: InvalidInputError 1,
 ClaimFailedError 2 and InternalInvariantError 4 (all in lattice.py).
 ValueError, TypeError and KeyError exit 1 while the document is read and
 its objects are built, and 4 after that, where they can only come from
-a fault of the library.  So each command runs in two phases: its
-handler reads the document and returns the report step, and
-:func:`run` knows which phase an error came from.
+a fault of the library; any other Exception exits 4 in either phase.
+So each command runs in two phases: its handler reads the document and
+returns the report step, and :func:`run` knows which phase an error
+came from.
 
 Each subparser binds its handler with ``set_defaults(handler=...)``, a
 handler reads its flags off the argparse namespace, and :func:`run`
@@ -56,7 +57,6 @@ from fractions import Fraction
 from .complexity import (IncompatibleOrbifoldError, InvalidDecompositionError,
                          complexity_values, local_complexity_cloc,
                          make_decomposition, minimize, validate_decomposition)
-from .divisor import class_group
 from .fan import make_fan, require_valid
 from .lattice import ClaimFailedError, InternalInvariantError, InvalidInputError
 from .pairmodel import (build_pair, format_rational, is_log_canonical,
@@ -288,7 +288,7 @@ def _cmd_classgroup(args):
     fan = require_valid(_load_fan(_load_doc(args.input)))
 
     def report():
-        pres = class_group(fan)
+        pres = fan.class_group
         nrays = len(fan.rays)
         units = [[1 if j == i else 0 for j in range(nrays)]
                  for i in range(nrays)]
@@ -448,6 +448,9 @@ def _target_fan(doc, rank):
     target = doc.get("target")
     if not isinstance(target, dict):
         raise InvalidDocumentError('surgery document needs a "target" fan')
+    for key in ("rays", "max_cones"):
+        if key not in target:
+            raise InvalidDocumentError(f'missing field {key!r} in "target"')
     return make_fan(rank, target["rays"], target["max_cones"])
 
 
@@ -691,13 +694,15 @@ def run(argv):
     except InvalidInputError as exc:
         print(f"toricomplex: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (ValueError, TypeError, KeyError) as exc:
-        if report is not None:  # a library fault, not the document's
-            print(f"toricomplex: internal error: {type(exc).__name__}: {exc}",
-                  file=sys.stderr)
-            return EXIT_INTERNAL
-        print(f"toricomplex: invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    except Exception as exc:
+        # these built-ins blame the document only while it is read
+        if report is None and isinstance(exc, (ValueError, TypeError,
+                                               KeyError)):
+            print(f"toricomplex: invalid input: {exc}", file=sys.stderr)
+            return EXIT_INVALID
+        print(f"toricomplex: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
     _emit(args.fmt, payload)
     return EXIT_OK if payload.get("ok", True) else EXIT_CLAIM
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, inf, lcm
 from typing import NamedTuple
 
-from .divisor import as_coeffs, local_class_group, q_span_dim
+from .divisor import as_coeffs, q_span_dim
 from .fan import as_int, cone_dim
 from .lattice import (
     ClaimFailedError,
@@ -34,7 +34,7 @@ from .lattice import (
     _check,
     cokernel,
 )
-from .pairmodel import ToricPair, is_log_canonical, pair_class_group
+from .pairmodel import ToricPair, is_log_canonical
 
 
 class InvalidDecompositionError(InvalidInputError):
@@ -200,7 +200,7 @@ def validate_decomposition(pair: ToricPair, dec: Decomposition) -> None:
 
 def span_dimension(pair: ToricPair, dec: Decomposition) -> int:
     """dim_Q of the span of the part classes in the mode's class group."""
-    pres = pair_class_group(pair)
+    pres = pair.class_group
     rays = pair.local_rays()
     return q_span_dim(pres, [[p.coeffs[i] for i in rays] for p in dec.parts])
 
@@ -216,7 +216,7 @@ def complexity(pair: ToricPair, dec: Decomposition) -> Fraction:
     """dim X + rank_Q Cl - |Sigma| for an untwisted decomposition."""
     _require_trivial_orbifold(dec)
     validate_decomposition(pair, dec)
-    return pair.dim + pair_class_group(pair).free_rank - dec.norm
+    return pair.dim + pair.class_group.free_rank - dec.norm
 
 
 def fine_complexity(pair: ToricPair, dec: Decomposition) -> Fraction:
@@ -240,7 +240,7 @@ def _values(pair: ToricPair, dec: Decomposition) -> tuple:
     c_orb = pair.dim + span_dimension(pair, dec) - dec.norm
     if any(n != 1 for n in dec.orbifold):
         return None, None, c_orb
-    return pair.dim + pair_class_group(pair).free_rank - dec.norm, c_orb, c_orb
+    return pair.dim + pair.class_group.free_rank - dec.norm, c_orb, c_orb
 
 
 def complexity_values(pair: ToricPair, dec: Decomposition) -> tuple:
@@ -291,7 +291,7 @@ def _fractional_elems(pair: ToricPair, fracs) -> tuple:
     span) per ray of ``fracs``.  The quotient is Q^rays / (M_Q + Q^ones)
     = Q^rest / M_Q, rest the other working rays: the cokernel of their
     rays, and a class is its ray's column of the cokernel's free map."""
-    pres = pair_class_group(pair)
+    pres = pair.class_group
     rest = [i for i in pair.local_rays() if pair.boundary[i] != 1]
     quot = pres if len(rest) == len(pair.local_rays()) else cokernel(
         [pair.fan.rays[i] for i in rest])
@@ -632,7 +632,7 @@ def minimize(pair: ToricPair, orbifold_cap: int = 12,
         raise NotLogCanonicalError(
             "pair is not log canonical near its working locus")
     nrays = len(pair.fan.rays)
-    pres = pair_class_group(pair)
+    pres = pair.class_group
     rays = pair.local_rays()
     support = [i for i in rays if pair.boundary[i].numerator]  # b > 0
 
@@ -716,7 +716,7 @@ def local_complexity_cloc(fan, cone) -> LocalComplexityReport:
             "full-dimensional cone")
     n = fan.rank
     r = len(cone)
-    pres = local_class_group(fan, cone)
+    pres = fan.local_class_group(cone)
     return LocalComplexityReport(
         value=Fraction(n + pres.free_rank - r),
         boundary=(Fraction(1),) * r,

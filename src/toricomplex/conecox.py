@@ -41,7 +41,7 @@ from .lattice import (
 )
 from .fan import (Fan, as_int, is_complete, make_fan, require_valid,
                   star_subdivision)
-from .divisor import as_coeffs, class_group, is_ample, local_class_group
+from .divisor import as_coeffs, is_ample
 
 
 class NotAmpleError(ClaimFailedError):
@@ -156,8 +156,8 @@ def cox_degrees(x_fan, v_e):
     v_e = _require_interior(x_fan, v_e)
     y_fan = star_subdivision(x_fan, v_e)
     r = len(x_fan.rays)
-    cl_y = class_group(y_fan)
-    cl_x = local_class_group(x_fan, x_fan.max_cones[0])
+    cl_y = y_fan.class_group
+    cl_x = x_fan.local_class_group(x_fan.max_cones[0])
     # Adding the interior ray raises the number of divisors by one while
     # the relation lattice (the character lattice) stays the same.
     _check(cl_y.free_rank == cl_x.free_rank + 1,

@@ -1,10 +1,12 @@
-"""Invariant Q-divisors on a toric variety: class groups, Q-Cartier data,
-nef/ample tests and support functions.
+"""Invariant Q-divisors on a toric variety: classes over Q, Q-Cartier
+data, nef/ample tests and support functions.
 
 A divisor is a tuple of Fractions, one coefficient per fan ray; the divisor
 of the ray rho_i is the i-th standard vector.  The class group is the
 cokernel of the character lattice mapping m -> (<m, u_rho>)_rho, presented
-by its Smith normal form.
+by its Smith normal form and read off ``Fan.class_group``,
+``Fan.local_class_group(cone)`` and ``ToricPair.class_group``.  Linear
+data on a maximal cone is solved here only, by :func:`cartier_data`.
 """
 
 from fractions import Fraction
@@ -30,28 +32,6 @@ def as_coeffs(values, nrays):
     if len(coeffs) != nrays:
         raise ValueError(f"expected {nrays} coefficients, got {len(coeffs)}")
     return coeffs
-
-
-def ray_matrix(fan, cone=None):
-    """Rays as rows; restricted to a cone's rays (in cone order) if given."""
-    idx = cone if cone is not None else range(len(fan.rays))
-    return [list(fan.rays[i]) for i in idx]
-
-
-def class_group(fan):
-    """Presentation of the divisor class group Z^rays / M, kept on the
-    fan (see Fan.class_group)."""
-    return fan.class_group
-
-
-def local_class_group(fan, cone):
-    """Class group of the affine germ at the cone's distinguished point.
-
-    Only the rays of the cone carry divisors through the point; the
-    presentation's coordinates follow the cone's ray order.  Kept on the
-    fan, per cone (see Fan.local_class_group).
-    """
-    return fan.local_class_group(cone)
 
 
 def q_span_dim(pres, divisors):
@@ -95,6 +75,15 @@ def canonical_coeffs(fan):
     return tuple(Fraction(-1) for _ in fan.rays)
 
 
+def _cone_data(fan, coeffs, ci):
+    """m with <m, u_rho> = -coeff_rho on the rays of maximal cone ci."""
+    cone = fan.max_cones[ci]
+    m = solve_rational([fan.rays[i] for i in cone], [-coeffs[i] for i in cone])
+    if m is None:
+        raise NotQCartierError(ci)
+    return m
+
+
 def cartier_data(fan, coeffs):
     """Per-maximal-cone linear data of a Q-Cartier divisor.
 
@@ -104,13 +93,7 @@ def cartier_data(fan, coeffs):
     Raises:
         NotQCartierError: on the first cone where no such m exists.
     """
-    out = []
-    for ci, cone in enumerate(fan.max_cones):
-        m = solve_rational(ray_matrix(fan, cone), [-coeffs[i] for i in cone])
-        if m is None:
-            raise NotQCartierError(ci)
-        out.append(m)
-    return out
+    return [_cone_data(fan, coeffs, ci) for ci in range(len(fan.max_cones))]
 
 
 def support_value(fan, coeffs, v):
@@ -125,11 +108,7 @@ def support_value(fan, coeffs, v):
     ci = locate_max_cone(fan, v)
     if ci is None:
         raise ValueError(f"{tuple(v)} is not in the support of the fan")
-    cone = fan.max_cones[ci]
-    m = solve_rational(ray_matrix(fan, cone), [-coeffs[i] for i in cone])
-    if m is None:
-        raise NotQCartierError(ci)
-    return sum(x * y for x, y in zip(m, v))
+    return sum(x * y for x, y in zip(_cone_data(fan, coeffs, ci), v))
 
 
 def is_nef(fan, coeffs):

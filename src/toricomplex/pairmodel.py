@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 from .fan import Fan, as_int, is_complete, make_fan, require_valid
@@ -29,7 +28,7 @@ from .divisor import (
     is_nef,
     log_class_vanishes,
 )
-from .lattice import AbelianGroupPresentation, InvalidInputError, solve_rational
+from .lattice import AbelianGroupPresentation, InvalidInputError
 
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
@@ -69,10 +68,8 @@ class _PairFields(NamedTuple):
 
 
 class ToricPair(_PairFields):
-    """A validated toric pair ``(X, B + M)`` with a working mode.
-
-    The cached linear data lives in the instance dict that this subclass
-    of the fields' NamedTuple has; the class group lives on the fan."""
+    """A validated toric pair ``(X, B + M)`` with a working mode; its
+    class group is read off the fan, and it keeps no linear data."""
 
     @property
     def dim(self) -> int:
@@ -85,18 +82,6 @@ class ToricPair(_PairFields):
         if self.mode == "local":
             return self.fan.local_class_group(self.cone)
         return self.fan.class_group
-
-    @cached_property
-    def log_linear_data(self) -> tuple:
-        """Linear data of ``K + B + M``, solved once: for each maximal cone
-        of the working locus (the chosen cone in local mode, every maximal
-        cone otherwise), a rational m with ``<m, u> = -(K + B + M)_u`` on
-        the cone's rays, or None where no such m exists."""
-        kb = log_canonical_coeffs(self)
-        cones = (self.cone,) if self.mode == "local" else self.fan.max_cones
-        return tuple(solve_rational([self.fan.rays[i] for i in cone],
-                                    [-kb[i] for i in cone])
-                     for cone in cones)
 
     def local_rays(self) -> tuple:
         """Indices of the rays meeting the working locus (all, or the cone's)."""
@@ -161,11 +146,6 @@ def build_pair(fan: Fan, boundary, mode: str = "projective", cone=None,
         if cone is not None:
             raise InvalidPairError("cone selection only makes sense in local mode")
     return ToricPair(fan=fan, boundary=b, mode=mode, cone=cone, nef_part=m)
-
-
-def pair_class_group(pair: ToricPair) -> AbelianGroupPresentation:
-    """The divisor class group seen by the pair's mode."""
-    return pair.class_group
 
 
 def log_canonical_coeffs(pair: ToricPair) -> tuple:

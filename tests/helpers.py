@@ -1,10 +1,11 @@
 """Small functions that only the tests call, kept out of the library.
 
-They check results of the library (a matrix product, the order of a
-class, a Cartier index, Q-Cartier and principal divisors, the face
-lattice of a cone and of a fan, the cones of one dimension, cone
-multiplicities, smoothness, the different, a wall's restriction
-multiplier, an integral solve) and are built from its public pieces;
+They check results of the library (a matrix product, a fan's rays as
+rows, the order of a class, a Cartier index, Q-Cartier and principal
+divisors, the face lattice of a cone and of a fan, the cones of one
+dimension, cone multiplicities, smoothness, the different, a wall's
+restriction multiplier, an integral solve) and are built from its
+public pieces;
 the Cartier index and the integral solve go through ``cartier_scale``,
 the Smith-form solve kept in ``bruteforce``.
 """
@@ -14,11 +15,17 @@ from math import gcd, lcm
 
 from toricomplex.adjunction import (NotDivisorialCenterError,
                                     _checked_star, _different_coeffs)
-from toricomplex.divisor import NotQCartierError, cartier_data, ray_matrix
+from toricomplex.divisor import NotQCartierError, cartier_data
 from toricomplex.fan import cone_dim, is_simplicial_cone
 from toricomplex.lattice import snf, solve_rational, vec_dot
 
 from bruteforce import cartier_scale
+
+
+def ray_matrix(fan, cone=None):
+    """Rays as rows; restricted to a cone's rays (in cone order) if given."""
+    idx = cone if cone is not None else range(len(fan.rays))
+    return [list(fan.rays[i]) for i in idx]
 
 
 def solve_integral(a, b):

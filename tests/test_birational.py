@@ -1,9 +1,9 @@
-import importlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import toricomplex.divisor
 from toricomplex.birational import (
     CrepancyError,
     NotLcPlaceError,
@@ -217,13 +217,11 @@ def test_check_small_solves_each_cone_once(monkeypatch):
     s = small_modification(FLOP_A, FLOP_B)
     pair = build_pair(FLOP_A, [F(1)] * 4, mode="birational")
     solved = []
-    for name in ("pairmodel", "divisor"):
-        module = importlib.import_module(f"toricomplex.{name}")
 
-        def counting(a, b, real=module.solve_rational):
-            solved.append(tuple(map(tuple, a)))
-            return real(a, b)
-        monkeypatch.setattr(module, "solve_rational", counting)
+    def counting(a, b, real=toricomplex.divisor.solve_rational):
+        solved.append(tuple(map(tuple, a)))
+        return real(a, b)
+    monkeypatch.setattr(toricomplex.divisor, "solve_rational", counting)
     check_small(pair, s, primes(range(4), 4))
     assert len(solved) == len(set(solved)) == 4
 
@@ -234,6 +232,28 @@ def test_small_modification_to_a_non_q_cartier_target():
     pair = build_pair(FLOP_A, [F(0), F(0), F(0), F(1, 2)], mode="birational")
     with pytest.raises(NotQCartierError, match="on maximal cone 0$"):
         check_small(pair, s, make_decomposition(4, []))
+
+
+# The fan over the faces of a triangular prism: its square faces are
+# triangulated in PRISM and left square in PRISM_SQUARES, cones 2-4.
+PRISM_RAYS = [(1, 0, 1), (0, 1, 1), (-1, -1, 1),
+              (1, 0, -1), (0, 1, -1), (-1, -1, -1)]
+PRISM = make_fan(3, PRISM_RAYS, [
+    (0, 1, 2), (3, 4, 5), (1, 2, 5), (1, 4, 5), (0, 1, 4), (0, 3, 4),
+    (0, 2, 5), (0, 3, 5)])
+PRISM_SQUARES = make_fan(3, PRISM_RAYS, [
+    (0, 1, 2), (3, 4, 5), (1, 2, 4, 5), (0, 1, 3, 4), (0, 2, 3, 5)])
+
+
+def test_check_small_names_the_first_target_cone_without_data():
+    """With boundary 1/2 on ray 0, K + B is not Q-Cartier on either
+    square through ray 0 (cones 3 and 4 of the target): the error names
+    the first of them."""
+    s = small_modification(PRISM, PRISM_SQUARES)
+    pair = build_pair(PRISM, [F(1, 2)] + [F(0)] * 5)
+    with pytest.raises(NotQCartierError, match="on maximal cone 3$") as info:
+        check_small(pair, s, make_decomposition(6, []))
+    assert info.value.cone_idx == 3
 
 
 def test_non_crepant_modification_is_an_error():

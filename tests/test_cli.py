@@ -1,5 +1,6 @@
 import argparse
 import ast
+import builtins
 import contextlib
 import copy
 import importlib
@@ -1268,8 +1269,9 @@ def test_each_command_loads_only_the_modules_it_uses(tmp_path, args, doc,
     assert set(modules) == CORE_MODULES | {f"toricomplex.{m}" for m in extra}
 
 
-# Every error class of the package, with the exit code the command line
-# gives it; None: no verdict, the error escapes run.
+# Every error class of the package, with the exit code its base class
+# gives it; None: no such base, so run treats it as any other Exception
+# and exits 4.
 EXIT_VERDICTS = {
     "InvalidInputError": EXIT_INVALID,
     "ClaimFailedError": EXIT_CLAIM,
@@ -1333,10 +1335,8 @@ def test_each_error_class_has_one_exit_verdict(capsys, monkeypatch):
             raise exc
         monkeypatch.setattr(cli_module, "_cmd_validate", fail)
         if expected is None:
-            with pytest.raises(type(exc)):
-                run(["validate"])
-        else:
-            assert run(["validate"]) == expected, type(exc).__name__
+            expected = EXIT_INTERNAL
+        assert run(["validate"]) == expected, type(exc).__name__
         assert capsys.readouterr().out == ""
 
 
@@ -1361,3 +1361,65 @@ def test_builtin_errors_after_the_document_is_built_exit_internal(
         assert captured.out == ""
         if expected == EXIT_INTERNAL:
             assert captured.err.startswith("toricomplex: internal error: ")
+
+
+# Replaces the validate handler by one whose read step or report step
+# raises the named built-in error: a fault of the library, whatever it is.
+INJECTED_BUILTIN = """
+import builtins, sys
+if sys.flags.optimize != int(sys.argv[1]):
+    sys.exit(99)
+import toricomplex.cli as cli
+exc = getattr(builtins, sys.argv[2])("injected")
+def fail(*args):
+    raise exc
+cli._cmd_validate = fail if sys.argv[3] == "read" else lambda args: fail
+sys.exit(cli.main(["validate"]))
+"""
+
+OTHER_BUILTINS = ("IndexError", "ZeroDivisionError", "AttributeError")
+
+
+@pytest.mark.parametrize("name", OTHER_BUILTINS)
+@pytest.mark.parametrize("phase", ["read", "report"])
+def test_other_exceptions_exit_internal_in_either_phase(capsys, monkeypatch,
+                                                        name, phase):
+    """An Exception that run does not classify otherwise is a library
+    fault in either phase: exit 4 with one line, not a traceback."""
+    def fail(*args):
+        raise getattr(builtins, name)("injected")
+    handler = fail if phase == "read" else (lambda args: fail)
+    monkeypatch.setattr(importlib.import_module("toricomplex.cli"),
+                        "_cmd_validate", handler)
+    assert run(["validate"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"toricomplex: internal error: {name}: injected\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_other_exceptions_exit_internal_in_a_child(flags):
+    env = _child_env()
+    for name in OTHER_BUILTINS:
+        for phase in ("read", "report"):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-c", INJECTED_BUILTIN,
+                 str(len(flags)), name, phase],
+                capture_output=True, text=True, env=env)
+            assert proc.returncode == EXIT_INTERNAL, proc.stderr
+            assert proc.stdout == ""
+            assert proc.stderr == (
+                f"toricomplex: internal error: {name}: injected\n")
+            assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args, doc, field", [
+    (["check", "small"], dict(FLOP_DOC, target={"a": 1}), "rays"),
+    (["check", "contract"],
+     dict(CONTRACT_DOC, target={"rays": P2_DOC["rays"]}), "max_cones")])
+def test_a_surgery_target_names_its_missing_field(capsys, monkeypatch, args,
+                                                  doc, field):
+    code, out, err = invoke(capsys, args, doc, monkeypatch)
+    assert code == EXIT_INVALID and out == ""
+    assert err == (f"toricomplex: invalid input: missing field {field!r}"
+                   ' in "target"\n')

@@ -37,7 +37,6 @@ from toricomplex.lattice import hilbert_basis, rank_q
 from toricomplex.pairmodel import (
     build_pair,
     is_log_canonical,
-    pair_class_group,
 )
 
 from bruteforce import (
@@ -572,7 +571,7 @@ def assert_halves_match(search, oracle, options):
 
 
 def assert_search_matches_reference(pair):
-    pres = pair_class_group(pair)
+    pres = pair.class_group
     rays = pair.local_rays()
 
     def q_class(i):
@@ -676,7 +675,7 @@ def assert_quotient_matches_projection(pair):
     cokernel of the other working rays, against the Smith-form
     projection of the class vectors: the same fixed rank, and the same
     rank for every subset of the fractional primes."""
-    pres = pair_class_group(pair)
+    pres = pair.class_group
     rays = pair.local_rays()
     columns = [list(col) for col in zip(*pres.free_map)] or [[]] * len(rays)
     ones = [k for k, i in enumerate(rays) if pair.boundary[i] == 1]
@@ -730,7 +729,7 @@ def test_search_matches_leaf_bound_search_on_ladder():
     """Seven fractional primes, beyond the reach of the Fraction
     reference: the leaf-bound search ranks at almost every leaf."""
     pair = ladder_pair(7)
-    pres = pair_class_group(pair)
+    pres = pair.class_group
     classes = [[row[i] for row in pres.free_map] for i in range(12)]
     fracs = [i for i in range(12) if pair.boundary[i] < 1]
     fixed = [classes[i] for i in range(12) if pair.boundary[i] == 1]
@@ -955,7 +954,7 @@ def test_minimize_matches_bruteforce_rank_three_and_up(seed, nrays):
             rng.choice([F(1, 2), F(2, 3), F(3, 4)]) for _ in range(3)]
         rng.shuffle(boundary)
         pair = build_pair(fan, boundary)
-    assert pair_class_group(pair).free_rank >= 3
+    assert pair.class_group.free_rank >= 3
     rep = minimize(pair)
     fine, orb = oracle_minimize(fan.rays, cone, boundary)
     assert (rep.c_fine, rep.c_orb) == (fine, orb)

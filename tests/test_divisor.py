@@ -6,10 +6,8 @@ from hypothesis import given, settings, strategies as st
 from toricomplex.divisor import (
     NotQCartierError,
     canonical_coeffs,
-    class_group,
     is_ample,
     is_nef,
-    local_class_group,
     q_span_dim,
     support_value,
 )
@@ -22,34 +20,34 @@ from helpers import (cartier_index, divisor_class, is_q_cartier,
 
 
 def test_class_group_ranks():
-    assert class_group(P1).free_rank == 1
-    assert class_group(P2).free_rank == 1
-    assert class_group(P3).free_rank == 1
-    assert class_group(P1XP1).free_rank == 2
-    assert class_group(BLP2).free_rank == 2
-    assert class_group(CONIFOLD).free_rank == 1
-    assert all(class_group(f).torsion == () for f in SUITE.values())
+    assert P1.class_group.free_rank == 1
+    assert P2.class_group.free_rank == 1
+    assert P3.class_group.free_rank == 1
+    assert P1XP1.class_group.free_rank == 2
+    assert BLP2.class_group.free_rank == 2
+    assert CONIFOLD.class_group.free_rank == 1
+    assert all(f.class_group.torsion == () for f in SUITE.values())
 
 
 def test_local_class_group_a1():
-    g = local_class_group(A1_SING, (0, 1))
+    g = A1_SING.local_class_group((0, 1))
     assert g.free_rank == 0 and g.torsion == (2,)
 
 
 def test_local_class_group_smooth_point_trivial():
-    g = local_class_group(P2, (0, 1))
+    g = P2.local_class_group((0, 1))
     assert g.free_rank == 0 and g.torsion == ()
 
 
 def test_q_span_two_lines_p2():
-    pres = class_group(P2)
+    pres = P2.class_group
     lines = [(F(1), F(0), F(0)), (F(0), F(1), F(0))]
     assert q_span_dim(pres, lines) == 1
     assert q_span_dim(pres, []) == 0
 
 
 def test_divisor_class_additive():
-    pres = class_group(P1XP1)
+    pres = P1XP1.class_group
     a = divisor_class(pres, (1, 0, 0, 0))
     b = divisor_class(pres, (0, 0, 1, 0))
     # opposite rulings are linearly equivalent
@@ -123,7 +121,7 @@ def test_support_value_canonical():
 @settings(max_examples=50)
 @given(st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
 def test_principal_divisors_have_zero_class(m):
-    pres = class_group(P1XP1)
+    pres = P1XP1.class_group
     coeffs = tuple(F(vec_dot(m, u)) for u in P1XP1.rays)
     assert all(x == 0 for x in q_class(pres, coeffs))
     assert is_q_principal(P1XP1, coeffs)

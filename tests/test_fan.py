@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 import toricomplex.fan
 import toricomplex.lattice
-from toricomplex.divisor import class_group, local_class_group
 from toricomplex.fan import (
     _FAN_TABLE_SIZE,
     InvalidFanError,
@@ -33,7 +32,7 @@ from toricomplex.lattice import (
     rank_q,
     vec_dot,
 )
-from toricomplex.pairmodel import build_pair, pair_class_group, pair_from_dict
+from toricomplex.pairmodel import build_pair, pair_from_dict
 
 from bruteforce import sampled_is_complete
 from fans import (A1_SING, A2, A3, CONIFOLD, P1, P2, P3, SUITE, fan_product,
@@ -290,7 +289,7 @@ def test_fan_and_pair_geometry_is_derived_once(monkeypatch):
     assert validate_fan(CYCLE) == verdict
     assert validate_fan(fan) == [] and is_complete(fan)
 
-    assert pair_class_group(pair) is pair_class_group(pair)
+    assert pair.class_group is pair.class_group
 
 
 # The fans of the test_validate_* tests, CYCLE, PENTAGRAM and at least
@@ -670,7 +669,7 @@ def test_every_derived_fan_value_hashes(fan):
     fan = make_fan(fan.rank, fan.rays, fan.max_cones)
     values = [fan.diagnostics, fan.hforms, fan.smith_form, fan.class_group,
               is_complete(fan)]
-    values += [local_class_group(fan, c) for c in fan.max_cones]
+    values += [fan.local_class_group(c) for c in fan.max_cones]
     for value in values:
         hash(value)
 
@@ -703,21 +702,21 @@ def test_a_second_reading_derives_nothing(monkeypatch):
     for doc in docs:
         calls.clear()
         first = pair_from_dict(doc)
-        pair_class_group(first)
+        first.class_group
         assert calls["_diagnose"] == 1 and calls["snf"] + calls["cokernel"]
         calls.clear()
         second = pair_from_dict(json.loads(json.dumps(doc)))
         assert second.fan is first.fan
-        assert pair_class_group(second) is pair_class_group(first)
+        assert second.class_group is first.class_group
         assert not calls, calls
 
 
 def test_the_class_group_lives_on_the_fan():
     pair = build_pair(P2, [1, 1, 1])
-    assert pair_class_group(pair) is class_group(P2) is P2.class_group
+    assert pair.class_group is P2.class_group
     local = build_pair(A1_SING, [1, 1], mode="local", cone=(0, 1))
-    assert pair_class_group(local) is local_class_group(A1_SING, [0, 1])
-    assert local_class_group(A1_SING, (0, 1)).torsion == (2,)
+    assert local.class_group is A1_SING.local_class_group([0, 1])
+    assert A1_SING.local_class_group((0, 1)).torsion == (2,)
 
 
 def test_the_fan_table_is_bounded():
@@ -741,16 +740,16 @@ def test_threads_share_one_fan_and_its_derived_data():
     all get its verdict and class group: what a race may do is derive a
     value twice, never change one."""
     p5 = projective_space(5)
-    expected = (validate_fan(p5), class_group(p5).free_rank,
-                class_group(p5).torsion)
+    expected = (validate_fan(p5), p5.class_group.free_rank,
+                p5.class_group.torsion)
     seen = []
 
     def work():
         for _ in range(20):
             _interned.cache_clear()
             fan = make_fan(5, p5.rays, p5.max_cones)
-            seen.append((validate_fan(fan), class_group(fan).free_rank,
-                         class_group(fan).torsion))
+            seen.append((validate_fan(fan), fan.class_group.free_rank,
+                         fan.class_group.torsion))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricomplex.complexity import minimize
+from toricomplex.divisor import NotQCartierError, _cone_data, cartier_data
 from toricomplex.fan import make_fan, star_subdivision
 from toricomplex.lattice import primitive_vector
 from toricomplex.pairmodel import (
@@ -16,7 +17,6 @@ from toricomplex.pairmodel import (
     is_log_canonical,
     is_log_cy,
     log_canonical_coeffs,
-    pair_class_group,
     pair_from_dict,
     pair_to_dict,
     parse_rational,
@@ -109,8 +109,7 @@ def _count_solves(monkeypatch):
 
 def test_linear_data_is_solved_once_per_pair(monkeypatch):
     """The predicates and minimize read class groups and solve nothing;
-    the linear data, where it is read, is solved once per cone of the
-    working locus and kept."""
+    the linear data, where it is read, is solved once per maximal cone."""
     calls = _count_solves(monkeypatch)
     # K + B = -<m, u> with m = (1/4, 0, 0) on the polygon germ
     for pair, cones in [
@@ -124,9 +123,8 @@ def test_linear_data_is_solved_once_per_pair(monkeypatch):
             assert is_log_cy(pair) and is_log_canonical(pair)
             minimize(pair)
         assert calls == []
-        for _ in range(2):
-            assert None not in pair.log_linear_data
-            assert calls == cones
+        cartier_data(pair.fan, log_canonical_coeffs(pair))
+        assert calls == cones
         calls.clear()
 
 
@@ -142,10 +140,18 @@ def random_subdivision(fan, rng):
     return fan
 
 
+def _linear_data_or_none(fan, coeffs, ci):
+    try:
+        return _cone_data(fan, coeffs, ci)
+    except NotQCartierError as exc:
+        assert exc.cone_idx == ci
+        return None
+
+
 def test_linear_data_matches_gauss_jordan():
-    """The cached linear data of K + B + M and the two predicates against
-    the Fraction Gauss-Jordan oracle, on complete fans, germs and their
-    random star subdivisions, in every mode."""
+    """The per-cone linear data of K + B + M and the two predicates
+    against the Fraction Gauss-Jordan oracle, on complete fans, germs and
+    their random star subdivisions, in every mode."""
     rng = random.Random(14)
     for base, mode in [(P2, "projective"), (P3, "projective"),
                        (CUBE, "projective"), (CONIFOLD, "birational"),
@@ -165,7 +171,9 @@ def test_linear_data_matches_gauss_jordan():
                         gauss_jordan_solve([fan.rays[i] for i in c],
                                            [-kb[i] for i in c])
                         for c in cones)
-                    assert pair.log_linear_data == expected
+                    got = tuple(_linear_data_or_none(
+                        fan, kb, fan.max_cones.index(c)) for c in cones)
+                    assert got == expected
                     assert is_log_canonical(pair) == (None not in expected)
                     witness = expected[0] if pair.mode == "local" \
                         else gauss_jordan_solve(fan.rays, kb)
@@ -260,8 +268,8 @@ def test_predicates_match_solve_oracles():
 def test_class_group_respects_mode():
     proj = build_pair(CONIFOLD, [F(0)] * 4, mode="local", cone=(0, 1, 2, 3))
     bir = build_pair(CONIFOLD, [F(0)] * 4, mode="birational")
-    assert pair_class_group(proj).free_rank == 1
-    assert pair_class_group(bir).free_rank == 1
+    assert proj.class_group.free_rank == 1
+    assert bir.class_group.free_rank == 1
 
 
 def test_json_round_trip_is_byte_identical():
